@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .cohomology import (
     EquivariantClass,
-    LaurentObstruction,
     Subspace,
     ValidationReport,
     add_classes,
@@ -20,9 +19,7 @@ from .cohomology import (
     class_to_dict,
     degree_basis,
     linear_combination,
-    localization_sum,
     make_class,
-    multiply,
     restrict,
     scale_class,
     subspace_classes,
@@ -33,6 +30,7 @@ from .cohomology import (
     subspace_sum,
     unit_class,
     validate_alpha_basis,
+    weighted_gram,
     zero_class,
 )
 from .errors import (
@@ -49,18 +47,12 @@ from .errors import (
     SpecError,
     UnknownFixedPoint,
     ValidationError,
-    ZeroEuler,
 )
 from .exactmath import (
     MatrixQ,
-    Poly,
-    laurent_negative_part,
-    mat_vec,
     nullspace,
-    poly_mul,
     rat,
     rat_str,
-    residue_at_zero,
     rref,
     solve_upper_triangular,
 )
@@ -97,4 +89,4 @@ from .momentdata import (
     split_fixed_points,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -4,7 +4,8 @@ example data.
 
 Reports are byte-deterministic for identical inputs.  Exit codes: 0 success,
 2 validation failure, 3 irregular cut level, 4 class outside the image or the
-kernel, 64 usage error.
+kernel, 64 usage error (including an unreadable input or class file and an
+unwritable --out path).
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ from .kernels import (
 from .momentdata import CutLevel, load_manifold, manifold_to_json
 
 USAGE_EXIT = 64
+
+
+class _FileError(Exception):
+    """An input file that cannot be read or an --out path that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +151,15 @@ def _emit(report: dict, fmt: str, md_lines: list[str]) -> None:
         print("\n".join(md_lines))
 
 
+def _read_file(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise _FileError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _load(path: str, *, validate_alpha: bool = True):
-    return load_manifold(Path(path).read_text(), validate_alpha=validate_alpha)
+    return load_manifold(_read_file(path), validate_alpha=validate_alpha)
 
 
 def _even_degrees(n: int) -> list[int]:
@@ -300,7 +312,7 @@ def _cmd_betti(args) -> int:
 
 def _read_class(m, args):
     if args.class_file is not None:
-        text = Path(args.class_file).read_text()
+        text = _read_file(args.class_file)
     else:
         text = args.class_json
     try:
@@ -313,7 +325,17 @@ def _read_class(m, args):
         raise ValidationError(
             f"--degree {args.degree} disagrees with the class degree {obj['degree']}"
         )
-    return make_class(m, obj["degree"], obj["restrictions"])
+    if not isinstance(obj["restrictions"], dict):
+        raise SchemaError("class restrictions must be an object")
+    scalars = {}
+    for name, value in obj["restrictions"].items():
+        try:
+            scalars[name] = rat(value)
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f'class restrictions[{name!r}] must be a rational string like "p/q"'
+            ) from None
+    return make_class(m, obj["degree"], scalars)
 
 
 def _cmd_decompose(args) -> int:
@@ -369,7 +391,10 @@ def _cmd_generate(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise _FileError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         print(f"wrote {m.name} to {args.out}")
     return 0
 
@@ -396,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotRegularValue as exc:
         print(f"error: {exc}")
         return 3
+    except _FileError as exc:
+        print(f"error: {exc}")
+        return USAGE_EXIT
     except (NotInImage, NotInKernel) as exc:
         print(f"error: {exc}")
         return 4

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import UnknownFixedPoint, ValidationError
 from .exactmath import (
     MatrixQ,
-    Poly,
     RationalLike,
     nullspace,
     rat,
@@ -38,7 +37,6 @@ from .momentdata import (
 
 __all__ = [
     "EquivariantClass",
-    "LaurentObstruction",
     "ValidationReport",
     "Subspace",
     "make_class",
@@ -46,13 +44,12 @@ __all__ = [
     "zero_class",
     "class_to_dict",
     "restrict",
-    "multiply",
     "add_classes",
     "scale_class",
     "linear_combination",
     "basis_points",
     "degree_basis",
-    "localization_sum",
+    "weighted_gram",
     "validate_alpha_basis",
     "subspace_from_rows",
     "subspace_sum",
@@ -121,16 +118,6 @@ def restrict(eta: EquivariantClass, fp: FixedPoint | str) -> Fraction:
     return eta.scalar(fp.name if isinstance(fp, FixedPoint) else fp)
 
 
-def multiply(eta: EquivariantClass, zeta: EquivariantClass) -> EquivariantClass:
-    """Cup product: degrees add, restriction scalars multiply pointwise."""
-    if set(eta.restrictions) != set(zeta.restrictions):
-        raise UnknownFixedPoint("classes live on different manifolds")
-    return EquivariantClass(
-        eta.degree + zeta.degree,
-        {name: v * zeta.restrictions[name] for name, v in eta.restrictions.items()},
-    )
-
-
 def add_classes(eta: EquivariantClass, zeta: EquivariantClass) -> EquivariantClass:
     if eta.degree != zeta.degree:
         raise ValidationError("cannot add classes of different degrees")
@@ -183,33 +170,35 @@ def degree_basis(m: ManifoldData, degree: int) -> list[EquivariantClass]:
     ]
 
 
-@dataclass(frozen=True)
-class LaurentObstruction:
-    """Nonzero principal part of a localization sum: the offending negative
-    power of X and its coefficient.  Certifies non-membership in the image."""
+def weighted_gram(
+    m: ManifoldData,
+    rows: Sequence[FixedPoint],
+    cols: Sequence[FixedPoint],
+    points: Sequence[FixedPoint],
+) -> list[list[Fraction]]:
+    """Fixed-point sums of products of downward classes over Euler classes.
 
-    power: int
-    coefficient: Fraction
-
-
-def localization_sum(m: ManifoldData, eta: EquivariantClass) -> Poly | LaurentObstruction:
-    """Fixed-point sum of eta's restrictions over tangent Euler classes.
-
-    Each term is a_F X^(d/2) / (eps_F X^n), so the whole sum collapses to
-    (sum a_F / eps_F) * X^(d/2 - n).  For d/2 >= n that is the polynomial
-    answer; for d/2 < n the sum must vanish for eta to come from an actual
-    cohomology class, and a nonzero value is returned as the obstruction.
+    Entry (f, g) is sum over F in points of alpha_minus[f][F] *
+    alpha_minus[g][F] / e_F, with e_F the product of the weights at F.  Each
+    summand is the restriction of the product class, a_F X^((ind f + ind g)/2),
+    over the tangent Euler class e_F X^n, so the entry is the coefficient of
+    X^((ind f + ind g)/2 - n) in the localization sum of the product: the
+    residue pairing when that power is -1, an obstruction when it is negative
+    and the entry nonzero.
     """
-    total = Fraction(0)
-    for fp in m.fixed_points:
-        eps, _ = euler_class(fp)
-        total += eta.restrictions[fp.name] / eps
-    shift = eta.degree // 2 - m.n
-    if shift >= 0:
-        return Poly.monomial(shift, total)
-    if total == 0:
-        return Poly.zero()
-    return LaurentObstruction(power=shift, coefficient=total)
+    euler = {fp.name: euler_class(fp)[0] for fp in points}
+    weighted = []
+    for f in rows:
+        table = m.alpha_minus.get(f.name, {})
+        weighted.append({F: s / euler[F] for F, s in table.items() if s and F in euler})
+    col_tables = [m.alpha_minus.get(g.name, {}) for g in cols]
+    return [
+        [
+            sum((s * t for F, s in row.items() if (t := table.get(F))), Fraction(0))
+            for table in col_tables
+        ]
+        for row in weighted
+    ]
 
 
 # --- restriction-table validation ---------------------------------------------
@@ -252,7 +241,8 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
         same-level points; (b) their diagonal equals the negative-weight
         product; (c) the mirrored checks for the upward table when present,
         with positive-weight diagonal; (d) every product of two downward
-        classes has a polynomial localization sum.
+        classes has a polynomial localization sum, i.e. its weighted Gram
+        entry over all fixed points vanishes whenever ind f + ind g < 2n.
     """
     violations: list[str] = []
     violations.extend(_support_violations(m, "alpha_minus", upward=False))
@@ -275,21 +265,18 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
                     f"positive-weight product is {rat_str(want)}"
                 )
 
-    classes = {
-        f.name: EquivariantClass(
-            morse_index(f),
-            {g.name: m.alpha_minus_scalar(f.name, g.name) for g in m.fixed_points},
-        )
-        for f in m.fixed_points
-    }
-    names = [fp.name for fp in m.fixed_points]
-    for i, f in enumerate(names):
-        for g in names[i:]:
-            result = localization_sum(m, multiply(classes[f], classes[g]))
-            if isinstance(result, LaurentObstruction):
+    # (d): a product with ind f + ind g >= 2n localizes to a polynomial
+    # whatever its entry, so only the lower-degree pairs are computed
+    pts = m.fixed_points
+    for i, f in enumerate(pts):
+        partners = [g for g in pts[i:] if morse_index(f) + morse_index(g) < 2 * m.n]
+        (entries,) = weighted_gram(m, [f], partners, pts)
+        for g, entry in zip(partners, entries):
+            if entry != 0:
+                power = (morse_index(f) + morse_index(g)) // 2 - m.n
                 violations.append(
-                    f"localization sum of alpha_minus[{f}] * alpha_minus[{g}] has "
-                    f"residue tail {rat_str(result.coefficient)} * X^{result.power}"
+                    f"localization sum of alpha_minus[{f.name}] * "
+                    f"alpha_minus[{g.name}] has residue tail {rat_str(entry)} * X^{power}"
                 )
     return ValidationReport(violations)
 

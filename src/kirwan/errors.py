@@ -8,7 +8,6 @@ from __future__ import annotations
 
 __all__ = [
     "KirwanError",
-    "ZeroEuler",
     "SingularDiagonal",
     "NotTriangular",
     "ParseError",
@@ -26,10 +25,6 @@ __all__ = [
 
 class KirwanError(Exception):
     """Base class for every error this package raises on purpose."""
-
-
-class ZeroEuler(KirwanError):
-    """A residue denominator has leading scalar zero, so it is not invertible."""
 
 
 class SingularDiagonal(KirwanError):

@@ -1,11 +1,10 @@
-"""Exact arithmetic substrate: rationals, dense univariate polynomials,
-Laurent tails of p(X)/(e*X^n), and row-reduction linear algebra over Q.
+"""Exact arithmetic substrate: rationals and row-reduction linear algebra
+over Q.
 
 Scalars are fractions.Fraction throughout (arbitrary precision, always in
 lowest terms, positive denominator) and serialize as "p/q" strings, so no
-float ever enters the pipeline.  X is the degree-2 generator of the circle's
-point cohomology; polynomials in X are dense coefficient tuples; matrices
-are immutable row-major rational grids.
+float ever enters the pipeline.  Matrices are immutable row-major rational
+grids.
 """
 
 from __future__ import annotations
@@ -15,20 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotTriangular, SingularDiagonal, ZeroEuler
+from .errors import NotTriangular, SingularDiagonal
 
 __all__ = [
     "rat",
     "rat_str",
-    "Poly",
-    "poly_mul",
-    "residue_at_zero",
-    "laurent_negative_part",
     "MatrixQ",
     "rref",
     "nullspace",
     "solve_upper_triangular",
-    "mat_vec",
     "vstack",
 ]
 
@@ -65,147 +59,6 @@ def rat(value: RationalLike) -> Fraction:
 def rat_str(value: Fraction) -> str:
     """Canonical string form: "p/q", or just "p" when the denominator is 1."""
     return str(value)
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Dense polynomial in X; ``coeffs[k]`` holds the X^k coefficient.
-
-    Trailing zeros are trimmed on construction and the zero polynomial is the
-    empty tuple, so structural equality is mathematical equality.
-
-    >>> print(Poly([1, 1]) * Poly([-1, 1]))
-    X^2 - 1
-    """
-
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        cs = [rat(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def monomial(cls, power: int, coefficient: RationalLike = 1) -> "Poly":
-        """The polynomial coefficient * X^power."""
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        c = rat(coefficient)
-        if c == 0:
-            return cls(())
-        return cls((Fraction(0),) * power + (c,))
-
-    @property
-    def degree(self) -> int:
-        """Degree in X; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly(tuple(c * rat(other) for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        x = rat(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = "X" if k == 1 else f"X^{k}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Convolution product of two polynomials."""
-    return p * q
-
-
-def residue_at_zero(p: Poly, epsilon: RationalLike, n: int) -> Fraction:
-    """X^-1 coefficient of the Laurent expansion of p(X) / (epsilon * X^n).
-
-    >>> str(residue_at_zero(Poly.monomial(1, -2), 2, 2))
-    '-1'
-    """
-    eps = rat(epsilon)
-    if eps == 0:
-        raise ZeroEuler("residue denominator has zero leading scalar")
-    if n < 0:
-        raise ValueError("denominator exponent must be nonnegative")
-    if n == 0:
-        return Fraction(0)
-    return p.coeff(n - 1) / eps
-
-
-def laurent_negative_part(p: Poly, epsilon: RationalLike, n: int) -> list[Fraction]:
-    """Coefficients of X^-n ... X^-1 in the expansion of p(X) / (epsilon * X^n).
-
-    An all-zero result certifies that the expression is a polynomial, i.e.
-    that X^n divides p.
-    """
-    eps = rat(epsilon)
-    if eps == 0:
-        raise ZeroEuler("residue denominator has zero leading scalar")
-    if n < 0:
-        raise ValueError("denominator exponent must be nonnegative")
-    return [p.coeff(k) / eps for k in range(n)]
 
 
 @dataclass(frozen=True)
@@ -264,17 +117,6 @@ class MatrixQ:
             [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
-
-
-def mat_vec(m: MatrixQ, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Matrix-vector product m @ v."""
-    if len(v) != m.cols:
-        raise ValueError("vector length does not match column count")
-    vv = [rat(x) for x in v]
-    return tuple(
-        sum((m.entry(i, j) * vv[j] for j in range(m.cols)), Fraction(0))
-        for i in range(m.rows)
-    )
 
 
 def vstack(matrices: Iterable[MatrixQ]) -> MatrixQ:

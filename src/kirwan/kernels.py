@@ -3,13 +3,16 @@ constructive decomposition that exhibits their agreement.
 
 The pairing of two classes is the sum, over fixed points above the cut, of
 the X^-1 coefficient of (eta * zeta)|_F divided by the tangent Euler class
-at F.  A degree-d class is in the kernel exactly when it pairs to zero with
-the whole complementary degree 2n-2-d; restricting the test set to that one
-degree is exact, not an approximation, since homogeneous classes of any other
-degree pair to zero identically.  The second characterization is the direct
-sum of the classes vanishing above the cut and those vanishing below it; the
-two kernels agree on every valid datum, and `kernels_equal` treats any
-disagreement as a diagnosable data error.
+e_F X^n at F.  Every class restricts to a monomial, so that coefficient is
+eta_F zeta_F / e_F when the degrees add to 2n-2 and zero otherwise; a whole
+pairing matrix is one weighted Gram product of downward classes
+(`cohomology.weighted_gram`).  A degree-d class is in the kernel exactly when
+it pairs to zero with the whole complementary degree 2n-2-d; restricting the
+test set to that one degree is exact, not an approximation, since homogeneous
+classes of any other degree pair to zero identically.  The second
+characterization is the direct sum of the classes vanishing above the cut and
+those vanishing below it; the two kernels agree on every valid datum, and
+`kernels_equal` treats any disagreement as a diagnosable data error.
 
 Residues here are literal X^-1 coefficients; no global orientation constant
 is applied.  Kernels and Betti numbers are unaffected by that convention
@@ -35,6 +38,7 @@ from .cohomology import (
     subspace_contains,
     subspace_scalar_rows,
     subspace_sum,
+    weighted_gram,
     zero_class,
 )
 from .errors import (
@@ -43,14 +47,7 @@ from .errors import (
     NotInImage,
     NotInKernel,
 )
-from .exactmath import (
-    MatrixQ,
-    Poly,
-    nullspace,
-    rat_str,
-    residue_at_zero,
-    solve_upper_triangular,
-)
+from .exactmath import MatrixQ, nullspace, rat_str, solve_upper_triangular
 from .momentdata import (
     CutLevel,
     FixedPoint,
@@ -89,17 +86,19 @@ def pairing(
     """Reduced-space intersection pairing of eta and zeta at the cut.
 
     Nonzero only when the degrees add to 2n - 2: at each fixed point the
-    summand is a monomial over eps * X^n, whose expansion has an X^-1 term
-    exactly in that degree.
+    summand is a monomial over e_F * X^n, whose expansion has an X^-1 term
+    exactly in that degree, with coefficient eta_F * zeta_F / e_F.
     """
     plus, _ = split_fixed_points(m, cut)
-    k = (eta.degree + zeta.degree) // 2
-    total = Fraction(0)
-    for fp in plus:
-        scalar = eta.restrictions[fp.name] * zeta.restrictions[fp.name]
-        eps, n = euler_class(fp)
-        total += residue_at_zero(Poly.monomial(k, scalar), eps, n)
-    return total
+    if eta.degree + zeta.degree != 2 * m.n - 2:
+        return Fraction(0)
+    return sum(
+        (
+            eta.restrictions[fp.name] * zeta.restrictions[fp.name] / euler_class(fp)[0]
+            for fp in plus
+        ),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)
@@ -115,24 +114,21 @@ class PairingMatrix:
 
 
 def pairing_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> PairingMatrix:
-    """All pairings between the degree basis and its complementary basis.
+    """All pairings between the degree basis and its complementary basis,
+    as the weighted Gram product over the points above the cut.
 
     The column set is empty when 2n - 2 - d is negative.
     """
-    rows = degree_basis(m, degree)
+    plus, _ = split_fixed_points(m, cut)
     row_pts = basis_points(m, degree)
-    co_degree = 2 * m.n - 2 - degree
-    cols = degree_basis(m, co_degree)
-    col_pts = basis_points(m, co_degree)
-    entries = [
-        [pairing(m, eta, zeta, cut) for zeta in cols] for eta in rows
-    ]
+    col_pts = basis_points(m, 2 * m.n - 2 - degree)
+    entries = weighted_gram(m, row_pts, col_pts, plus)
     return PairingMatrix(
         cut=cut,
         degree=degree,
         row_labels=tuple(fp.name for fp in row_pts),
         col_labels=tuple(fp.name for fp in col_pts),
-        matrix=MatrixQ.from_rows(entries, cols=len(cols)),
+        matrix=MatrixQ.from_rows(entries, cols=len(col_pts)),
     )
 
 
@@ -251,27 +247,22 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
         [m.alpha_plus_scalar(f.name, g.name) for g in pts] for f in pts
     ]
     mat = MatrixQ.from_rows(entries, cols=len(pts))
-    violations: list[str] = []
-    for i in range(len(pts)):
-        for j in range(i):
-            if mat.entry(i, j) != 0:
-                violations.append(
-                    f"entry ({pts[i].name}, {pts[j].name}) = "
-                    f"{rat_str(mat.entry(i, j))} breaks upper triangularity"
-                )
-    diag_ok = True
-    for i in range(len(pts)):
-        if mat.entry(i, i) == 0:
-            diag_ok = False
-            violations.append(f"diagonal entry at {pts[i].name} is zero")
+    k = len(pts)
+    below = [(i, j) for i in range(k) for j in range(i) if mat.entry(i, j) != 0]
+    zero_diagonal = [i for i in range(k) if mat.entry(i, i) == 0]
+    violations = [
+        f"entry ({pts[i].name}, {pts[j].name}) = "
+        f"{rat_str(mat.entry(i, j))} breaks upper triangularity"
+        for i, j in below
+    ] + [f"diagonal entry at {pts[i].name} is zero" for i in zero_diagonal]
     return BMatrixReport(
         cut=cut,
         degree=degree,
         labels=tuple(fp.name for fp in pts),
         matrix=mat,
         m_exponents=tuple((morse_index(fp) - degree - 2) // 2 for fp in pts),
-        upper_triangular=not any("triangularity" in v for v in violations),
-        diagonal_nonzero=diag_ok,
+        upper_triangular=not below,
+        diagonal_nonzero=not zero_diagonal,
         violations=tuple(violations),
     )
 

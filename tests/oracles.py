@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's own code paths: Laurent expansions are
-dict-based and verified by multiplying back, so a bug in the dense-polynomial
-residue code cannot hide here.
+dict-based and verified by multiplying back, and fixed-point sums add up the
+expansion of every term separately, so a slip in the library's closed form
+(entry = sum of a_F b_F / e_F in one power of X) cannot hide here.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -36,7 +38,22 @@ def laurent_residue(coeffs, epsilon, n):
     return laurent_expand(coeffs, epsilon, n).get(-1, Fraction(0))
 
 
-def laurent_tail(coeffs, epsilon, n):
-    """Coefficients of X^-n .. X^-1 extracted from the brute-force expansion."""
-    expansion = laurent_expand(coeffs, epsilon, n)
-    return [expansion.get(-n + i, Fraction(0)) for i in range(n)]
+def localization_expansion(points, scalars, degree):
+    """Laurent expansion of the fixed-point sum over `points` of
+    scalars[F] X^(degree/2) / (e_F X^n), with e_F the product of the weights
+    at F and n their count; zero coefficients omitted."""
+    total = {}
+    for fp in points:
+        monomial = [0] * (degree // 2) + [scalars[fp.name]]
+        expansion = laurent_expand(monomial, math.prod(fp.weights), len(fp.weights))
+        for power, c in expansion.items():
+            total[power] = total.get(power, Fraction(0)) + c
+    return {power: c for power, c in total.items() if c != 0}
+
+
+def product_scalars(m, f, g):
+    """Restriction scalars of the product of the downward classes of f and g."""
+    return {
+        fp.name: m.alpha_minus_scalar(f, fp.name) * m.alpha_minus_scalar(g, fp.name)
+        for fp in m.fixed_points
+    }

@@ -190,6 +190,54 @@ def test_irregular_cut_exits_3(cp2_path, capsys):
     assert "moment" in text
 
 
+@pytest.mark.parametrize(
+    "command, degree",
+    [("pair", "0"), ("pair", "1"), ("pair", "4"), ("kernel", "3"), ("kernel", "4")],
+)
+def test_irregular_cut_exits_3_at_every_degree(cp2_path, capsys, command, degree):
+    extra = ["--method", "residue"] if command == "kernel" else []
+    code, text = run(
+        capsys, command, "--input", cp2_path, "--cut", "1", "--degree", degree, *extra
+    )
+    assert code == 3
+    assert "moment" in text
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("missing input", 64),
+        ("missing class file", 64),
+        ("unwritable out", 64),
+        ("float restriction", 2),
+        ("list restrictions", 2),
+    ],
+)
+def test_bad_files_and_class_documents_get_documented_exit_codes(
+    cp2_path, tmp_path, capsys, case, want
+):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    decompose = ["decompose", "--input", cp2_path, "--cut", "3/2", "--degree", "0"]
+    argv, named = {
+        "missing input": (["validate", "--input", missing], missing),
+        "missing class file": ([*decompose, "--class-file", missing], missing),
+        "unwritable out": (["generate", "cpn", "--lambda", "0,1", "--out", missing], missing),
+        "float restriction": (
+            [*decompose, "--class-json", '{"degree": 0, "restrictions": {"p0": 1.5}}'],
+            "restrictions['p0']",
+        ),
+        "list restrictions": (
+            [*decompose, "--class-json", '{"degree": 0, "restrictions": [1]}'],
+            "restrictions",
+        ),
+    }[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == want
+    assert named in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_usage_error_exits_64(cp2_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kernel", "--input", cp2_path])  # missing --cut

@@ -1,17 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from kirwan.cohomology import (
-    LaurentObstruction,
     degree_basis,
     basis_points,
-    localization_sum,
+    linear_combination,
     make_class,
-    multiply,
     restrict,
     scale_class,
     add_classes,
@@ -21,10 +20,10 @@ from kirwan.cohomology import (
     subspace_sum,
     unit_class,
     validate_alpha_basis,
+    weighted_gram,
     zero_class,
 )
 from kirwan.errors import UnknownFixedPoint, ValidationError
-from kirwan.exactmath import Poly
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.momentdata import index_census, morse_index
 
@@ -98,7 +97,7 @@ def test_validator_same_level_support(cp2):
     assert any("alpha_minus[pm][mp]" in v for v in report.violations)
 
 
-# --- classes and products -------------------------------------------------------
+# --- classes --------------------------------------------------------------------
 
 
 def test_make_class_fills_and_checks(cp1):
@@ -118,17 +117,6 @@ def test_restrict(cp1):
     assert restrict(alpha1, "p1") == -1
     with pytest.raises(UnknownFixedPoint):
         restrict(one, "nope")
-
-
-def test_multiply_unit_and_square(cp1):
-    one = unit_class(cp1)
-    alpha1 = make_class(cp1, 2, {"p1": -1})
-    assert multiply(one, alpha1) == alpha1
-    square = multiply(alpha1, alpha1)
-    assert square.degree == 4
-    assert scalars(cp1, square) == (0, 1)
-    zero = zero_class(cp1, 2)
-    assert multiply(alpha1, zero) == zero_class(cp1, 4)
 
 
 # --- degree bases ---------------------------------------------------------------
@@ -160,35 +148,78 @@ def test_degree_basis_census_consistency():
             assert len(degree_basis(m, d)) == expected
 
 
+# --- weighted Gram product ------------------------------------------------------
+
+
+def test_weighted_gram_cp1(cp1):
+    # e_p0 = 1, e_p1 = -1; downward classes (1, 1) at p0 and (0, -1) at p1
+    pts = list(cp1.fixed_points)
+    assert weighted_gram(cp1, pts, pts, pts) == [[0, 1], [1, -1]]
+    assert weighted_gram(cp1, pts, pts, pts[1:]) == [[-1, 1], [1, -1]]
+    assert weighted_gram(cp1, pts, pts[:1], []) == [[0], [0]]
+    assert weighted_gram(cp1, [], pts, pts) == []
+
+
+def test_weighted_gram_is_symmetric():
+    m = gen_sphere_product([2, -3, 1])
+    pts = list(m.fixed_points)
+    gram = weighted_gram(m, pts, pts, pts[3:])
+    assert gram == [list(col) for col in zip(*gram)]
+
+
 # --- localization ----------------------------------------------------------------
+# The localization sum of a product of two downward classes is one weighted Gram
+# entry over all fixed points, in the power X^((ind f + ind g)/2 - n).
+
+
+def unit_point(m):
+    """The minimum, whose downward class is the unit."""
+    low = m.fixed_points[0]
+    assert all(m.alpha_minus_scalar(low.name, g.name) == 1 for g in m.fixed_points)
+    return low
 
 
 def test_localization_sum_unit_classes(cp1, cp2):
-    assert localization_sum(cp1, unit_class(cp1)) == Poly.zero()
-    assert localization_sum(cp2, unit_class(cp2)) == Poly.zero()
+    for m in (cp1, cp2):
+        one = unit_point(m)
+        assert weighted_gram(m, [one], [one], m.fixed_points) == [[0]]
 
 
 def test_localization_obstruction(cp1):
-    bad = make_class(cp1, 0, {"p0": 1})
-    result = localization_sum(cp1, bad)
-    assert isinstance(result, LaurentObstruction)
-    assert result.coefficient == 1
-    assert result.power == -1
+    cp1.alpha_minus["p0"] = {"p0": Fraction(1)}  # the class {p0: 1} in degree 0
+    p0 = cp1.fixed_point("p0")
+    assert weighted_gram(cp1, [p0], [p0], cp1.fixed_points) == [[1]]
+    assert validate_alpha_basis(cp1).violations[-1] == (
+        "localization sum of alpha_minus[p0] * alpha_minus[p0] has residue tail 1 * X^-1"
+    )
 
 
 def test_localization_polynomial_range(cp2):
-    alpha2 = make_class(cp2, 4, {"p2": 2})
-    result = localization_sum(cp2, alpha2)
-    assert result == Poly([1])  # degree 4 over X^2 leaves a constant
+    # alpha_minus[p2] = {p2: 2} times the unit: degree 4 over X^2 leaves a constant
+    p2 = cp2.fixed_point("p2")
+    assert weighted_gram(cp2, [p2], [unit_point(cp2)], cp2.fixed_points) == [[1]]
+    assert validate_alpha_basis(cp2).ok
 
 
 def test_localization_fuzz_combos():
+    # random combinations eta, zeta with deg eta + deg zeta < 2n: the sum of
+    # eta_F zeta_F / e_F is c_eta^T G c_zeta, and it vanishes
     rng = random.Random(7)
     for m in (gen_cpn([0, 1, 2]), gen_cpn([-2, 0, 1, 4]), gen_sphere_product([1, 1])):
+        euler = {fp.name: math.prod(fp.weights) for fp in m.fixed_points}
         for d in range(0, 2 * m.n, 2):
+            e = rng.choice(range(0, 2 * m.n - d, 2))
+            gram = weighted_gram(m, basis_points(m, d), basis_points(m, e), m.fixed_points)
             for _ in range(20):
-                eta = random_combo(rng, m, d)
-                assert localization_sum(m, eta) == Poly.zero()
+                a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gram]
+                b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gram[0]]
+                eta = linear_combination(d, zip(a, degree_basis(m, d)))
+                zeta = linear_combination(e, zip(b, degree_basis(m, e)))
+                direct = sum(
+                    eta.restrictions[F] * zeta.restrictions[F] / euler[F] for F in euler
+                )
+                via_gram = sum(x * g * y for x, row in zip(a, gram) for g, y in zip(row, b))
+                assert direct == via_gram == 0
 
 
 def test_degree_bound_property():
@@ -211,7 +242,7 @@ def test_degree_bound_property():
                         )
 
 
-# --- subspaces --------------------------------------------------------------------
+# --- subspaces ----------------------------------------------------------------
 
 
 def test_subspace_canonicalization():

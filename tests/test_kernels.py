@@ -339,6 +339,18 @@ def test_b_matrix_empty_index_set():
     assert rep.ok
 
 
+def test_b_matrix_flags_come_from_the_entries():
+    # a point named "triangularity" with a zero diagonal breaks only the diagonal
+    doc = json.loads(manifold_to_json(gen_cpn([0, 1, 2])).replace('"p2"', '"triangularity"'))
+    doc["alpha_plus"]["triangularity"]["triangularity"] = "0"
+    m = load_manifold(doc, validate_alpha=False)
+    rep = b_matrix(m, cut("3/2"), 2)
+    assert rep.labels == ("triangularity",)
+    assert rep.violations == ("diagonal entry at triangularity is zero",)
+    assert rep.upper_triangular
+    assert not rep.diagonal_nonzero
+
+
 def test_b_matrix_requires_alpha_plus():
     m = gen_cpn([0, 1, 2])
     doc = json.loads(manifold_to_json(m))
