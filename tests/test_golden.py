@@ -2,8 +2,10 @@
 
 Every subcommand runs in json and md on CP^1..CP^4 and S2^1..S2^3, at every
 mid-gap cut and at one cut on a moment value, with one decompose class per
-degree and two mutated copies of each datum for `validate`.  The fixture
-keeps the exit code and a short sha256 of stdout per job.
+degree and two mutated copies of each datum for `validate`.  Two larger data,
+S2^4 with tied levels and sparse tables and a CP^6, run `validate` and, at
+every mid-gap cut, `kernel --degree all` and `betti`.  The fixture keeps the
+exit code and a short sha256 of stdout per job.
 
 Re-record (only when a report is meant to change) with
 
@@ -37,6 +39,11 @@ DATA = {
     "s1": (gen_sphere_product, [1]),
     "s2": (gen_sphere_product, [1, 2]),
     "s3": (gen_sphere_product, [1, 1, 1]),
+}
+# larger data, swept only through validate, kernel --degree all and betti
+SWEEP_DATA = {
+    "s4": (gen_sphere_product, [1, 2, 3, 5]),
+    "cp6": (gen_cpn, [-3, -1, 0, 2, 3, 7, 8]),
 }
 FORMATS = ("json", "md")
 
@@ -111,6 +118,24 @@ def cases(workdir: Path):
                     )
 
 
+def sweep_cases(workdir: Path):
+    """Yield (key, argv) for the validate, kernel and betti sweep of SWEEP_DATA."""
+    for label, (gen, params) in SWEEP_DATA.items():
+        m = gen(params)
+        path = workdir / f"{label}.json"
+        path.write_text(manifold_to_json(m))
+        src = str(path)
+        levels = sorted({fp.moment for fp in m.fixed_points})
+        for fmt in FORMATS:
+            f = ["--format", fmt]
+            yield f"{label} validate {fmt}", ["validate", "--input", src, *f]
+            for lo, hi in zip(levels, levels[1:]):
+                q = ["--input", src, "--cut", str((lo + hi) / 2), *f]
+                tag = f"{label} cut={(lo + hi) / 2} {fmt}"
+                yield f"{tag} kernel all", ["kernel", *q, "--degree", "all"]
+                yield f"{tag} betti", ["betti", *q]
+
+
 def run_job(argv: list[str]) -> list:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -120,7 +145,9 @@ def run_job(argv: list[str]) -> list:
 
 def outputs() -> dict[str, list]:
     with tempfile.TemporaryDirectory() as tmp:
-        return {key: run_job(argv) for key, argv in cases(Path(tmp))}
+        workdir = Path(tmp)
+        jobs = [*cases(workdir), *sweep_cases(workdir)]
+        return {key: run_job(argv) for key, argv in jobs}
 
 
 def test_cli_outputs_match_golden():
