@@ -153,9 +153,11 @@ def _emit(report: dict, fmt: str, md_lines: list[str]) -> None:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _FileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _load(path: str, *, validate_alpha: bool = True):
@@ -319,8 +321,12 @@ def _read_class(m, args):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid class JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid class JSON: nested too deeply to parse") from None
     if not isinstance(obj, dict) or set(obj) != {"degree", "restrictions"}:
         raise SchemaError("class document needs exactly: degree, restrictions")
+    if isinstance(obj["degree"], bool) or not isinstance(obj["degree"], int):
+        raise SchemaError("class degree must be an integer")
     if obj["degree"] != args.degree:
         raise ValidationError(
             f"--degree {args.degree} disagrees with the class degree {obj['degree']}"

@@ -1,13 +1,16 @@
 """Equivariant cohomology modeled through fixed-point restrictions.
 
 A homogeneous class of even degree d is stored as one rational scalar per
-fixed point F, meaning its restriction there is scalar * X^(d/2).  The
-degree-d piece of the cohomology image is, by definition here, the span of
-the shifted downward basis classes: one for each fixed point of index <= d,
-with restriction scalars taken straight from the alpha_minus table (shifting
-by a power of X changes the implied exponent, never the scalar).  Odd-degree
-pieces are zero; queries about them return empty bases rather than failing so
-degree sweeps stay uniform.
+fixed point F, in fixed-point order, meaning its restriction there is
+scalar * X^(d/2).  The degree-d piece of the cohomology image is, by
+definition here, the span of the shifted downward basis classes: one for each
+fixed point of index <= d, whose restriction vector is that point's row of
+the alpha_minus table (shifting by a power of X changes the implied exponent,
+never the scalar).  A degree basis is therefore a set of rows of one matrix:
+coefficient vectors expand to restrictions by one product with those rows,
+and pairings and the localization check are weighted Gram products of rows.
+Odd-degree pieces are zero; queries about them return empty bases rather
+than failing so degree sweeps stay uniform.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnknownFixedPoint, ValidationError
+from .errors import ValidationError
 from .exactmath import (
     MatrixQ,
     RationalLike,
@@ -29,6 +32,7 @@ from .exactmath import (
 from .momentdata import (
     FixedPoint,
     ManifoldData,
+    Table,
     euler_class,
     morse_index,
     negative_euler_scalar,
@@ -43,10 +47,7 @@ __all__ = [
     "unit_class",
     "zero_class",
     "class_to_dict",
-    "restrict",
-    "add_classes",
-    "scale_class",
-    "linear_combination",
+    "combine_rows",
     "basis_points",
     "degree_basis",
     "weighted_gram",
@@ -59,94 +60,64 @@ __all__ = [
     "subspace_scalar_rows",
 ]
 
+Vector = tuple[Fraction, ...]
+
 
 @dataclass(frozen=True)
 class EquivariantClass:
-    """Homogeneous class of even degree, stored by restriction scalars."""
+    """Homogeneous class of even degree, stored by restriction scalars in
+    fixed-point order."""
 
     degree: int
-    restrictions: dict[str, Fraction]
-
-    def scalar(self, name: str) -> Fraction:
-        try:
-            return self.restrictions[name]
-        except KeyError:
-            raise UnknownFixedPoint(f"no fixed point named {name!r}") from None
+    restrictions: Vector
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.restrictions.values())
+        return not any(self.restrictions)
 
 
 def make_class(
     m: ManifoldData, degree: int, scalars: Mapping[str, RationalLike] | None = None
 ) -> EquivariantClass:
-    """Build a class on m, filling unmentioned fixed points with zero."""
+    """Build a class on m from named scalars, filling unmentioned fixed points
+    with zero."""
     if degree < 0 or degree % 2 != 0:
         raise ValidationError(f"class degree must be even and nonnegative, got {degree}")
-    given = {} if scalars is None else dict(scalars)
-    for name in given:
-        m.fixed_point(name)
+    given = {} if scalars is None else scalars
+    by_position = {m.position(name): value for name, value in given.items()}
     return EquivariantClass(
-        degree,
-        {
-            fp.name: rat(given.get(fp.name, 0))
-            for fp in m.fixed_points
-        },
+        degree, tuple(rat(by_position.get(i, 0)) for i in range(len(m.fixed_points)))
     )
 
 
 def unit_class(m: ManifoldData) -> EquivariantClass:
-    return EquivariantClass(0, {fp.name: Fraction(1) for fp in m.fixed_points})
+    return EquivariantClass(0, (Fraction(1),) * len(m.fixed_points))
 
 
 def zero_class(m: ManifoldData, degree: int) -> EquivariantClass:
-    return make_class(m, degree, {})
+    return make_class(m, degree)
 
 
 def class_to_dict(m: ManifoldData, eta: EquivariantClass) -> dict:
-    """Serializable form with restrictions in fixed-point order."""
+    """Serializable form with restrictions named, in fixed-point order."""
     return {
         "degree": eta.degree,
         "restrictions": {
-            fp.name: rat_str(eta.restrictions[fp.name]) for fp in m.fixed_points
+            fp.name: rat_str(s) for fp, s in zip(m.fixed_points, eta.restrictions)
         },
     }
 
 
-def restrict(eta: EquivariantClass, fp: FixedPoint | str) -> Fraction:
-    """The scalar a_F with eta|_F = a_F * X^(degree/2)."""
-    return eta.scalar(fp.name if isinstance(fp, FixedPoint) else fp)
-
-
-def add_classes(eta: EquivariantClass, zeta: EquivariantClass) -> EquivariantClass:
-    if eta.degree != zeta.degree:
-        raise ValidationError("cannot add classes of different degrees")
-    return EquivariantClass(
-        eta.degree,
-        {name: v + zeta.restrictions[name] for name, v in eta.restrictions.items()},
-    )
-
-
-def scale_class(eta: EquivariantClass, s: RationalLike) -> EquivariantClass:
-    c = rat(s)
-    return EquivariantClass(
-        eta.degree, {name: c * v for name, v in eta.restrictions.items()}
-    )
-
-
-def linear_combination(
-    degree: int, terms: Iterable[tuple[RationalLike, EquivariantClass]]
-) -> EquivariantClass:
-    """Sum of coefficient * class over terms, all of the given degree."""
-    acc: EquivariantClass | None = None
-    for coeff, cls in terms:
-        if cls.degree != degree:
-            raise ValidationError("linear combination mixes degrees")
-        piece = scale_class(cls, coeff)
-        acc = piece if acc is None else add_classes(acc, piece)
-    if acc is None:
-        raise ValidationError("empty linear combination needs an ambient manifold")
-    return acc
+def combine_rows(
+    coeffs: Sequence[Fraction], rows: Sequence[Vector], width: int
+) -> Vector:
+    """Sum of coeffs[k] * rows[k] over the nonzero coefficients, each row of
+    the given width: coefficients over a degree basis expanded to restriction
+    scalars."""
+    acc = [Fraction(0)] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * r if r else a for a, r in zip(acc, row)]
+    return tuple(acc)
 
 
 def basis_points(m: ManifoldData, degree: int) -> list[FixedPoint]:
@@ -157,46 +128,34 @@ def basis_points(m: ManifoldData, degree: int) -> list[FixedPoint]:
     return [fp for fp in m.fixed_points if morse_index(fp) <= degree]
 
 
-def degree_basis(m: ManifoldData, degree: int) -> list[EquivariantClass]:
-    """Basis of the degree-d image: the downward class of each fixed point of
-    index <= d, reinterpreted in degree d (scalars are unchanged by the X
-    shift).  Odd degrees have zero graded piece and yield an empty list."""
-    return [
-        EquivariantClass(
-            degree,
-            {g.name: m.alpha_minus_scalar(fp.name, g.name) for g in m.fixed_points},
-        )
-        for fp in basis_points(m, degree)
-    ]
+def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
+    """Basis of the degree-d image: the alpha_minus rows of the fixed points
+    of index <= d, read as degree-d restriction vectors (scalars are
+    unchanged by the X shift).  Odd degrees have zero graded piece and yield
+    an empty list."""
+    return [m.alpha_minus[m.position(fp.name)] for fp in basis_points(m, degree)]
 
 
 def weighted_gram(
     m: ManifoldData,
-    rows: Sequence[FixedPoint],
-    cols: Sequence[FixedPoint],
-    points: Sequence[FixedPoint],
+    rows: Sequence[Vector],
+    cols: Sequence[Vector],
+    points: Sequence[int],
 ) -> list[list[Fraction]]:
-    """Fixed-point sums of products of downward classes over Euler classes.
+    """Fixed-point sums of products of restriction vectors over Euler classes.
 
-    Entry (f, g) is sum over F in points of alpha_minus[f][F] *
-    alpha_minus[g][F] / e_F, with e_F the product of the weights at F.  Each
-    summand is the restriction of the product class, a_F X^((ind f + ind g)/2),
-    over the tangent Euler class e_F X^n, so the entry is the coefficient of
-    X^((ind f + ind g)/2 - n) in the localization sum of the product: the
-    residue pairing when that power is -1, an obstruction when it is negative
-    and the entry nonzero.
+    Entry (i, k) is sum over positions j in points of rows[i][j] *
+    cols[k][j] / e_j, with e_j the product of the weights at fixed point j.
+    For downward classes f and g, each summand is the restriction of the
+    product class, a_j X^((ind f + ind g)/2), over the tangent Euler class
+    e_j X^n, so the entry is the coefficient of X^((ind f + ind g)/2 - n) in
+    the localization sum of the product: the residue pairing when that power
+    is -1, an obstruction when it is negative and the entry nonzero.
     """
-    euler = {fp.name: euler_class(fp)[0] for fp in points}
-    weighted = []
-    for f in rows:
-        table = m.alpha_minus.get(f.name, {})
-        weighted.append({F: s / euler[F] for F, s in table.items() if s and F in euler})
-    col_tables = [m.alpha_minus.get(g.name, {}) for g in cols]
+    euler = [(j, euler_class(m.fixed_points[j])[0]) for j in points]
+    weighted = [[(j, s / e) for j, e in euler if (s := row[j])] for row in rows]
     return [
-        [
-            sum((s * t for F, s in row.items() if (t := table.get(F))), Fraction(0))
-            for table in col_tables
-        ]
+        [sum((s * t for j, s in row if (t := col[j])), Fraction(0)) for col in cols]
         for row in weighted
     ]
 
@@ -216,12 +175,10 @@ class ValidationReport:
 
 
 def _support_violations(
-    m: ManifoldData, table_name: str, upward: bool
+    m: ManifoldData, table_name: str, table: Table, upward: bool
 ) -> Iterable[str]:
-    table = m.alpha_minus if table_name == "alpha_minus" else (m.alpha_plus or {})
-    for f in m.fixed_points:
-        for g in m.fixed_points:
-            s = table.get(f.name, {}).get(g.name, Fraction(0))
+    for f, row in zip(m.fixed_points, table):
+        for g, s in zip(m.fixed_points, row):
             if s == 0:
                 continue
             below = g.moment < f.moment if not upward else g.moment > f.moment
@@ -244,10 +201,11 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
         classes has a polynomial localization sum, i.e. its weighted Gram
         entry over all fixed points vanishes whenever ind f + ind g < 2n.
     """
+    pts = m.fixed_points
     violations: list[str] = []
-    violations.extend(_support_violations(m, "alpha_minus", upward=False))
-    for f in m.fixed_points:
-        diag = m.alpha_minus_scalar(f.name, f.name)
+    violations.extend(_support_violations(m, "alpha_minus", m.alpha_minus, upward=False))
+    for i, f in enumerate(pts):
+        diag = m.alpha_minus[i][i]
         want = negative_euler_scalar(f)
         if diag != want:
             violations.append(
@@ -255,9 +213,9 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
                 f"negative-weight product is {rat_str(want)}"
             )
     if m.alpha_plus is not None:
-        violations.extend(_support_violations(m, "alpha_plus", upward=True))
-        for f in m.fixed_points:
-            diag = m.alpha_plus_scalar(f.name, f.name)
+        violations.extend(_support_violations(m, "alpha_plus", m.alpha_plus, upward=True))
+        for i, f in enumerate(pts):
+            diag = m.alpha_plus[i][i]
             want = positive_euler_scalar(f)
             if diag != want:
                 violations.append(
@@ -267,12 +225,17 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
 
     # (d): a product with ind f + ind g >= 2n localizes to a polynomial
     # whatever its entry, so only the lower-degree pairs are computed
-    pts = m.fixed_points
+    everywhere = range(len(pts))
     for i, f in enumerate(pts):
-        partners = [g for g in pts[i:] if morse_index(f) + morse_index(g) < 2 * m.n]
-        (entries,) = weighted_gram(m, [f], partners, pts)
-        for g, entry in zip(partners, entries):
+        partners = [
+            j for j in everywhere[i:] if morse_index(f) + morse_index(pts[j]) < 2 * m.n
+        ]
+        (entries,) = weighted_gram(
+            m, [m.alpha_minus[i]], [m.alpha_minus[j] for j in partners], everywhere
+        )
+        for j, entry in zip(partners, entries):
             if entry != 0:
+                g = pts[j]
                 power = (morse_index(f) + morse_index(g)) // 2 - m.n
                 violations.append(
                     f"localization sum of alpha_minus[{f.name}] * "
@@ -341,26 +304,15 @@ def subspace_intersection_dim(a: Subspace, b: Subspace) -> int:
 
 def subspace_classes(m: ManifoldData, s: Subspace) -> list[EquivariantClass]:
     """Expand each canonical basis row into an actual class."""
-    ambient = degree_basis(m, s.degree)
+    return [EquivariantClass(s.degree, row) for row in subspace_scalar_rows(m, s)]
+
+
+def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
+    """Canonical basis rows expanded to restriction scalars, in point order:
+    the coefficient rows times the degree-basis rows."""
     expected = tuple(fp.name for fp in basis_points(m, s.degree))
     if expected != s.labels:
         raise ValidationError("subspace labels do not match the degree basis")
-    out = []
-    for i in range(s.basis.rows):
-        row = s.basis.row(i)
-        out.append(
-            linear_combination(
-                s.degree, [(c, cls) for c, cls in zip(row, ambient)]
-            )
-            if ambient
-            else zero_class(m, s.degree)
-        )
-    return out
-
-
-def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[list[Fraction]]:
-    """Canonical basis rows expanded to restriction scalars, in point order."""
-    return [
-        [cls.restrictions[fp.name] for fp in m.fixed_points]
-        for cls in subspace_classes(m, s)
-    ]
+    ambient = degree_basis(m, s.degree)
+    width = len(m.fixed_points)
+    return [combine_rows(s.basis.row(i), ambient, width) for i in range(s.basis.rows)]

@@ -95,7 +95,7 @@ class MatrixQ:
             if len(r) != width:
                 raise ValueError("ragged rows")
             flat.extend(r)
-        return cls(len(rows), width, tuple(rat(e) for e in flat))
+        return cls(len(rows), width, tuple(flat))
 
     @classmethod
     def identity(cls, k: int) -> "MatrixQ":

@@ -23,23 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cohomology import (
     EquivariantClass,
     Subspace,
-    add_classes,
     basis_points,
     class_to_dict,
+    combine_rows,
     degree_basis,
-    restrict,
-    scale_class,
     subspace_classes,
     subspace_contains,
     subspace_scalar_rows,
     subspace_sum,
     weighted_gram,
-    zero_class,
 )
 from .errors import (
     InternalContradiction,
@@ -52,7 +49,6 @@ from .momentdata import (
     CutLevel,
     FixedPoint,
     ManifoldData,
-    euler_class,
     morse_index,
     split_fixed_points,
 )
@@ -80,6 +76,10 @@ SIGN_CONVENTION = (
 )
 
 
+def _positions(m: ManifoldData, points: Iterable[FixedPoint]) -> list[int]:
+    return [m.position(fp.name) for fp in points]
+
+
 def pairing(
     m: ManifoldData, eta: EquivariantClass, zeta: EquivariantClass, cut: CutLevel
 ) -> Fraction:
@@ -92,13 +92,10 @@ def pairing(
     plus, _ = split_fixed_points(m, cut)
     if eta.degree + zeta.degree != 2 * m.n - 2:
         return Fraction(0)
-    return sum(
-        (
-            eta.restrictions[fp.name] * zeta.restrictions[fp.name] / euler_class(fp)[0]
-            for fp in plus
-        ),
-        Fraction(0),
+    ((value,),) = weighted_gram(
+        m, [eta.restrictions], [zeta.restrictions], _positions(m, plus)
     )
+    return value
 
 
 @dataclass(frozen=True)
@@ -120,15 +117,17 @@ def pairing_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> PairingMatrix
     The column set is empty when 2n - 2 - d is negative.
     """
     plus, _ = split_fixed_points(m, cut)
-    row_pts = basis_points(m, degree)
-    col_pts = basis_points(m, 2 * m.n - 2 - degree)
-    entries = weighted_gram(m, row_pts, col_pts, plus)
+    co_degree = 2 * m.n - 2 - degree
+    entries = weighted_gram(
+        m, degree_basis(m, degree), degree_basis(m, co_degree), _positions(m, plus)
+    )
+    col_labels = tuple(fp.name for fp in basis_points(m, co_degree))
     return PairingMatrix(
         cut=cut,
         degree=degree,
-        row_labels=tuple(fp.name for fp in row_pts),
-        col_labels=tuple(fp.name for fp in col_pts),
-        matrix=MatrixQ.from_rows(entries, cols=len(col_pts)),
+        row_labels=tuple(fp.name for fp in basis_points(m, degree)),
+        col_labels=col_labels,
+        matrix=MatrixQ.from_rows(entries, cols=len(col_labels)),
     )
 
 
@@ -142,10 +141,12 @@ def kernel_residue(m: ManifoldData, cut: CutLevel, degree: int) -> Subspace:
 def _evaluation_kernel(
     m: ManifoldData, degree: int, points: Sequence[FixedPoint]
 ) -> Subspace:
+    """Degree-d classes vanishing at the given points: the null space of the
+    basis rows restricted to those points' columns."""
     basis = degree_basis(m, degree)
     labels = tuple(fp.name for fp in basis_points(m, degree))
-    rows = [[restrict(cls, fp) for cls in basis] for fp in points]
-    eva = MatrixQ.from_rows(rows, cols=len(basis))
+    columns = _positions(m, points)
+    eva = MatrixQ.from_rows([[row[j] for row in basis] for j in columns], cols=len(basis))
     return Subspace(degree, labels, nullspace(eva))
 
 
@@ -243,9 +244,8 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
     plus, _ = split_fixed_points(m, cut)
     pts = [fp for fp in plus if morse_index(fp) >= degree + 2]
     pts.sort(key=lambda fp: (-fp.moment, fp.name))
-    entries = [
-        [m.alpha_plus_scalar(f.name, g.name) for g in pts] for f in pts
-    ]
+    order = _positions(m, pts)
+    entries = [[m.alpha_plus[i][j] for j in order] for i in order]
     mat = MatrixQ.from_rows(entries, cols=len(pts))
     k = len(pts)
     below = [(i, j) for i in range(k) for j in range(i) if mat.entry(i, j) != 0]
@@ -299,29 +299,20 @@ def _solve_basis_coefficients(
         raise NotInImage(
             f"degree {eta.degree} has an empty basis but the class is nonzero"
         )
-    desc = list(reversed(pts))
-    system = MatrixQ.from_rows(
-        [
-            [m.alpha_minus_scalar(f.name, g.name) for f in desc]
-            for g in desc
-        ],
-        cols=len(desc),
-    )
-    rhs = [eta.restrictions[g.name] for g in desc]
-    solution = solve_upper_triangular(system, rhs)
-    coeffs = {f.name: c for f, c in zip(desc, solution)}
+    desc = _positions(m, reversed(pts))
+    a = m.alpha_minus
+    system = MatrixQ.from_rows([[a[f][g] for f in desc] for g in desc], cols=len(desc))
+    solution = solve_upper_triangular(system, [eta.restrictions[g] for g in desc])
+    coeffs = solution[::-1]
     # the triangular solve pinned the basis points; membership needs the rest
-    for g in m.fixed_points:
-        rebuilt = sum(
-            (coeffs[f.name] * m.alpha_minus_scalar(f.name, g.name) for f in pts),
-            Fraction(0),
-        )
-        if rebuilt != eta.restrictions[g.name]:
+    rebuilt = combine_rows(coeffs, degree_basis(m, eta.degree), len(m.fixed_points))
+    for g, want, got in zip(m.fixed_points, eta.restrictions, rebuilt):
+        if got != want:
             raise NotInImage(
-                f"restriction at {g.name} is {rat_str(eta.restrictions[g.name])} "
-                f"but the basis span forces {rat_str(rebuilt)}"
+                f"restriction at {g.name} is {rat_str(want)} "
+                f"but the basis span forces {rat_str(got)}"
             )
-    return {f.name: coeffs[f.name] for f in pts}
+    return {f.name: c for f, c in zip(pts, coeffs)}
 
 
 def decompose(
@@ -342,11 +333,12 @@ def decompose(
     asserted and raises InternalContradiction on inconsistent data.
     """
     plus, minus = split_fixed_points(m, cut)
+    above, below = _positions(m, plus), _positions(m, minus)
     coeffs = _solve_basis_coefficients(m, eta)
 
     co_degree = 2 * m.n - 2 - eta.degree
-    for zeta, fp in zip(degree_basis(m, co_degree), basis_points(m, co_degree)):
-        value = pairing(m, eta, zeta, cut)
+    (values,) = weighted_gram(m, [eta.restrictions], degree_basis(m, co_degree), above)
+    for fp, value in zip(basis_points(m, co_degree), values):
         if value != 0:
             raise NotInKernel(
                 f"pairing against the basis class of {fp.name} in degree "
@@ -354,46 +346,41 @@ def decompose(
             )
 
     pts = basis_points(m, eta.degree)
-    classes = dict(zip([fp.name for fp in pts], degree_basis(m, eta.degree)))
-    plus_names = {fp.name for fp in plus}
-
-    eta_minus = zero_class(m, eta.degree)
-    eta_plus = zero_class(m, eta.degree)
-    for fp in pts:
-        term = scale_class(classes[fp.name], coeffs[fp.name])
-        if fp.name in plus_names:
-            eta_plus = add_classes(eta_plus, term)
-        else:
-            eta_minus = add_classes(eta_minus, term)
+    rows = degree_basis(m, eta.degree)
+    width = len(m.fixed_points)
+    is_above = [fp.moment > cut.c for fp in pts]
+    eta_minus = combine_rows(
+        [0 if up else c for up, c in zip(is_above, coeffs.values())], rows, width
+    )
+    eta_plus = combine_rows(
+        [c if up else 0 for up, c in zip(is_above, coeffs.values())], rows, width
+    )
 
     corrections: dict[str, Fraction] = {}
-    for fp in pts:
+    for fp, row, up in zip(pts, rows, is_above):
         # induction upward through the above-cut points of index <= degree
-        if fp.name not in plus_names:
+        if not up:
             continue
-        residual = eta_minus.restrictions[fp.name]
-        b = residual / m.alpha_minus_scalar(fp.name, fp.name)
+        i = m.position(fp.name)
+        b = eta_minus[i] / row[i]
         corrections[fp.name] = b
         if b != 0:
-            term = scale_class(classes[fp.name], b)
-            eta_minus = add_classes(eta_minus, scale_class(term, -1))
-            eta_plus = add_classes(eta_plus, term)
+            eta_minus = combine_rows((1, -b), (eta_minus, row), width)
+            eta_plus = combine_rows((1, b), (eta_plus, row), width)
 
-    for fp in plus:
-        if eta_minus.restrictions[fp.name] != 0:
+    for i in above:
+        if eta_minus[i] != 0:
             raise InternalContradiction(
-                f"minus part still restricts to "
-                f"{rat_str(eta_minus.restrictions[fp.name])} at {fp.name}; "
-                "the restriction tables are inconsistent"
+                f"minus part still restricts to {rat_str(eta_minus[i])} at "
+                f"{m.fixed_points[i].name}; the restriction tables are inconsistent"
             )
-    for fp in minus:
-        if eta_plus.restrictions[fp.name] != 0:
+    for i in below:
+        if eta_plus[i] != 0:
             raise InternalContradiction(
-                f"plus part restricts to "
-                f"{rat_str(eta_plus.restrictions[fp.name])} at {fp.name}; "
-                "the restriction tables are inconsistent"
+                f"plus part restricts to {rat_str(eta_plus[i])} at "
+                f"{m.fixed_points[i].name}; the restriction tables are inconsistent"
             )
-    if add_classes(eta_plus, eta_minus) != eta:
+    if combine_rows((1, 1), (eta_plus, eta_minus), width) != eta.restrictions:
         raise InternalContradiction("decomposition does not reassemble the input")
 
     return DecompositionCertificate(
@@ -401,8 +388,8 @@ def decompose(
         cut=cut,
         coefficients=coeffs,
         corrections=corrections,
-        eta_plus=eta_plus,
-        eta_minus=eta_minus,
+        eta_plus=EquivariantClass(eta.degree, eta_plus),
+        eta_minus=EquivariantClass(eta.degree, eta_minus),
         b_exhibit=b_matrix(m, cut, eta.degree) if m.has_alpha_plus else None,
     )
 

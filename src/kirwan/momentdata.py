@@ -6,6 +6,12 @@ The manifold itself is never represented; this combinatorial datum is all the
 kernel computations need.  Conventions: the Morse function is the moment map
 itself, the index of a fixed point is twice its count of negative weights, and
 a cut level must avoid every moment value (the level set stays smooth).
+
+Storage is positional: fixed points are sorted by (moment, name), and a
+restriction table is a tuple of row tuples in that order, zeros included, so
+alpha_minus[i][j] is the scalar of the downward class of point i at point j.
+Names appear only at the boundary: `make_manifold` takes name-keyed tables,
+and `manifold_to_dict` writes them back.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .errors import (
-    MissingAlphaPlus,
     NotRegularValue,
     ParseError,
     SchemaError,
@@ -44,7 +49,10 @@ __all__ = [
     "manifold_to_json",
 ]
 
+# name-keyed table as documents and generators write it; zero entries may be omitted
 AlphaTable = dict[str, dict[str, Fraction]]
+# positional table: one row per fixed point, one entry per fixed point
+Table = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,43 +92,46 @@ def positive_euler_scalar(fp: FixedPoint) -> Fraction:
     return Fraction(math.prod(w for w in fp.weights if w > 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifoldData:
-    """Validated localization datum.  Treat instances as immutable: every
-    operation in this package is a pure function of the loaded data."""
+    """Validated localization datum, immutable: every operation in this
+    package is a pure function of the loaded data.
+
+    The tables are indexed by position in `fixed_points`: alpha_minus[i][j]
+    is the restriction scalar of the downward class of point i at point j.
+    """
 
     name: str
     n: int
     orientation_direction: int
     fixed_points: tuple[FixedPoint, ...]
-    alpha_minus: AlphaTable
-    alpha_plus: AlphaTable | None = None
-    _by_name: dict[str, FixedPoint] = field(init=False, repr=False, compare=False)
+    alpha_minus: Table
+    alpha_plus: Table | None = None
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_name = {fp.name: fp for fp in self.fixed_points}
+        positions = {fp.name: i for i, fp in enumerate(self.fixed_points)}
+        object.__setattr__(self, "_position", positions)
 
     @property
     def has_alpha_plus(self) -> bool:
         return self.alpha_plus is not None
 
-    def fixed_point(self, name: str) -> FixedPoint:
+    def position(self, name: str) -> int:
+        """Index of the named fixed point in `fixed_points` and in every table."""
         try:
-            return self._by_name[name]
+            return self._position[name]
         except KeyError:
             raise UnknownFixedPoint(
                 f"no fixed point named {name!r} on {self.name!r}"
             ) from None
 
-    def alpha_minus_scalar(self, f: str, g: str) -> Fraction:
-        """Restriction scalar of the downward class of f at g (0 if absent)."""
-        return self.alpha_minus.get(f, {}).get(g, Fraction(0))
+    def fixed_point(self, name: str) -> FixedPoint:
+        return self.fixed_points[self.position(name)]
 
-    def alpha_plus_scalar(self, f: str, g: str) -> Fraction:
-        """Restriction scalar of the upward class of f at g (0 if absent)."""
-        if self.alpha_plus is None:
-            raise MissingAlphaPlus(f"{self.name!r} carries no alpha_plus table")
-        return self.alpha_plus.get(f, {}).get(g, Fraction(0))
+    def alpha_minus_scalar(self, f: str, g: str) -> Fraction:
+        """Restriction scalar of the downward class of f at g."""
+        return self.alpha_minus[self.position(f)][self.position(g)]
 
 
 def index_census(m: ManifoldData) -> dict[int, int]:
@@ -159,6 +170,12 @@ def _check_alpha_names(table: Mapping[str, Any], names: set[str], label: str) ->
                 raise ValidationError(
                     f"{label}[{f!r}] references unknown fixed point {g!r}"
                 )
+
+
+def _positional(table: AlphaTable, points: Sequence[FixedPoint]) -> Table:
+    zero = Fraction(0)
+    rows = [table.get(f.name, {}) for f in points]
+    return tuple(tuple(row.get(g.name, zero) for g in points) for row in rows)
 
 
 def make_manifold(
@@ -207,10 +224,8 @@ def make_manifold(
         n=n,
         orientation_direction=orientation_direction,
         fixed_points=ordered,
-        alpha_minus={f: dict(row) for f, row in alpha_minus.items()},
-        alpha_plus=None
-        if alpha_plus is None
-        else {f: dict(row) for f, row in alpha_plus.items()},
+        alpha_minus=_positional(alpha_minus, ordered),
+        alpha_plus=None if alpha_plus is None else _positional(alpha_plus, ordered),
     )
 
     census = index_census(m)
@@ -272,7 +287,8 @@ def load_manifold(
     """Parse, schema-check, and validate a manifold document.
 
     Accepts JSON text or an already-parsed mapping.  Raises ParseError for
-    malformed JSON, SchemaError for missing/extra/badly-typed fields, and
+    malformed JSON (bytes that are not UTF-8 and nesting too deep to parse
+    included), SchemaError for missing/extra/badly-typed fields, and
     ValidationError (naming the first violated invariant) for semantic
     problems, including restriction-table violations unless validate_alpha
     is False.
@@ -280,8 +296,10 @@ def load_manifold(
     if isinstance(document, (str, bytes)):
         try:
             obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply to parse") from None
     else:
         obj = document
     if not isinstance(obj, dict):
@@ -337,17 +355,12 @@ def load_manifold(
     )
 
 
-def _alpha_to_dict(m: ManifoldData, table: AlphaTable) -> dict[str, dict[str, str]]:
+def _alpha_to_dict(m: ManifoldData, table: Table) -> dict[str, dict[str, str]]:
     # rows in fixed-point order, zero entries omitted
-    out: dict[str, dict[str, str]] = {}
-    for f in m.fixed_points:
-        row = table.get(f.name, {})
-        out[f.name] = {
-            g.name: rat_str(row[g.name])
-            for g in m.fixed_points
-            if row.get(g.name, Fraction(0)) != 0
-        }
-    return out
+    return {
+        f.name: {g.name: rat_str(s) for g, s in zip(m.fixed_points, row) if s != 0}
+        for f, row in zip(m.fixed_points, table)
+    }
 
 
 def manifold_to_dict(m: ManifoldData) -> dict[str, Any]:

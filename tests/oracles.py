@@ -1,15 +1,41 @@
-"""Independent brute-force oracles used to cross-check the library.
+"""Independent brute-force oracles used to cross-check the library, and
+helpers that build classes and deliberately broken data for the tests.
 
-These deliberately avoid the library's own code paths: Laurent expansions are
-dict-based and verified by multiplying back, and fixed-point sums add up the
-expansion of every term separately, so a slip in the library's closed form
-(entry = sum of a_F b_F / e_F in one power of X) cannot hide here.
+The oracles deliberately avoid the library's own code paths: Laurent
+expansions are dict-based and verified by multiplying back, and fixed-point
+sums add up the expansion of every term separately, so a slip in the
+library's closed form (entry = sum of a_F b_F / e_F in one power of X) cannot
+hide here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from kirwan.cohomology import EquivariantClass, degree_basis
+from kirwan.momentdata import load_manifold, manifold_to_dict
+
+
+def combination(m, degree, coeffs):
+    """The class sum of coeffs[k] times basis class k, added up point by point."""
+    basis = degree_basis(m, degree)
+    return EquivariantClass(
+        degree,
+        tuple(
+            sum((c * row[j] for c, row in zip(coeffs, basis)), Fraction(0))
+            for j in range(len(m.fixed_points))
+        ),
+    )
+
+
+def edited(m, *entries):
+    """A copy of m with table[f][g] = value for each (table, f, g, value),
+    loaded without table validation; value is a rational string."""
+    doc = manifold_to_dict(m)
+    for table, f, g, value in entries:
+        doc[table][f][g] = value
+    return load_manifold(doc, validate_alpha=False)
 
 
 def laurent_expand(coeffs, epsilon, n):

@@ -18,15 +18,13 @@ from pathlib import Path
 import pytest
 
 from kirwan.cohomology import (
-    add_classes,
+    EquivariantClass,
     degree_basis,
     make_class,
-    scale_class,
     subspace_from_rows,
     subspace_intersection_dim,
     subspace_scalar_rows,
     unit_class,
-    zero_class,
 )
 from kirwan.errors import NotInKernel
 from kirwan.exactmath import rat
@@ -41,7 +39,7 @@ from kirwan.kernels import (
 )
 from kirwan.momentdata import CutLevel, split_fixed_points
 
-from oracles import localization_expansion
+from oracles import combination, localization_expansion
 
 EXPECTED = json.loads(
     (Path(__file__).parent / "fixtures" / "regression_expected.json").read_text()
@@ -88,21 +86,24 @@ def sweep_degrees(m):
 
 
 def random_combo(rng, m, degree):
-    acc = zero_class(m, degree)
-    for cls in degree_basis(m, degree):
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        acc = add_classes(acc, scale_class(cls, c))
-    return acc
+    coeffs = [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in degree_basis(m, degree)
+    ]
+    return combination(m, degree, coeffs)
 
 
 def random_kernel_element(rng, m, kernel):
-    basis = degree_basis(m, kernel.degree)
-    acc = zero_class(m, kernel.degree)
-    for i in range(kernel.basis.rows):
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for coeff, cls in zip(kernel.basis.row(i), basis):
-            acc = add_classes(acc, scale_class(cls, c * coeff))
-    return acc
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(kernel.basis.rows)]
+    coeffs = [
+        sum((c * kernel.basis.row(i)[k] for i, c in enumerate(cs)), Fraction(0))
+        for k in range(kernel.basis.cols)
+    ]
+    return combination(m, kernel.degree, coeffs)
+
+
+def by_name(m, eta):
+    """Restriction scalars of eta keyed by fixed-point name, as the oracle takes them."""
+    return {fp.name: s for fp, s in zip(m.fixed_points, eta.restrictions)}
 
 
 def scalar_span(m, rows):
@@ -215,12 +216,12 @@ def test_criterion_4_localization_invariant_with_mutations():
         m = rng.choice(ms)
         d = rng.choice([d for d in range(0, 2 * m.n, 2)])
         eta = random_combo(rng, m, d)
-        assert localization_expansion(m.fixed_points, eta.restrictions, d) == {}
+        assert localization_expansion(m.fixed_points, by_name(m, eta), d) == {}
         checked += 1
         if checked % 5 == 0:
             name = rng.choice([fp.name for fp in m.fixed_points])
             delta = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            broken = dict(eta.restrictions)
+            broken = by_name(m, eta)
             broken[name] += delta
             expansion = localization_expansion(m.fixed_points, broken, d)
             assert list(expansion) == [d // 2 - m.n]  # a negative-power tail
@@ -229,7 +230,7 @@ def test_criterion_4_localization_invariant_with_mutations():
     for m in ms:
         eta = random_combo(rng, m, 0)
         for fp in m.fixed_points:
-            broken = dict(eta.restrictions)
+            broken = by_name(m, eta)
             broken[fp.name] += Fraction(1, 3)
             assert list(localization_expansion(m.fixed_points, broken, 0)) == [-m.n]
             mutated += 1
@@ -251,7 +252,7 @@ def test_criterion_5_residue_complementarity():
         for _ in range(500):
             eta = random_combo(rng, m, d)
             def side_sum(points):
-                return localization_expansion(points, eta.restrictions, d).get(-1, 0)
+                return localization_expansion(points, by_name(m, eta), d).get(-1, 0)
             assert side_sum(plus) + side_sum(minus) == 0
     print(
         "\n[criterion 5] PASS - above-cut and below-cut residue sums cancel for "
@@ -278,9 +279,10 @@ def test_criterion_6_decomposition_soundness():
             eta = random_kernel_element(rng, m, kern)
             plus, minus = split_fixed_points(m, cut)
             cert = decompose(m, eta, cut)
-            assert add_classes(cert.eta_plus, cert.eta_minus) == eta
-            assert all(cert.eta_minus.restrictions[fp.name] == 0 for fp in plus)
-            assert all(cert.eta_plus.restrictions[fp.name] == 0 for fp in minus)
+            eta_plus, eta_minus = by_name(m, cert.eta_plus), by_name(m, cert.eta_minus)
+            assert all(eta_plus[g] + eta_minus[g] == s for g, s in by_name(m, eta).items())
+            assert all(eta_minus[fp.name] == 0 for fp in plus)
+            assert all(eta_plus[fp.name] == 0 for fp in minus)
             done += 1
 
         rejected = 0
@@ -295,7 +297,7 @@ def test_criterion_6_decomposition_soundness():
                 continue
             co_degree = 2 * m.n - 2 - eta.degree
             in_kernel = all(
-                pairing(m, eta, zeta, cut) == 0
+                pairing(m, eta, EquivariantClass(co_degree, zeta), cut) == 0
                 for zeta in degree_basis(m, co_degree)
             )
             if in_kernel:

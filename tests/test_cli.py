@@ -211,12 +211,22 @@ def test_irregular_cut_exits_3_at_every_degree(cp2_path, capsys, command, degree
         ("unwritable out", 64),
         ("float restriction", 2),
         ("list restrictions", 2),
+        ("float degree", 2),
+        ("bool degree", 2),
+        ("non-UTF-8 input", 2),
+        ("non-UTF-8 class file", 2),
+        ("deeply nested input", 2),
+        ("deeply nested class", 2),
     ],
 )
 def test_bad_files_and_class_documents_get_documented_exit_codes(
     cp2_path, tmp_path, capsys, case, want
 ):
     missing = str(tmp_path / "no-such-dir" / "x.json")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
     decompose = ["decompose", "--input", cp2_path, "--cut", "3/2", "--degree", "0"]
     argv, named = {
         "missing input": (["validate", "--input", missing], missing),
@@ -229,6 +239,22 @@ def test_bad_files_and_class_documents_get_documented_exit_codes(
         "list restrictions": (
             [*decompose, "--class-json", '{"degree": 0, "restrictions": [1]}'],
             "restrictions",
+        ),
+        "float degree": (
+            [*decompose, "--class-json", '{"degree": 0.0, "restrictions": {}}'],
+            "class degree",
+        ),
+        "bool degree": (
+            [*decompose, "--class-json", '{"degree": false, "restrictions": {}}'],
+            "class degree",
+        ),
+        "non-UTF-8 input": (["betti", "--input", str(latin1), "--cut", "1/2"], str(latin1)),
+        "non-UTF-8 class file": ([*decompose, "--class-file", str(latin1)], str(latin1)),
+        "deeply nested input": (
+            ["betti", "--input", str(nested), "--cut", "1/2"], "invalid JSON"
+        ),
+        "deeply nested class": (
+            [*decompose, "--class-json", "[" * 100000], "invalid class JSON"
         ),
     }[case]
     code = main(argv)

@@ -17,17 +17,15 @@ def test_cp1_tables_match_hand_values():
         ("p0", Fraction(0), (1,)),
         ("p1", Fraction(1), (-1,)),
     ]
-    assert m.alpha_minus["p0"] == {"p0": 1, "p1": 1}
-    assert m.alpha_minus["p1"] == {"p0": 0, "p1": -1}
+    assert m.alpha_minus == ((1, 1), (0, -1))
 
 
 def test_cp2_tables_match_hand_values():
     m = gen_cpn([0, 1, 2])
     assert [euler_class(fp)[0] for fp in m.fixed_points] == [2, -1, 2]
-    assert m.alpha_minus["p1"] == {"p0": 0, "p1": -1, "p2": -2}
-    assert m.alpha_minus["p2"] == {"p0": 0, "p1": 0, "p2": 2}
-    assert m.alpha_plus["p1"] == {"p0": 2, "p1": 1, "p2": 0}
-    assert m.alpha_plus["p2"] == {"p0": 1, "p1": 1, "p2": 1}
+    # rows and columns in fixed-point order p0, p1, p2
+    assert m.alpha_minus[1:] == ((0, -1, -2), (0, 0, 2))
+    assert m.alpha_plus[1:] == ((2, 1, 0), (1, 1, 1))
 
 
 def test_cpn_spec_rejects_non_increasing():
@@ -50,13 +48,9 @@ def test_single_sphere_matches_cp1_structure():
     s = gen_sphere_product([1])
     c = gen_cpn([0, 1])
     assert [fp.weights for fp in s.fixed_points] == [fp.weights for fp in c.fixed_points]
-    # same restriction tables once names are matched by moment order
-    rename = dict(zip((fp.name for fp in s.fixed_points), ("p0", "p1")))
-    remapped = {
-        rename[f]: {rename[g]: v for g, v in row.items()}
-        for f, row in s.alpha_minus.items()
-    }
-    assert remapped == c.alpha_minus
+    # same restriction tables once points are matched by moment order, which
+    # is the order of the positional tables
+    assert s.alpha_minus == c.alpha_minus
     # kernels agree at the corresponding cuts (moments are -1,1 versus 0,1)
     for d in (0, 2):
         rs = kernels_equal(s, CutLevel(Fraction(0)), d)
@@ -112,4 +106,4 @@ def test_max_point_alpha_plus_is_unit():
     m = gen_cpn([0, 1, 2, 3])
     top = m.fixed_points[-1]
     assert morse_index(top) == 2 * m.n
-    assert all(v == 1 for v in m.alpha_plus[top.name].values())
+    assert all(v == 1 for v in m.alpha_plus[-1])

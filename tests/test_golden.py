@@ -4,8 +4,8 @@ Every subcommand runs in json and md on CP^1..CP^4 and S2^1..S2^3, at every
 mid-gap cut and at one cut on a moment value, with one decompose class per
 degree and two mutated copies of each datum for `validate`.  Two larger data,
 S2^4 with tied levels and sparse tables and a CP^6, run `validate` and, at
-every mid-gap cut, `kernel --degree all` and `betti`.  The fixture keeps the
-exit code and a short sha256 of stdout per job.
+every mid-gap cut, `kernel --degree all` in json and md and `betti` in json.
+The fixture keeps the exit code and a short sha256 of stdout per job.
 
 Re-record (only when a report is meant to change) with
 
@@ -133,7 +133,9 @@ def sweep_cases(workdir: Path):
                 q = ["--input", src, "--cut", str((lo + hi) / 2), *f]
                 tag = f"{label} cut={(lo + hi) / 2} {fmt}"
                 yield f"{tag} kernel all", ["kernel", *q, "--degree", "all"]
-                yield f"{tag} betti", ["betti", *q]
+                # betti computes what kernel does; one format keeps the test short
+                if fmt == "json":
+                    yield f"{tag} betti", ["betti", *q]
 
 
 def run_job(argv: list[str]) -> list:

@@ -67,8 +67,10 @@ def test_load_sorts_fixed_points():
 
 
 def test_load_rejects_malformed_json():
-    with pytest.raises(ParseError):
-        load_manifold("{not json")
+    # not JSON, bytes that are not UTF-8, nesting too deep for the parser
+    for text in ("{not json", b"\x80{}", "[" * 100000):
+        with pytest.raises(ParseError):
+            load_manifold(text)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +114,15 @@ def test_load_runs_alpha_validation_by_default():
         load_manifold(d)
     m = load_manifold(d, validate_alpha=False)
     assert m.alpha_minus_scalar("p1", "p1") == 1
+
+
+def test_loaded_tables_cannot_be_assigned_into():
+    m = load_manifold(json.dumps(CP1_DOC))
+    with pytest.raises(TypeError):
+        m.alpha_minus[1][0] = Fraction(5)
+    with pytest.raises(TypeError):
+        m.alpha_plus[0] = (Fraction(1), Fraction(0))
+    assert m.alpha_minus == ((1, 1), (0, -1))
 
 
 def test_census_warning_for_open_datum():

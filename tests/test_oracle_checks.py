@@ -17,7 +17,7 @@ from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import pairing_matrix
 from kirwan.momentdata import CutLevel, morse_index
 
-from oracles import localization_expansion, product_scalars
+from oracles import edited, localization_expansion, product_scalars
 
 VIOLATION = re.compile(
     r"localization sum of alpha_minus\[(.+)\] \* alpha_minus\[(.+)\] "
@@ -44,11 +44,12 @@ def all_cuts(m):
 def mutate(rng, m, count):
     """Overwrite `count` random downward-table entries, zero ones included."""
     names = [fp.name for fp in m.fixed_points]
+    entries = []
     for _ in range(count):
         f, g = rng.choice(names), rng.choice(names)
         value = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        m.alpha_minus.setdefault(f, {})[g] = value
-    return m
+        entries.append(("alpha_minus", f, g, str(value)))
+    return edited(m, *entries)
 
 
 def mutated_fixtures(seed, copies):
