@@ -44,7 +44,7 @@ from .kernels import (
     pairing_to_dict,
     report_to_dict,
 )
-from .momentdata import CutLevel, load_manifold, manifold_to_json
+from .momentdata import CutLevel, _schema_int, load_manifold, manifold_to_json
 
 USAGE_EXIT = 64
 
@@ -325,8 +325,7 @@ def _read_class(m, args):
         raise ParseError("invalid class JSON: nested too deeply to parse") from None
     if not isinstance(obj, dict) or set(obj) != {"degree", "restrictions"}:
         raise SchemaError("class document needs exactly: degree, restrictions")
-    if isinstance(obj["degree"], bool) or not isinstance(obj["degree"], int):
-        raise SchemaError("class degree must be an integer")
+    _schema_int(obj["degree"], "class degree")
     if obj["degree"] != args.degree:
         raise ValidationError(
             f"--degree {args.degree} disagrees with the class degree {obj['degree']}"
