@@ -32,4 +32,4 @@ from .momentdata import (
     manifold_to_json,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

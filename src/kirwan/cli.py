@@ -30,7 +30,7 @@ from .errors import (
     UnknownFixedPoint,
     ValidationError,
 )
-from .exactmath import rat
+from .exactmath import rat, rat_str
 from .generators import gen_cpn, gen_sphere_product
 from .kernels import (
     b_matrix,
@@ -164,6 +164,12 @@ def _load(path: str, *, validate_alpha: bool = True):
     return load_manifold(_read_file(path), validate_alpha=validate_alpha)
 
 
+_DISAGREEMENT = [
+    "DISAGREEMENT between the residue and vanishing-condition kernels:",
+    "the input restriction tables are inconsistent",
+]
+
+
 def _even_degrees(n: int) -> list[int]:
     return list(range(0, 2 * n - 1, 2))
 
@@ -199,7 +205,7 @@ def _cmd_pair(args) -> int:
     report = {"command": "pair", "manifold": m.name} | pairing_to_dict(pm)
     headers = ["pairing"] + [f"{name} (deg {2 * m.n - 2 - args.degree})" for name in pm.col_labels]
     rows = [
-        [pm.row_labels[i]] + [str(e) for e in pm.matrix.row(i)]
+        [pm.row_labels[i]] + [rat_str(e) for e in pm.matrix.row(i)]
         for i in range(pm.matrix.rows)
     ]
     md = [
@@ -216,7 +222,7 @@ def _cmd_kernel(args) -> int:
     cut = CutLevel(args.cut)
     degrees = _even_degrees(m.n) if args.degree is None else [args.degree]
     entries = []
-    disagreement = False
+    reports = []
     for d in degrees:
         if args.method == "residue":
             sub = kernel_residue(m, cut, d)
@@ -239,9 +245,11 @@ def _cmd_kernel(args) -> int:
                 }
             )
         else:
-            rep = kernels_equal(m, cut, d)
-            disagreement = disagreement or not rep.equal
-            entries.append(report_to_dict(m, rep))
+            reports.append(kernels_equal(m, cut, d))
+    if args.format == "json":
+        # only the JSON report expands the subspaces to restriction rows
+        entries.extend(report_to_dict(m, rep) for rep in reports)
+    disagreement = not all(rep.equal for rep in reports)
     report = {
         "command": "kernel",
         "manifold": m.name,
@@ -255,14 +263,14 @@ def _cmd_kernel(args) -> int:
         headers = ["degree", "basis", "residue kernel", "tw sum", "equal", "betti"]
         rows = [
             [
-                str(e["degree"]),
-                str(len(e["residue_kernel"]["labels"])),
-                str(e["residue_kernel"]["dimension"]),
-                str(e["tw_sum"]["dimension"]),
-                "yes" if e["equal"] else "NO",
-                str(e["betti"]),
+                str(rep.degree),
+                str(len(rep.residue_kernel.labels)),
+                str(rep.residue_kernel.dim),
+                str(rep.tw_sum.dim),
+                "yes" if rep.equal else "NO",
+                str(rep.betti),
             ]
-            for e in entries
+            for rep in reports
         ]
     else:
         rows = [
@@ -280,8 +288,7 @@ def _cmd_kernel(args) -> int:
         report["note"],
     ]
     if disagreement:
-        md.append("DISAGREEMENT between the residue and vanishing-condition kernels:")
-        md.append("the input restriction tables are inconsistent")
+        md.extend(_DISAGREEMENT)
     _emit(report, args.format, md)
     return 2 if disagreement else 0
 
@@ -289,10 +296,9 @@ def _cmd_kernel(args) -> int:
 def _cmd_betti(args) -> int:
     m = _load(args.input)
     cut = CutLevel(args.cut)
-    table = []
-    for d in _even_degrees(m.n):
-        rep = kernels_equal(m, cut, d)
-        table.append((d, rep.betti))
+    reports = [kernels_equal(m, cut, d) for d in _even_degrees(m.n)]
+    table = [(rep.degree, rep.betti) for rep in reports]
+    disagreement = not all(rep.equal for rep in reports)
     dual = all(
         b == dict(table)[2 * m.n - 2 - d] for d, b in table
     )
@@ -308,8 +314,10 @@ def _cmd_betti(args) -> int:
         _md_table(["degree", "betti"], [[str(d), str(b)] for d, b in table]),
         f"Poincare duality: {'ok' if dual else 'VIOLATED'}",
     ]
+    if disagreement:
+        md.extend(_DISAGREEMENT)
     _emit(report, args.format, md)
-    return 0
+    return 2 if disagreement else 0
 
 
 def _read_class(m, args):
@@ -319,7 +327,9 @@ def _read_class(m, args):
         text = args.class_json
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and an integer literal longer than the interpreter
+        # converts to int (4300 digits)
         raise ParseError(f"invalid class JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid class JSON: nested too deeply to parse") from None
@@ -374,7 +384,7 @@ def _cmd_bmatrix(args) -> int:
     rep = b_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "bmatrix", "manifold": m.name} | bmatrix_to_dict(rep)
     rows = [
-        [rep.labels[i]] + [str(e) for e in rep.matrix.row(i)]
+        [rep.labels[i]] + [rat_str(e) for e in rep.matrix.row(i)]
         for i in range(rep.matrix.rows)
     ]
     md = [

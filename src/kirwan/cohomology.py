@@ -23,14 +23,11 @@ from .errors import ValidationError
 from .exactmath import (
     MatrixQ,
     RationalLike,
-    nullspace,
     rat,
     rat_str,
     rref,
-    vstack,
 )
 from .momentdata import (
-    FixedPoint,
     ManifoldData,
     Table,
     euler_class,
@@ -44,8 +41,6 @@ __all__ = [
     "ValidationReport",
     "Subspace",
     "make_class",
-    "unit_class",
-    "zero_class",
     "class_to_dict",
     "combine_rows",
     "basis_points",
@@ -55,8 +50,6 @@ __all__ = [
     "subspace_from_rows",
     "subspace_sum",
     "subspace_contains",
-    "subspace_intersection_dim",
-    "subspace_classes",
     "subspace_scalar_rows",
 ]
 
@@ -89,14 +82,6 @@ def make_class(
     )
 
 
-def unit_class(m: ManifoldData) -> EquivariantClass:
-    return EquivariantClass(0, (Fraction(1),) * len(m.fixed_points))
-
-
-def zero_class(m: ManifoldData, degree: int) -> EquivariantClass:
-    return make_class(m, degree)
-
-
 def class_to_dict(m: ManifoldData, eta: EquivariantClass) -> dict:
     """Serializable form with restrictions named, in fixed-point order."""
     return {
@@ -120,12 +105,12 @@ def combine_rows(
     return tuple(acc)
 
 
-def basis_points(m: ManifoldData, degree: int) -> list[FixedPoint]:
-    """Fixed points contributing to the degree-d basis: index <= d, in
-    (moment, name) order.  Empty for odd or negative degrees."""
+def basis_points(m: ManifoldData, degree: int) -> list[int]:
+    """Positions of the fixed points contributing to the degree-d basis:
+    index <= d, in fixed-point order.  Empty for odd or negative degrees."""
     if degree < 0 or degree % 2 != 0:
         return []
-    return [fp for fp in m.fixed_points if morse_index(fp) <= degree]
+    return [i for i, fp in enumerate(m.fixed_points) if morse_index(fp) <= degree]
 
 
 def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
@@ -133,7 +118,7 @@ def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
     of index <= d, read as degree-d restriction vectors (scalars are
     unchanged by the X shift).  Odd degrees have zero graded piece and yield
     an empty list."""
-    return [m.alpha_minus[m.position(fp.name)] for fp in basis_points(m, degree)]
+    return [m.alpha_minus[i] for i in basis_points(m, degree)]
 
 
 def weighted_gram(
@@ -203,24 +188,19 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     """
     pts = m.fixed_points
     violations: list[str] = []
-    violations.extend(_support_violations(m, "alpha_minus", m.alpha_minus, upward=False))
-    for i, f in enumerate(pts):
-        diag = m.alpha_minus[i][i]
-        want = negative_euler_scalar(f)
-        if diag != want:
-            violations.append(
-                f"alpha_minus[{f.name}][{f.name}] = {rat_str(diag)} but the "
-                f"negative-weight product is {rat_str(want)}"
-            )
+    tables = [("alpha_minus", m.alpha_minus, False, negative_euler_scalar)]
     if m.alpha_plus is not None:
-        violations.extend(_support_violations(m, "alpha_plus", m.alpha_plus, upward=True))
+        tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
+    for label, table, upward, product in tables:
+        violations.extend(_support_violations(m, label, table, upward))
+        sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
-            diag = m.alpha_plus[i][i]
-            want = positive_euler_scalar(f)
+            diag = table[i][i]
+            want = product(f)
             if diag != want:
                 violations.append(
-                    f"alpha_plus[{f.name}][{f.name}] = {rat_str(diag)} but the "
-                    f"positive-weight product is {rat_str(want)}"
+                    f"{label}[{f.name}][{f.name}] = {rat_str(diag)} but the "
+                    f"{sign}-weight product is {rat_str(want)}"
                 )
 
     # (d): a product with ind f + ind g >= 2n localizes to a polynomial
@@ -279,9 +259,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.basis.rows == 0:
         return a
-    return subspace_from_rows(
-        a.degree, a.labels, vstack([a.basis, b.basis]).to_rows()
-    )
+    return subspace_from_rows(a.degree, a.labels, a.basis.to_rows() + b.basis.to_rows())
 
 
 def subspace_contains(s: Subspace, coeffs: Sequence[RationalLike]) -> bool:
@@ -298,19 +276,10 @@ def subspace_contains(s: Subspace, coeffs: Sequence[RationalLike]) -> bool:
     return all(x == 0 for x in v)
 
 
-def subspace_intersection_dim(a: Subspace, b: Subspace) -> int:
-    return a.dim + b.dim - subspace_sum(a, b).dim
-
-
-def subspace_classes(m: ManifoldData, s: Subspace) -> list[EquivariantClass]:
-    """Expand each canonical basis row into an actual class."""
-    return [EquivariantClass(s.degree, row) for row in subspace_scalar_rows(m, s)]
-
-
 def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
     """Canonical basis rows expanded to restriction scalars, in point order:
     the coefficient rows times the degree-basis rows."""
-    expected = tuple(fp.name for fp in basis_points(m, s.degree))
+    expected = tuple(m.fixed_points[i].name for i in basis_points(m, s.degree))
     if expected != s.labels:
         raise ValidationError("subspace labels do not match the degree basis")
     ambient = degree_basis(m, s.degree)

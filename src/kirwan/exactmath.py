@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotTriangular, SingularDiagonal
 
@@ -23,7 +23,6 @@ __all__ = [
     "rref",
     "nullspace",
     "solve_upper_triangular",
-    "vstack",
 ]
 
 RationalLike = Fraction | int | str
@@ -57,8 +56,18 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Canonical string form: "p/q", or just "p" when the denominator is 1."""
-    return str(value)
+    """Canonical string form: "p/q", or just "p" when the denominator is 1.
+
+    Written in full even past the 4300 digits to which str() limits an int:
+    products of long input integers (Euler classes, Gram entries) get there.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal  # exact for ints, with no digit limit
+
+        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
+        return num if value.denominator == 1 else f"{num}/{den}"
 
 
 @dataclass(frozen=True)
@@ -97,12 +106,6 @@ class MatrixQ:
             flat.extend(r)
         return cls(len(rows), width, tuple(flat))
 
-    @classmethod
-    def identity(cls, k: int) -> "MatrixQ":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(k)] for i in range(k)], cols=k
-        )
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -117,20 +120,6 @@ class MatrixQ:
             [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
-
-
-def vstack(matrices: Iterable[MatrixQ]) -> MatrixQ:
-    """Stack matrices with equal column counts on top of each other."""
-    ms = list(matrices)
-    if not ms:
-        raise ValueError("nothing to stack")
-    cols = ms[0].cols
-    rows: list[list[Fraction]] = []
-    for m in ms:
-        if m.cols != cols:
-            raise ValueError("column counts differ")
-        rows.extend(m.to_rows())
-    return MatrixQ.from_rows(rows, cols=cols)
 
 
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:

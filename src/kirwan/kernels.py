@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cohomology import (
     EquivariantClass,
@@ -32,7 +32,6 @@ from .cohomology import (
     class_to_dict,
     combine_rows,
     degree_basis,
-    subspace_classes,
     subspace_contains,
     subspace_scalar_rows,
     subspace_sum,
@@ -47,7 +46,6 @@ from .errors import (
 from .exactmath import MatrixQ, nullspace, rat_str, solve_upper_triangular
 from .momentdata import (
     CutLevel,
-    FixedPoint,
     ManifoldData,
     morse_index,
     split_fixed_points,
@@ -58,7 +56,6 @@ __all__ = [
     "KernelReport",
     "BMatrixReport",
     "DecompositionCertificate",
-    "pairing",
     "pairing_matrix",
     "kernel_residue",
     "kernel_tw",
@@ -74,28 +71,6 @@ __all__ = [
 SIGN_CONVENTION = (
     "residues are literal X^-1 coefficients; no global orientation constant applied"
 )
-
-
-def _positions(m: ManifoldData, points: Iterable[FixedPoint]) -> list[int]:
-    return [m.position(fp.name) for fp in points]
-
-
-def pairing(
-    m: ManifoldData, eta: EquivariantClass, zeta: EquivariantClass, cut: CutLevel
-) -> Fraction:
-    """Reduced-space intersection pairing of eta and zeta at the cut.
-
-    Nonzero only when the degrees add to 2n - 2: at each fixed point the
-    summand is a monomial over e_F * X^n, whose expansion has an X^-1 term
-    exactly in that degree, with coefficient eta_F * zeta_F / e_F.
-    """
-    plus, _ = split_fixed_points(m, cut)
-    if eta.degree + zeta.degree != 2 * m.n - 2:
-        return Fraction(0)
-    ((value,),) = weighted_gram(
-        m, [eta.restrictions], [zeta.restrictions], _positions(m, plus)
-    )
-    return value
 
 
 @dataclass(frozen=True)
@@ -116,16 +91,14 @@ def pairing_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> PairingMatrix
 
     The column set is empty when 2n - 2 - d is negative.
     """
-    plus, _ = split_fixed_points(m, cut)
+    above, _ = split_fixed_points(m, cut)
     co_degree = 2 * m.n - 2 - degree
-    entries = weighted_gram(
-        m, degree_basis(m, degree), degree_basis(m, co_degree), _positions(m, plus)
-    )
-    col_labels = tuple(fp.name for fp in basis_points(m, co_degree))
+    entries = weighted_gram(m, degree_basis(m, degree), degree_basis(m, co_degree), above)
+    col_labels = tuple(m.fixed_points[i].name for i in basis_points(m, co_degree))
     return PairingMatrix(
         cut=cut,
         degree=degree,
-        row_labels=tuple(fp.name for fp in basis_points(m, degree)),
+        row_labels=tuple(m.fixed_points[i].name for i in basis_points(m, degree)),
         col_labels=col_labels,
         matrix=MatrixQ.from_rows(entries, cols=len(col_labels)),
     )
@@ -138,15 +111,12 @@ def kernel_residue(m: ManifoldData, cut: CutLevel, degree: int) -> Subspace:
     return Subspace(degree, pm.row_labels, basis)
 
 
-def _evaluation_kernel(
-    m: ManifoldData, degree: int, points: Sequence[FixedPoint]
-) -> Subspace:
-    """Degree-d classes vanishing at the given points: the null space of the
-    basis rows restricted to those points' columns."""
+def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
+    """Degree-d classes vanishing at the fixed points in the given positions:
+    the null space of the basis rows restricted to those columns."""
     basis = degree_basis(m, degree)
-    labels = tuple(fp.name for fp in basis_points(m, degree))
-    columns = _positions(m, points)
-    eva = MatrixQ.from_rows([[row[j] for row in basis] for j in columns], cols=len(basis))
+    labels = tuple(m.fixed_points[i].name for i in basis_points(m, degree))
+    eva = MatrixQ.from_rows([[row[j] for row in basis] for j in points], cols=len(basis))
     return Subspace(degree, labels, nullspace(eva))
 
 
@@ -154,9 +124,9 @@ def kernel_tw(
     m: ManifoldData, cut: CutLevel, degree: int
 ) -> tuple[Subspace, Subspace, Subspace]:
     """(vanishing above the cut, vanishing below it, their sum)."""
-    plus, minus = split_fixed_points(m, cut)
-    tw_plus = _evaluation_kernel(m, degree, plus)
-    tw_minus = _evaluation_kernel(m, degree, minus)
+    above, below = split_fixed_points(m, cut)
+    tw_plus = _evaluation_kernel(m, degree, above)
+    tw_minus = _evaluation_kernel(m, degree, below)
     return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
 
 
@@ -184,7 +154,7 @@ def _find_witness(
         for i in range(first.basis.rows):
             row = list(first.basis.row(i))
             if not subspace_contains(second, row):
-                return subspace_classes(m, first)[i]
+                return EquivariantClass(first.degree, subspace_scalar_rows(m, first)[i])
     return None
 
 
@@ -241,26 +211,27 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
     index >= degree + 2, with the triangularity diagnostics."""
     if m.alpha_plus is None:
         raise MissingAlphaPlus(f"{m.name!r} carries no alpha_plus table")
-    plus, _ = split_fixed_points(m, cut)
-    pts = [fp for fp in plus if morse_index(fp) >= degree + 2]
-    pts.sort(key=lambda fp: (-fp.moment, fp.name))
-    order = _positions(m, pts)
+    above, _ = split_fixed_points(m, cut)
+    pts = m.fixed_points
+    order = [i for i in above if morse_index(pts[i]) >= degree + 2]
+    order.sort(key=lambda i: (-pts[i].moment, pts[i].name))
+    labels = tuple(pts[i].name for i in order)
     entries = [[m.alpha_plus[i][j] for j in order] for i in order]
-    mat = MatrixQ.from_rows(entries, cols=len(pts))
-    k = len(pts)
+    k = len(order)
+    mat = MatrixQ.from_rows(entries, cols=k)
     below = [(i, j) for i in range(k) for j in range(i) if mat.entry(i, j) != 0]
     zero_diagonal = [i for i in range(k) if mat.entry(i, i) == 0]
     violations = [
-        f"entry ({pts[i].name}, {pts[j].name}) = "
+        f"entry ({labels[i]}, {labels[j]}) = "
         f"{rat_str(mat.entry(i, j))} breaks upper triangularity"
         for i, j in below
-    ] + [f"diagonal entry at {pts[i].name} is zero" for i in zero_diagonal]
+    ] + [f"diagonal entry at {labels[i]} is zero" for i in zero_diagonal]
     return BMatrixReport(
         cut=cut,
         degree=degree,
-        labels=tuple(fp.name for fp in pts),
+        labels=labels,
         matrix=mat,
-        m_exponents=tuple((morse_index(fp) - degree - 2) // 2 for fp in pts),
+        m_exponents=tuple((morse_index(pts[i]) - degree - 2) // 2 for i in order),
         upper_triangular=not below,
         diagonal_nonzero=not zero_diagonal,
         violations=tuple(violations),
@@ -299,7 +270,7 @@ def _solve_basis_coefficients(
         raise NotInImage(
             f"degree {eta.degree} has an empty basis but the class is nonzero"
         )
-    desc = _positions(m, reversed(pts))
+    desc = pts[::-1]
     a = m.alpha_minus
     system = MatrixQ.from_rows([[a[f][g] for f in desc] for g in desc], cols=len(desc))
     solution = solve_upper_triangular(system, [eta.restrictions[g] for g in desc])
@@ -312,7 +283,7 @@ def _solve_basis_coefficients(
                 f"restriction at {g.name} is {rat_str(want)} "
                 f"but the basis span forces {rat_str(got)}"
             )
-    return {f.name: c for f, c in zip(pts, coeffs)}
+    return {m.fixed_points[i].name: c for i, c in zip(pts, coeffs)}
 
 
 def decompose(
@@ -332,23 +303,22 @@ def decompose(
     classes of above-cut points are supported above the cut.  Step 4 is
     asserted and raises InternalContradiction on inconsistent data.
     """
-    plus, minus = split_fixed_points(m, cut)
-    above, below = _positions(m, plus), _positions(m, minus)
+    above, below = split_fixed_points(m, cut)
     coeffs = _solve_basis_coefficients(m, eta)
 
     co_degree = 2 * m.n - 2 - eta.degree
     (values,) = weighted_gram(m, [eta.restrictions], degree_basis(m, co_degree), above)
-    for fp, value in zip(basis_points(m, co_degree), values):
+    for i, value in zip(basis_points(m, co_degree), values):
         if value != 0:
             raise NotInKernel(
-                f"pairing against the basis class of {fp.name} in degree "
-                f"{co_degree} is {rat_str(value)}, not zero"
+                f"pairing against the basis class of {m.fixed_points[i].name} "
+                f"in degree {co_degree} is {rat_str(value)}, not zero"
             )
 
     pts = basis_points(m, eta.degree)
     rows = degree_basis(m, eta.degree)
     width = len(m.fixed_points)
-    is_above = [fp.moment > cut.c for fp in pts]
+    is_above = [m.fixed_points[i].moment > cut.c for i in pts]
     eta_minus = combine_rows(
         [0 if up else c for up, c in zip(is_above, coeffs.values())], rows, width
     )
@@ -357,13 +327,12 @@ def decompose(
     )
 
     corrections: dict[str, Fraction] = {}
-    for fp, row, up in zip(pts, rows, is_above):
+    for i, row, up in zip(pts, rows, is_above):
         # induction upward through the above-cut points of index <= degree
         if not up:
             continue
-        i = m.position(fp.name)
         b = eta_minus[i] / row[i]
-        corrections[fp.name] = b
+        corrections[m.fixed_points[i].name] = b
         if b != 0:
             eta_minus = combine_rows((1, -b), (eta_minus, row), width)
             eta_plus = combine_rows((1, b), (eta_plus, row), width)
@@ -390,7 +359,7 @@ def decompose(
         corrections=corrections,
         eta_plus=EquivariantClass(eta.degree, eta_plus),
         eta_minus=EquivariantClass(eta.degree, eta_minus),
-        b_exhibit=b_matrix(m, cut, eta.degree) if m.has_alpha_plus else None,
+        b_exhibit=b_matrix(m, cut, eta.degree) if m.alpha_plus is not None else None,
     )
 
 

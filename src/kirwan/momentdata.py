@@ -41,7 +41,6 @@ __all__ = [
     "negative_euler_scalar",
     "positive_euler_scalar",
     "split_fixed_points",
-    "is_regular",
     "index_census",
     "make_manifold",
     "load_manifold",
@@ -113,10 +112,6 @@ class ManifoldData:
         positions = {fp.name: i for i, fp in enumerate(self.fixed_points)}
         object.__setattr__(self, "_position", positions)
 
-    @property
-    def has_alpha_plus(self) -> bool:
-        return self.alpha_plus is not None
-
     def position(self, name: str) -> int:
         """Index of the named fixed point in `fixed_points` and in every table."""
         try:
@@ -125,9 +120,6 @@ class ManifoldData:
             raise UnknownFixedPoint(
                 f"no fixed point named {name!r} on {self.name!r}"
             ) from None
-
-    def fixed_point(self, name: str) -> FixedPoint:
-        return self.fixed_points[self.position(name)]
 
     def alpha_minus_scalar(self, f: str, g: str) -> Fraction:
         """Restriction scalar of the downward class of f at g."""
@@ -143,22 +135,19 @@ def index_census(m: ManifoldData) -> dict[int, int]:
     return dict(sorted(census.items()))
 
 
-def is_regular(m: ManifoldData, cut: CutLevel) -> bool:
-    return all(fp.moment != cut.c for fp in m.fixed_points)
-
-
 def split_fixed_points(
     m: ManifoldData, cut: CutLevel
-) -> tuple[tuple[FixedPoint, ...], tuple[FixedPoint, ...]]:
-    """Partition the fixed points into (above cut, below cut), keeping order."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Partition the fixed-point positions into (above cut, below cut), each
+    in fixed-point order."""
     for fp in m.fixed_points:
         if fp.moment == cut.c:
             raise NotRegularValue(
                 f"cut {rat_str(cut.c)} equals the moment of fixed point {fp.name!r}"
             )
-    plus = tuple(fp for fp in m.fixed_points if fp.moment > cut.c)
-    minus = tuple(fp for fp in m.fixed_points if fp.moment < cut.c)
-    return plus, minus
+    above = tuple(i for i, fp in enumerate(m.fixed_points) if fp.moment > cut.c)
+    below = tuple(i for i, fp in enumerate(m.fixed_points) if fp.moment < cut.c)
+    return above, below
 
 
 def _check_alpha_names(table: Mapping[str, Any], names: set[str], label: str) -> None:
@@ -287,16 +276,18 @@ def load_manifold(
     """Parse, schema-check, and validate a manifold document.
 
     Accepts JSON text or an already-parsed mapping.  Raises ParseError for
-    malformed JSON (bytes that are not UTF-8 and nesting too deep to parse
-    included), SchemaError for missing/extra/badly-typed fields, and
-    ValidationError (naming the first violated invariant) for semantic
-    problems, including restriction-table violations unless validate_alpha
-    is False.
+    malformed JSON (bytes that are not UTF-8, nesting too deep to parse and
+    integer literals too long to convert included), SchemaError for
+    missing/extra/badly-typed fields, and ValidationError (naming the first
+    violated invariant) for semantic problems, including restriction-table
+    violations unless validate_alpha is False.
     """
     if isinstance(document, (str, bytes)):
         try:
             obj = json.loads(document)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
+            # JSONDecodeError, UnicodeDecodeError, and an integer literal
+            # longer than the interpreter converts to int (4300 digits)
             raise ParseError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply to parse") from None

@@ -18,13 +18,11 @@ from pathlib import Path
 import pytest
 
 from kirwan.cohomology import (
-    EquivariantClass,
     degree_basis,
     make_class,
     subspace_from_rows,
-    subspace_intersection_dim,
     subspace_scalar_rows,
-    unit_class,
+    weighted_gram,
 )
 from kirwan.errors import NotInKernel
 from kirwan.exactmath import rat
@@ -35,7 +33,7 @@ from kirwan.kernels import (
     kernel_residue,
     kernel_tw,
     kernels_equal,
-    pairing,
+    pairing_matrix,
 )
 from kirwan.momentdata import CutLevel, split_fixed_points
 
@@ -172,8 +170,12 @@ def test_criterion_3_regression_fixtures():
     c = CutLevel(rat(exp["cut"]))
     alpha1 = make_class(m, 2, {"p1": -1, "p2": -2})
     x_unit = make_class(m, 2, {"p0": 1, "p1": 1, "p2": 1})
-    assert pairing(m, alpha1, unit_class(m), c) == rat(exp["pairing_alpha_p1_vs_unit"])
-    assert pairing(m, x_unit, unit_class(m), c) == rat(exp["pairing_x_vs_unit"])
+    # the degree-2 pairing matrix: rows x_unit and alpha1, column the unit
+    assert degree_basis(m, 2) == [x_unit.restrictions, alpha1.restrictions]
+    assert degree_basis(m, 0) == [(1, 1, 1)]
+    pm = pairing_matrix(m, c, 2)
+    assert pm.matrix.entry(1, 0) == rat(exp["pairing_alpha_p1_vs_unit"])
+    assert pm.matrix.entry(0, 0) == rat(exp["pairing_x_vs_unit"])
     k2 = kernel_residue(m, c, 2)
     assert computed_scalar_span(m, k2) == scalar_span(
         m, exp["kernel_degree_2_scalar_span"]
@@ -247,7 +249,9 @@ def test_criterion_5_residue_complementarity():
     rng = random.Random(505)
     for m in fixtures():
         cut = mid_gap_cuts(m)[0]
-        plus, minus = split_fixed_points(m, cut)
+        above, below = split_fixed_points(m, cut)
+        plus = [m.fixed_points[i] for i in above]
+        minus = [m.fixed_points[i] for i in below]
         d = 2 * m.n - 2
         for _ in range(500):
             eta = random_combo(rng, m, d)
@@ -277,12 +281,12 @@ def test_criterion_6_decomposition_soundness():
         while done < 100:
             cut, kern = rng.choice(spots)
             eta = random_kernel_element(rng, m, kern)
-            plus, minus = split_fixed_points(m, cut)
+            above, below = split_fixed_points(m, cut)
             cert = decompose(m, eta, cut)
             eta_plus, eta_minus = by_name(m, cert.eta_plus), by_name(m, cert.eta_minus)
             assert all(eta_plus[g] + eta_minus[g] == s for g, s in by_name(m, eta).items())
-            assert all(eta_minus[fp.name] == 0 for fp in plus)
-            assert all(eta_plus[fp.name] == 0 for fp in minus)
+            assert all(cert.eta_minus.restrictions[i] == 0 for i in above)
+            assert all(cert.eta_plus.restrictions[i] == 0 for i in below)
             done += 1
 
         rejected = 0
@@ -296,10 +300,11 @@ def test_criterion_6_decomposition_soundness():
             if kernel_residue(m, cut, d).dim == len(degree_basis(m, d)):
                 continue
             co_degree = 2 * m.n - 2 - eta.degree
-            in_kernel = all(
-                pairing(m, eta, EquivariantClass(co_degree, zeta), cut) == 0
-                for zeta in degree_basis(m, co_degree)
+            above, _ = split_fixed_points(m, cut)
+            (values,) = weighted_gram(
+                m, [eta.restrictions], degree_basis(m, co_degree), above
             )
+            in_kernel = all(v == 0 for v in values)
             if in_kernel:
                 continue
             with pytest.raises(NotInKernel):
@@ -368,8 +373,9 @@ def test_criterion_9_directness():
     for m in fixtures():
         for cut in mid_gap_cuts(m, rng) + outside_cuts(m):
             for d in sweep_degrees(m):
-                tw_plus, tw_minus, _ = kernel_tw(m, cut, d)
-                assert subspace_intersection_dim(tw_plus, tw_minus) == 0
+                tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, d)
+                # the intersection has dimension dim A + dim B - dim(A + B)
+                assert tw_plus.dim + tw_minus.dim - tw_sum.dim == 0
                 checked += 1
     print(
         f"\n[criterion 9] PASS - vanishing-above and vanishing-below subspaces "

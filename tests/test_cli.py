@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kirwan import cli, cohomology, kernels
 from kirwan.cli import main
-from kirwan.generators import gen_cpn
+from kirwan.cohomology import degree_basis
+from kirwan.generators import gen_cpn, gen_sphere_product
+from kirwan.kernels import kernels_equal
 from kirwan.momentdata import manifold_to_json
 
 
@@ -100,6 +111,42 @@ def test_kernel_single_degree(cp2_path, capsys):
     entry = report["degrees"][0]
     assert entry["equal"] is True
     assert entry["residue_kernel"]["restriction_rows"] == [["1", "1/2", "0"]]
+
+
+def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):
+    # md prints only dimensions, so it must not build the restriction rows
+    args = ("kernel", "--input", cp2_path, "--cut", "3/2", "--degree", "all")
+    _, want = run(capsys, *args)
+
+    def boom(m, s):
+        raise RuntimeError("restriction rows expanded")
+
+    for module in (cohomology, kernels):
+        monkeypatch.setattr(module, "subspace_scalar_rows", boom)
+    assert run(capsys, *args, "--format", "md") == (0, want)
+    with pytest.raises(RuntimeError):
+        main([*args, "--format", "json"])
+
+
+def test_betti_exits_2_when_the_kernels_disagree(cp2_path, capsys, monkeypatch):
+    args = ("--input", cp2_path, "--cut", "3/2")
+    _, agreed_json = run(capsys, "betti", *args, "--format", "json")
+    _, agreed_md = run(capsys, "betti", *args)
+    real = kernels_equal
+
+    def disagreeing(m, cut, degree):
+        # no valid datum is known to make the two descriptions differ
+        report = real(m, cut, degree)
+        return dataclasses.replace(report, equal=degree != 2)
+
+    monkeypatch.setattr(cli, "kernels_equal", disagreeing)
+    _, kernel_md = run(capsys, "kernel", *args)
+    code, betti_md = run(capsys, "betti", *args)
+    assert code == 2
+    warning = kernel_md.splitlines()[-2:]
+    assert warning[0].startswith("DISAGREEMENT")
+    assert betti_md.splitlines() == agreed_md.splitlines() + warning
+    assert run(capsys, "betti", *args, "--format", "json") == (2, agreed_json)
 
 
 def test_betti_table(cp2_path, capsys):
@@ -217,6 +264,10 @@ def test_irregular_cut_exits_3_at_every_degree(cp2_path, capsys, command, degree
         ("non-UTF-8 class file", 2),
         ("deeply nested input", 2),
         ("deeply nested class", 2),
+        ("huge integer n", 2),
+        ("huge integer weight", 2),
+        ("huge integer degree", 2),
+        ("huge weight product", 2),
     ],
 )
 def test_bad_files_and_class_documents_get_documented_exit_codes(
@@ -227,6 +278,19 @@ def test_bad_files_and_class_documents_get_documented_exit_codes(
     latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100000)
+    # integer literals longer than the 4300 digits Python converts by default
+    doc = json.loads(open(cp2_path).read())
+    huge_n = tmp_path / "huge_n.json"
+    huge_n.write_text(json.dumps(doc).replace('"n": 2', '"n": ' + "1" * 5000))
+    doc["fixed_points"][0]["weights"] = [-424242, 1]
+    huge_weight = tmp_path / "huge_weight.json"
+    huge_weight.write_text(json.dumps(doc).replace("-424242", "7" * 5000))
+    # two 3000-digit negative weights parse, but their product has 6000 digits
+    doc = json.loads(open(cp2_path).read())
+    doc["fixed_points"][2]["weights"] = [-424242, -424242]
+    huge_product = tmp_path / "huge_product.json"
+    huge_product.write_text(json.dumps(doc).replace("424242", "7" * 3000))
+    huge_degree = '{"degree": ' + "2" * 5000 + ', "restrictions": {}}'
     decompose = ["decompose", "--input", cp2_path, "--cut", "3/2", "--degree", "0"]
     argv, named = {
         "missing input": (["validate", "--input", missing], missing),
@@ -255,6 +319,16 @@ def test_bad_files_and_class_documents_get_documented_exit_codes(
         ),
         "deeply nested class": (
             [*decompose, "--class-json", "[" * 100000], "invalid class JSON"
+        ),
+        "huge integer n": (["validate", "--input", str(huge_n)], "invalid JSON"),
+        "huge integer weight": (
+            ["kernel", "--input", str(huge_weight), "--cut", "1/2"], "invalid JSON"
+        ),
+        "huge integer degree": (
+            [*decompose, "--class-json", huge_degree], "invalid class JSON"
+        ),
+        "huge weight product": (
+            ["validate", "--input", str(huge_product)], "product is 6049382716",
         ),
     }[case]
     code = main(argv)
@@ -294,3 +368,165 @@ def test_generate_round_trip_reproducible(tmp_path, capsys):
     assert text1 == open(out2).read()
     code, validated = run(capsys, "validate", "--input", out1, "--format", "json")
     assert code == 0 and json.loads(validated)["ok"]
+
+
+# --- fuzzing ------------------------------------------------------------------------
+
+
+class Raw:
+    """JSON text spliced into a document as is: json.dumps cannot write it."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+class Again(str):
+    """A key that is written like an equal key already in its object, making
+    the JSON text repeat that key."""
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+
+def dump(value):
+    if isinstance(value, Raw):
+        return value.text
+    if isinstance(value, dict):
+        items = (f"{json.dumps(str(k))}: {dump(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)
+
+
+def paths(value, prefix=()):
+    """The key-or-index path of every value inside a document."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+# Values that replace or repeat a field: wrong types, bad rationals, integers
+# of 20, 4000 and 5000 digits (Python parses at most 4300 from text), two
+# 3000-digit weights whose 6000-digit product a report may print, shallow
+# nesting and nesting too deep to parse, empty tables.
+REPLACEMENTS = [
+    None, True, 1.5, "x", "1/0", "-0", 0, -1, 3, [], {}, [[]], {"p0": {}},
+    Raw("9" * 20), Raw("-" + "7" * 4000), Raw("3" * 5000), Raw('"' + "1" * 5000 + '"'),
+    Raw(f"[-{'7' * 3000}, -{'7' * 3000}]"),
+    Raw("[" * 40 + "]" * 40), Raw("[" * 5000 + "]" * 5000),
+]
+TABLES = ("alpha_minus", "alpha_plus", "restrictions")
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after up to three drops, retypes, repeated keys or emptied tables."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(["drop", "retype", "repeat", "empty"]))
+        if kind == "empty":
+            tables = [t for t in TABLES if isinstance(doc.get(t), dict)]
+            if tables:
+                table = doc[draw(st.sampled_from(tables))]
+                if table and draw(st.booleans()):
+                    table[draw(st.sampled_from(sorted(table)))] = {}
+                else:
+                    table.clear()
+            continue
+        where = list(paths(doc))
+        if not where:
+            continue
+        path = draw(st.sampled_from(where))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "retype":
+            parent[path[-1]] = value
+        elif isinstance(parent, dict):
+            parent[Again(path[-1])] = value
+    return doc
+
+
+@st.composite
+def fuzz_jobs(draw):
+    """(input document text, argv with None for its path) of one CLI job on a
+    mutated CP^1-CP^3 or S2^1-S2^2 document."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        lambdas = draw(st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1,
+                                unique=True))
+        m = gen_cpn(sorted(lambdas))
+    else:
+        k = draw(st.integers(1, 2))
+        m = gen_sphere_product(draw(st.lists(st.sampled_from([-2, -1, 1, 3]),
+                                             min_size=k, max_size=k)))
+    moments = sorted({fp.moment for fp in m.fixed_points})
+    gaps = [(a + b) / 2 for a, b in zip(moments, moments[1:])]
+    # cuts in a gap, on a moment value, beyond either end, and unparseable
+    cuts = gaps + moments + [moments[0] - 1, moments[-1] + Fraction(1, 3)]
+    cut = draw(st.sampled_from([str(c) for c in cuts] + ["1" * 5000, "1/0"]))
+    degree = draw(st.integers(0, 2 * m.n + 1))
+    doc = draw(mutated(json.loads(manifold_to_json(m))))
+
+    command = draw(st.sampled_from(
+        ["validate", "pair", "kernel", "betti", "decompose", "bmatrix"]
+    ))
+    argv = [command, "--input", None, "--format", draw(st.sampled_from(["json", "md"]))]
+    if command != "validate":
+        argv += ["--cut", cut]
+    if command in ("pair", "decompose", "bmatrix"):
+        argv += ["--degree", str(degree)]
+    if command == "kernel":
+        argv += ["--degree", draw(st.sampled_from(["all", str(degree)]))]
+        argv += ["--method", draw(st.sampled_from(["both", "residue", "tw"]))]
+    if command == "decompose":
+        even = degree - degree % 2
+        basis = degree_basis(m, even)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                               max_size=len(basis)))
+        scalars = [sum(c * row[j] for c, row in zip(coeffs, basis))
+                   for j in range(len(m.fixed_points))]
+        cls = {
+            "degree": draw(st.sampled_from([degree, even])),
+            "restrictions": {fp.name: str(s) for fp, s in zip(m.fixed_points, scalars)},
+        }
+        argv += ["--class-json", dump(draw(mutated(cls)))]
+    return dump(doc), argv
+
+
+def run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejecting the command line
+                code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(job=fuzz_jobs())
+def test_fuzzed_documents_get_documented_exit_codes(fuzz_dir, job):
+    text, argv = job
+    path = fuzz_dir / "input.json"
+    path.write_text(text)
+    argv = [str(path) if a is None else a for a in argv]
+    first = run_quietly(argv)
+    assert first[0] in {0, 2, 3, 4, 64}, first
+    assert run_quietly(argv) == first

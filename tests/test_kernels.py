@@ -11,11 +11,9 @@ from kirwan.cohomology import (
     EquivariantClass,
     degree_basis,
     make_class,
-    subspace_classes,
     subspace_from_rows,
     subspace_scalar_rows,
-    unit_class,
-    zero_class,
+    weighted_gram,
 )
 from kirwan.errors import (
     MissingAlphaPlus,
@@ -31,12 +29,16 @@ from kirwan.kernels import (
     kernel_residue,
     kernel_tw,
     kernels_equal,
-    pairing,
     pairing_matrix,
 )
-from kirwan.momentdata import CutLevel, load_manifold, manifold_to_json
+from kirwan.momentdata import (
+    CutLevel,
+    load_manifold,
+    manifold_to_json,
+    split_fixed_points,
+)
 
-from oracles import edited
+from oracles import edited, localization_expansion
 
 EXPECTED = json.loads(
     (Path(__file__).parent / "fixtures" / "regression_expected.json").read_text()
@@ -64,28 +66,45 @@ def computed_scalar_span(m, subspace):
 def test_pairing_recorded_values_cp2():
     exp = EXPECTED["cp2_cut_3_2"]
     m = gen_cpn(exp["lambdas"])
-    c = cut(exp["cut"])
     alpha1 = make_class(m, 2, {"p1": -1, "p2": -2})
     x_unit = make_class(m, 2, {"p0": 1, "p1": 1, "p2": 1})
-    one = unit_class(m)
-    assert pairing(m, alpha1, one, c) == rat(exp["pairing_alpha_p1_vs_unit"])
-    assert pairing(m, x_unit, one, c) == rat(exp["pairing_x_vs_unit"])
+    one = make_class(m, 0, {"p0": 1, "p1": 1, "p2": 1})
+    # rows: the degree-2 basis (X times the unit, then alpha_p1); column: the unit
+    assert degree_basis(m, 2) == [x_unit.restrictions, alpha1.restrictions]
+    assert degree_basis(m, 0) == [one.restrictions]
+    pm = pairing_matrix(m, cut(exp["cut"]), 2)
+    assert (pm.row_labels, pm.col_labels) == (("p0", "p1"), ("p0",))
+    assert pm.matrix.to_rows() == [
+        [rat(exp["pairing_x_vs_unit"])],
+        [rat(exp["pairing_alpha_p1_vs_unit"])],
+    ]
 
 
 def test_pairing_vanishes_off_complementary_degree():
+    # a product whose degree is not 2n-2 has no X^-1 term in its localization
+    # sum above the cut, so pairing_matrix pairs degree d only with 2n-2-d
     m = gen_cpn([0, 1, 2])
-    c = cut("3/2")
-    one = unit_class(m)
-    assert pairing(m, one, one, c) == 0  # degrees sum to 0, not 2n-2
-    alpha2 = make_class(m, 4, {"p2": 2})
-    x_unit = make_class(m, 2, {"p0": 1, "p1": 1, "p2": 1})
-    assert pairing(m, alpha2, x_unit, c) == 0  # degrees sum to 6
+    above, _ = split_fixed_points(m, cut("3/2"))
+    points = [m.fixed_points[i] for i in above]
+    names = [fp.name for fp in m.fixed_points]
+    checked = 0
+    for d in (0, 2, 4):
+        for e in (0, 2, 4):
+            if d + e == 2 * m.n - 2:
+                continue
+            for eta in degree_basis(m, d):
+                for zeta in degree_basis(m, e):
+                    product = {g: a * b for g, a, b in zip(names, eta, zeta)}
+                    assert localization_expansion(points, product, d + e).get(-1, 0) == 0
+                    checked += 1
+    assert checked == 32  # unit * unit and alpha_p2 * (X times the unit) among them
 
 
 def test_pairing_requires_regular_cut():
     m = gen_cpn([0, 1, 2])
-    with pytest.raises(NotRegularValue):
-        pairing(m, unit_class(m), unit_class(m), CutLevel(Fraction(2)))
+    for d in (0, 2):
+        with pytest.raises(NotRegularValue):
+            pairing_matrix(m, CutLevel(Fraction(2)), d)
 
 
 def test_pairing_matrix_cp1():
@@ -215,7 +234,7 @@ def test_decompose_cp2_no_corrections_needed():
 
 def test_decompose_zero_class():
     m = gen_cpn([0, 1, 2])
-    cert = decompose(m, zero_class(m, 4), cut("1/2"))
+    cert = decompose(m, make_class(m, 4), cut("1/2"))
     assert all(v == 0 for v in cert.coefficients.values())
     assert cert.eta_plus.is_zero() and cert.eta_minus.is_zero()
 
@@ -296,15 +315,11 @@ def test_reverse_inclusion_tw_classes_pair_to_zero():
         for c in (cut("1/2"), cut("-1/2")):
             for d in range(0, 2 * m.n - 1, 2):
                 tw_plus, tw_minus, _ = kernel_tw(m, c, d)
-                co_degree = 2 * m.n - 2 - d
-                partners = [
-                    EquivariantClass(co_degree, row) for row in degree_basis(m, co_degree)
-                ]
+                above, _ = split_fixed_points(m, c)
+                partners = degree_basis(m, 2 * m.n - 2 - d)
                 for side in (tw_plus, tw_minus):
-                    for eta in subspace_classes(m, side):
-                        assert all(
-                            pairing(m, eta, zeta, c) == 0 for zeta in partners
-                        )
+                    values = weighted_gram(m, subspace_scalar_rows(m, side), partners, above)
+                    assert all(v == 0 for row in values for v in row)
 
 
 # --- upward-restriction matrix -----------------------------------------------------

@@ -18,7 +18,6 @@ from kirwan.momentdata import (
     FixedPoint,
     euler_class,
     index_census,
-    is_regular,
     load_manifold,
     manifold_to_json,
     morse_index,
@@ -163,7 +162,7 @@ def test_morse_index_counts_negative_weights():
     assert morse_index(FixedPoint("a", Fraction(0), (1, 2))) == 0
     assert morse_index(FixedPoint("a", Fraction(0), (-1, -2))) == 4
     cp2 = gen_cpn([0, 1, 2])
-    assert morse_index(cp2.fixed_point("p1")) == 2
+    assert morse_index(cp2.fixed_points[1]) == 2
 
 
 def test_morse_index_flips_under_weight_negation():
@@ -177,7 +176,7 @@ def test_euler_class_values():
     assert euler_class(FixedPoint("a", Fraction(0), (1,))) == (Fraction(1), 1)
     assert euler_class(FixedPoint("a", Fraction(0), (-1,))) == (Fraction(-1), 1)
     cp2 = gen_cpn([0, 1, 2])
-    assert euler_class(cp2.fixed_point("p2")) == (Fraction(2), 2)
+    assert euler_class(cp2.fixed_points[2]) == (Fraction(2), 2)
 
 
 def test_negative_and_positive_euler_scalars():
@@ -190,28 +189,25 @@ def test_negative_and_positive_euler_scalars():
 
 def test_split_fixed_points():
     cp1 = gen_cpn([0, 1])
-    plus, minus = split_fixed_points(cp1, CutLevel(Fraction(1, 2)))
-    assert [fp.name for fp in plus] == ["p1"]
-    assert [fp.name for fp in minus] == ["p0"]
+    assert split_fixed_points(cp1, CutLevel(Fraction(1, 2))) == ((1,), (0,))
 
     cp2 = gen_cpn([0, 1, 2])
-    plus, minus = split_fixed_points(cp2, CutLevel(Fraction(3, 2)))
-    assert [fp.name for fp in plus] == ["p2"]
-    assert [fp.name for fp in minus] == ["p0", "p1"]
+    assert split_fixed_points(cp2, CutLevel(Fraction(3, 2))) == ((2,), (0, 1))
+    # positions index fixed_points, which are sorted by (moment, name)
+    assert [fp.name for fp in cp2.fixed_points] == ["p0", "p1", "p2"]
 
 
 def test_split_partitions_everything():
     m = gen_sphere_product([1, 2])
     cut = CutLevel(Fraction(1, 2))
-    plus, minus = split_fixed_points(m, cut)
-    assert sorted(fp.name for fp in plus + minus) == sorted(
-        fp.name for fp in m.fixed_points
-    )
+    above, below = split_fixed_points(m, cut)
+    assert sorted(above + below) == list(range(len(m.fixed_points)))
+    assert all(m.fixed_points[i].moment > cut.c for i in above)
+    assert all(m.fixed_points[i].moment < cut.c for i in below)
 
 
 def test_split_rejects_singular_cut():
     cp2 = gen_cpn([0, 1, 2])
-    assert not is_regular(cp2, CutLevel(Fraction(1)))
     with pytest.raises(NotRegularValue):
         split_fixed_points(cp2, CutLevel(Fraction(1)))
 
@@ -219,7 +215,7 @@ def test_split_rejects_singular_cut():
 def test_unknown_fixed_point_lookup():
     cp1 = gen_cpn([0, 1])
     with pytest.raises(UnknownFixedPoint):
-        cp1.fixed_point("nope")
+        cp1.position("nope")
 
 
 def test_index_census_cpn():
