@@ -16,6 +16,7 @@ from .cohomology import EquivariantClass, make_class, validate_alpha_basis
 from .errors import KirwanError
 from .generators import gen_cpn, gen_sphere_product
 from .kernels import (
+    Sweep,
     b_matrix,
     decompose,
     kernel_residue,
@@ -32,4 +33,4 @@ from .momentdata import (
     manifold_to_json,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

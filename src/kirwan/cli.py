@@ -33,6 +33,7 @@ from .errors import (
 from .exactmath import rat, rat_str
 from .generators import gen_cpn, gen_sphere_product
 from .kernels import (
+    Sweep,
     b_matrix,
     bmatrix_to_dict,
     certificate_to_dict,
@@ -221,11 +222,12 @@ def _cmd_kernel(args) -> int:
     m = _load(args.input)
     cut = CutLevel(args.cut)
     degrees = _even_degrees(m.n) if args.degree is None else [args.degree]
+    sweep = Sweep(m, cut)
     entries = []
     reports = []
     for d in degrees:
         if args.method == "residue":
-            sub = kernel_residue(m, cut, d)
+            sub = kernel_residue(m, cut, d, sweep)
             entries.append(
                 {
                     "degree": d,
@@ -234,7 +236,7 @@ def _cmd_kernel(args) -> int:
                 }
             )
         elif args.method == "tw":
-            tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, d)
+            tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, d, sweep)
             entries.append(
                 {
                     "degree": d,
@@ -245,7 +247,7 @@ def _cmd_kernel(args) -> int:
                 }
             )
         else:
-            reports.append(kernels_equal(m, cut, d))
+            reports.append(kernels_equal(m, cut, d, sweep))
     if args.format == "json":
         # only the JSON report expands the subspaces to restriction rows
         entries.extend(report_to_dict(m, rep) for rep in reports)
@@ -296,7 +298,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_betti(args) -> int:
     m = _load(args.input)
     cut = CutLevel(args.cut)
-    reports = [kernels_equal(m, cut, d) for d in _even_degrees(m.n)]
+    sweep = Sweep(m, cut)
+    reports = [kernels_equal(m, cut, d, sweep) for d in _even_degrees(m.n)]
     table = [(rep.degree, rep.betti) for rep in reports]
     disagreement = not all(rep.equal for rep in reports)
     dual = all(

@@ -15,6 +15,7 @@ than failing so degree sweeps stay uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -121,6 +122,12 @@ def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
     return [m.alpha_minus[i] for i in basis_points(m, degree)]
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators of the values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def weighted_gram(
     m: ManifoldData,
     rows: Sequence[Vector],
@@ -136,13 +143,23 @@ def weighted_gram(
     e_j X^n, so the entry is the coefficient of X^((ind f + ind g)/2 - n) in
     the localization sum of the product: the residue pairing when that power
     is -1, an obstruction when it is negative and the entry nonzero.
+
+    The sums run over integers: on the points where a row is nonzero, the
+    row's weighted terms and each column's entries are put over a common
+    denominator, so an entry is one integer dot product divided by the
+    product of two denominators.
     """
-    euler = [(j, euler_class(m.fixed_points[j])[0]) for j in points]
-    weighted = [[(j, s / e) for j, e in euler if (s := row[j])] for row in rows]
-    return [
-        [sum((s * t for j, s in row if (t := col[j])), Fraction(0)) for col in cols]
-        for row in weighted
-    ]
+    euler = {j: euler_class(m.fixed_points[j])[0] for j in points}
+    gram = []
+    for row in rows:
+        support = [j for j in points if row[j]]
+        nums, den = _over_common_denominator([row[j] / euler[j] for j in support])
+        line = []
+        for col in cols:
+            col_nums, col_den = _over_common_denominator([col[j] for j in support])
+            line.append(Fraction(sum(a * b for a, b in zip(nums, col_nums)), den * col_den))
+        gram.append(line)
+    return gram
 
 
 # --- restriction-table validation ---------------------------------------------

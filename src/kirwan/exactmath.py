@@ -9,6 +9,7 @@ grids.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,33 +123,54 @@ class MatrixQ:
         )
 
 
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, divided by the gcd of the
+    result: a primitive integer row spanning the same line."""
+    den = math.lcm(*(e.denominator for e in row))
+    ints = [e.numerator * (den // e.denominator) for e in row]
+    g = math.gcd(*ints)
+    return ints if g <= 1 else [e // g for e in ints]
+
+
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns.
 
     Pivot entries are 1, pivot columns are cleared above and below, zero rows
     sink to the bottom, and the result is idempotent, so two row spaces are
     equal exactly when their reduced forms are identical.
+
+    The elimination runs over Python ints: each row is first scaled to a
+    primitive integer row, each update a*row - b*pivot_row is divided by the
+    gcd of its entries, and only at the end is each pivot row divided by its
+    pivot.  The reduced form is unique, so this is exactly the form that
+    Gauss-Jordan elimination over the rationals gives.
     """
-    rows = m.to_rows()
+    rows = [_integer_row(m.row(i)) for i in range(m.rows)]
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
         if r == m.rows:
             break
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [e / pv for e in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        pv = top[c]
+        for i, row in enumerate(rows):
+            x = row[c]
+            if x and i != r:
+                g = math.gcd(pv, x)
+                a, b = pv // g, x // g
+                row = [a * e - b * t for e, t in zip(row, top)]
+                g = math.gcd(*row)
+                rows[i] = row if g <= 1 else [e // g for e in row]
         pivots.append(c)
         r += 1
-    return MatrixQ.from_rows(rows, cols=m.cols), tuple(pivots)
+    zero = Fraction(0)
+    reduced = [[Fraction(e, row[c]) if e else zero for e in row] for row, c in zip(rows, pivots)]
+    reduced += [[zero] * m.cols for _ in range(m.rows - r)]
+    return MatrixQ.from_rows(reduced, cols=m.cols), tuple(pivots)
 
 
 def nullspace(m: MatrixQ) -> MatrixQ:

@@ -5,11 +5,13 @@ The pairing of two classes is the sum, over fixed points above the cut, of
 the X^-1 coefficient of (eta * zeta)|_F divided by the tangent Euler class
 e_F X^n at F.  Every class restricts to a monomial, so that coefficient is
 eta_F zeta_F / e_F when the degrees add to 2n-2 and zero otherwise; a whole
-pairing matrix is one weighted Gram product of downward classes
-(`cohomology.weighted_gram`).  A degree-d class is in the kernel exactly when
-it pairs to zero with the whole complementary degree 2n-2-d; restricting the
-test set to that one degree is exact, not an approximation, since homogeneous
-classes of any other degree pair to zero identically.  The second
+pairing matrix is a block of one weighted Gram product of downward classes
+over the points above the cut (`cohomology.weighted_gram`), and a `Sweep`
+shares that product among the degrees of a sweep at one cut.  A degree-d
+class is in the kernel exactly when it pairs to zero with the whole
+complementary degree 2n-2-d; restricting the test set to that one degree is
+exact, not an approximation, since homogeneous classes of any other degree
+pair to zero identically.  The second
 characterization is the direct sum of the classes vanishing above the cut and
 those vanishing below it; the two kernels agree on every valid datum, and
 `kernels_equal` treats any disagreement as a diagnosable data error.
@@ -52,6 +54,7 @@ from .momentdata import (
 )
 
 __all__ = [
+    "Sweep",
     "PairingMatrix",
     "KernelReport",
     "BMatrixReport",
@@ -73,6 +76,36 @@ SIGN_CONVENTION = (
 )
 
 
+class Sweep:
+    """What the degrees of a sweep at one cut share: the fixed points split at
+    the cut, and the pairing Gram product over the points above it.
+
+    Entry (f, g) of the product is the weighted Gram entry of the downward
+    classes of the points at positions f and g; it is symmetric, and each
+    entry is computed the first time a pairing matrix asks for it.  A sweep
+    over all degrees therefore computes each pair with ind f + ind g <= 2n - 2
+    once, and a single pairing matrix no more than its own block.
+    """
+
+    def __init__(self, m: ManifoldData, cut: CutLevel):
+        self.m = m
+        self.above, self.below = split_fixed_points(m, cut)
+        self._gram: dict[tuple[int, int], Fraction] = {}
+
+    def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[Fraction]]:
+        """The entries (f, g) for the positions f in rows and g in cols."""
+        gram, alpha = self._gram, self.m.alpha_minus
+        for f in rows:
+            missing = [g for g in cols if (f, g) not in gram]
+            if missing:
+                (entries,) = weighted_gram(
+                    self.m, [alpha[f]], [alpha[g] for g in missing], self.above
+                )
+                for g, entry in zip(missing, entries):
+                    gram[f, g] = gram[g, f] = entry
+        return [[gram[f, g] for g in cols] for f in rows]
+
+
 @dataclass(frozen=True)
 class PairingMatrix:
     """Pairing values between the degree-d basis (rows) and the complementary
@@ -85,28 +118,33 @@ class PairingMatrix:
     matrix: MatrixQ
 
 
-def pairing_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> PairingMatrix:
-    """All pairings between the degree basis and its complementary basis,
-    as the weighted Gram product over the points above the cut.
+def pairing_matrix(
+    m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
+) -> PairingMatrix:
+    """All pairings between the degree basis and its complementary basis: the
+    block of the Gram product over the points above the cut with rows of index
+    <= d and columns of index <= 2n - 2 - d.  Pass the Sweep of (m, cut) to
+    reuse the entries earlier degrees computed.
 
     The column set is empty when 2n - 2 - d is negative.
     """
-    above, _ = split_fixed_points(m, cut)
-    co_degree = 2 * m.n - 2 - degree
-    entries = weighted_gram(m, degree_basis(m, degree), degree_basis(m, co_degree), above)
-    col_labels = tuple(m.fixed_points[i].name for i in basis_points(m, co_degree))
+    if sweep is None:
+        sweep = Sweep(m, cut)
+    rows, cols = basis_points(m, degree), basis_points(m, 2 * m.n - 2 - degree)
     return PairingMatrix(
         cut=cut,
         degree=degree,
-        row_labels=tuple(m.fixed_points[i].name for i in basis_points(m, degree)),
-        col_labels=col_labels,
-        matrix=MatrixQ.from_rows(entries, cols=len(col_labels)),
+        row_labels=tuple(m.fixed_points[i].name for i in rows),
+        col_labels=tuple(m.fixed_points[i].name for i in cols),
+        matrix=MatrixQ.from_rows(sweep.gram_block(rows, cols), cols=len(cols)),
     )
 
 
-def kernel_residue(m: ManifoldData, cut: CutLevel, degree: int) -> Subspace:
+def kernel_residue(
+    m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
+) -> Subspace:
     """Degree-d classes pairing to zero against the whole complementary basis."""
-    pm = pairing_matrix(m, cut, degree)
+    pm = pairing_matrix(m, cut, degree, sweep)
     basis = nullspace(pm.matrix.transpose())
     return Subspace(degree, pm.row_labels, basis)
 
@@ -121,12 +159,13 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
 
 
 def kernel_tw(
-    m: ManifoldData, cut: CutLevel, degree: int
+    m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> tuple[Subspace, Subspace, Subspace]:
     """(vanishing above the cut, vanishing below it, their sum)."""
-    above, below = split_fixed_points(m, cut)
-    tw_plus = _evaluation_kernel(m, degree, above)
-    tw_minus = _evaluation_kernel(m, degree, below)
+    if sweep is None:
+        sweep = Sweep(m, cut)
+    tw_plus = _evaluation_kernel(m, degree, sweep.above)
+    tw_minus = _evaluation_kernel(m, degree, sweep.below)
     return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
 
 
@@ -158,15 +197,19 @@ def _find_witness(
     return None
 
 
-def kernels_equal(m: ManifoldData, cut: CutLevel, degree: int) -> KernelReport:
-    """Compute both kernels and compare their canonical bases.
+def kernels_equal(
+    m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
+) -> KernelReport:
+    """Compute both kernels, each on its own, and compare their canonical bases.
 
     On valid data `equal` is always True; a False value comes with a witness
     class and means the restriction tables are inconsistent (or the library
     has a bug), never a mathematical possibility.
     """
-    residue = kernel_residue(m, cut, degree)
-    tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, degree)
+    if sweep is None:
+        sweep = Sweep(m, cut)
+    residue = kernel_residue(m, cut, degree, sweep)
+    tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, degree, sweep)
     equal = residue == tw_sum
     betti = len(residue.labels) - residue.dim
     return KernelReport(

@@ -5,7 +5,10 @@ The oracles deliberately avoid the library's own code paths: Laurent
 expansions are dict-based and verified by multiplying back, and fixed-point
 sums add up the expansion of every term separately, so a slip in the
 library's closed form (entry = sum of a_F b_F / e_F in one power of X) cannot
-hide here.
+hide here.  `reference_rref` is the plain Fraction Gauss-Jordan elimination
+the library's integer elimination must reproduce, and `census_betti` reads
+Betti numbers off the index census alone, with no restriction table and no
+elimination.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import math
 from fractions import Fraction
 
 from kirwan.cohomology import EquivariantClass, degree_basis
-from kirwan.momentdata import load_manifold, manifold_to_dict
+from kirwan.exactmath import MatrixQ
+from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index
 
 
 def combination(m, degree, coeffs):
@@ -83,3 +87,72 @@ def product_scalars(m, f, g):
         fp.name: m.alpha_minus_scalar(f, fp.name) * m.alpha_minus_scalar(g, fp.name)
         for fp in m.fixed_points
     }
+
+
+def reference_rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot columns.
+
+    Pivot entries are 1, pivot columns are cleared above and below, zero rows
+    sink to the bottom, and the result is idempotent, so two row spaces are
+    equal exactly when their reduced forms are identical.
+    """
+    rows = m.to_rows()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [e / pv for e in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return MatrixQ.from_rows(rows, cols=m.cols), tuple(pivots)
+
+
+def reference_nullspace(m: MatrixQ) -> MatrixQ:
+    """Canonical basis of {v : m @ v = 0} read off reference_rref."""
+    red, pivots = reference_rref(m)
+    vecs = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.entry(i, f)
+        vecs.append(v)
+    if not vecs:
+        return MatrixQ(0, m.cols, ())
+    return reference_rref(MatrixQ.from_rows(vecs, cols=m.cols))[0]
+
+
+def census_betti(m, cut):
+    """Betti numbers of the reduction at cut c from the index census alone.
+
+    Kirwan's perfect stratification by |mu - c|^2 gives
+    P_t(M_c) = sum over F with mu(F) < c of (t^ind F - t^(2n - ind F)) / (1 - t^2).
+    The numerator is summed as a dict of powers, divided by 1 - t^2 as a
+    power series, and the quotient checked to be a polynomial of degree at
+    most 2n - 2.  Returns {degree: betti} for the even degrees 0..2n-2.
+    """
+    top = 2 * m.n
+    numerator = {}
+    for fp in m.fixed_points:
+        if fp.moment < cut.c:
+            ind = morse_index(fp)
+            numerator[ind] = numerator.get(ind, 0) + 1
+            numerator[top - ind] = numerator.get(top - ind, 0) - 1
+    quotient = {}
+    running = 0
+    for power in range(0, top + 1, 2):
+        running += numerator.get(power, 0)
+        quotient[power] = running
+    assert quotient[top] == 0, "the census sum is not a polynomial"
+    return {d: quotient[d] for d in range(0, top - 1, 2)}

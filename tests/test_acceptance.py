@@ -37,7 +37,7 @@ from kirwan.kernels import (
 )
 from kirwan.momentdata import CutLevel, split_fixed_points
 
-from oracles import combination, localization_expansion
+from oracles import census_betti, combination, localization_expansion
 
 EXPECTED = json.loads(
     (Path(__file__).parent / "fixtures" / "regression_expected.json").read_text()
@@ -362,6 +362,25 @@ def test_criterion_8_poincare_duality():
         f"\n[criterion 8] PASS - Betti tables of {len(ms)} data sets are "
         f"symmetric under degree reflection"
     )
+
+
+def test_criterion_8_duality_through_the_index_census():
+    """Criterion 8 holds by construction (P_{2n-2-d} is P_d transposed), so
+    it cannot fail.  Here every Betti number must also equal the census one,
+    which comes from the indices alone and is symmetric on its own."""
+    rng = random.Random(818)
+    ms = fixtures()
+    ms += [gen_cpn(sorted(rng.sample(range(-9, 10), rng.randint(2, 6)))) for _ in range(6)]
+    ms += [
+        gen_sphere_product([rng.choice([w for w in range(-9, 10) if w]) for _ in range(k)])
+        for k in (1, 2, 3, 3)
+    ]
+    for m in ms:
+        for cut in mid_gap_cuts(m, rng):
+            census = census_betti(m, cut)
+            for d, b in census.items():
+                assert b == census[2 * m.n - 2 - d], (m.name, str(cut.c), d)
+                assert kernels_equal(m, cut, d).betti == b, (m.name, str(cut.c), d)
 
 
 # --- criterion 9 -----------------------------------------------------------------

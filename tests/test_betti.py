@@ -1,0 +1,184 @@
+"""Betti tables against checks that share no code with the elimination.
+
+- The index census (`oracles.census_betti`, Kirwan's perfect stratification)
+  gives every Betti number without a restriction table or a matrix.
+- Metamorphic properties compare two computed tables that must agree:
+  renamed fixed points, the reversed circle action on CP^n, and a
+  translated moment map.
+- The sharing guard counts the Gram entries a degree sweep computes.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kirwan import kernels
+from kirwan.cli import main
+from kirwan.cohomology import basis_points
+from kirwan.generators import gen_cpn, gen_sphere_product
+from kirwan.kernels import Sweep, kernels_equal
+from kirwan.momentdata import (
+    CutLevel,
+    load_manifold,
+    manifold_to_dict,
+    manifold_to_json,
+    morse_index,
+)
+
+from oracles import census_betti
+
+
+def betti_table(m, cut):
+    sweep = Sweep(m, cut)
+    return {d: kernels_equal(m, cut, d, sweep).betti for d in range(0, 2 * m.n - 1, 2)}
+
+
+def mid_gap_cuts(m):
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    return [CutLevel((lo + hi) / 2) for lo, hi in zip(levels, levels[1:])]
+
+
+def random_data(rng):
+    """Random CP^1..CP^6 and S2^1..S2^4, sphere speeds mixed in size and sign."""
+    data = []
+    for n in range(1, 7):
+        for _ in range(4):
+            data.append(gen_cpn(sorted(rng.sample(range(-25, 26), n + 1))))
+    for k in range(1, 5):
+        for _ in range(4):
+            data.append(
+                gen_sphere_product([rng.choice((-7, -3, -2, -1, 1, 2, 3, 5)) for _ in range(k)])
+            )
+    return data
+
+
+def test_betti_matches_the_index_census():
+    checked = 0
+    for m in random_data(random.Random(2024)):
+        for cut in mid_gap_cuts(m):
+            assert betti_table(m, cut) == census_betti(m, cut), (m.name, str(cut.c))
+            checked += 1
+    assert checked >= 100
+
+
+# --- metamorphic properties ---------------------------------------------------
+
+cpn_weights = st.lists(st.integers(-40, 40), min_size=2, max_size=6, unique=True).map(sorted)
+sphere_speeds = st.lists(
+    st.sampled_from((-5, -3, -2, -1, 1, 2, 3, 5)), min_size=1, max_size=4
+)
+data = st.one_of(cpn_weights.map(gen_cpn), sphere_speeds.map(gen_sphere_product))
+
+
+def a_cut(m, gap: int, eighths: int) -> CutLevel:
+    """A regular cut inside one gap between consecutive moment levels."""
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    lo, hi = levels[gap % (len(levels) - 1)], levels[gap % (len(levels) - 1) + 1]
+    return CutLevel(lo + (hi - lo) * Fraction(eighths, 8))
+
+
+def renamed(m, names):
+    """m with fixed point k (in sorted order) renamed names[k], reloaded; the
+    new names can reorder points that share a moment level."""
+    doc = manifold_to_dict(m)
+    new = {fp.name: name for fp, name in zip(m.fixed_points, names)}
+    for point in doc["fixed_points"]:
+        point["name"] = new[point["name"]]
+    for table in ("alpha_minus", "alpha_plus"):
+        if table in doc:
+            doc[table] = {
+                new[f]: {new[g]: v for g, v in row.items()} for f, row in doc[table].items()
+            }
+    return load_manifold(doc)
+
+
+metamorphic = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@metamorphic
+@given(data, st.integers(0, 99), st.integers(1, 7), st.randoms(use_true_random=False))
+def test_renaming_fixed_points_keeps_the_betti_table(m, gap, eighths, rng):
+    cut = a_cut(m, gap, eighths)
+    names = [f"v{k}" for k in range(len(m.fixed_points))]
+    rng.shuffle(names)
+    assert betti_table(renamed(m, names), cut) == betti_table(m, cut)
+
+
+@metamorphic
+@given(cpn_weights, st.integers(0, 99), st.integers(1, 7))
+def test_reversed_circle_action_on_cpn_keeps_the_betti_table(weights, gap, eighths):
+    m = gen_cpn(weights)
+    cut = a_cut(m, gap, eighths)
+    mirror = gen_cpn([-w for w in reversed(weights)])
+    assert betti_table(mirror, CutLevel(-cut.c)) == betti_table(m, cut)
+
+
+@metamorphic
+@given(cpn_weights, st.integers(0, 99), st.integers(1, 7), st.integers(-1000, 1000))
+def test_translating_moments_and_cut_keeps_the_betti_table(weights, gap, eighths, t):
+    m = gen_cpn(weights)
+    cut = a_cut(m, gap, eighths)
+    moved = gen_cpn([w + t for w in weights])
+    assert betti_table(moved, CutLevel(cut.c + t)) == betti_table(m, cut)
+
+
+# --- sharing guard --------------------------------------------------------------
+
+
+def counted_gram_pairs(monkeypatch, argv):
+    """Run the CLI and return every (f, g) Gram entry the pairing computed, as
+    positions of downward classes, in the order computed."""
+    computed = []
+    real = kernels.weighted_gram
+
+    def counting(m, rows, cols, points):
+        position = {id(row): i for i, row in enumerate(m.alpha_minus)}
+        computed.extend((position[id(r)], position[id(c)]) for r in rows for c in cols)
+        return real(m, rows, cols, points)
+
+    monkeypatch.setattr(kernels, "weighted_gram", counting)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    return computed
+
+
+def unordered(pairs):
+    return [tuple(sorted(p)) for p in pairs]
+
+
+def test_betti_sweep_computes_each_gram_pair_at_most_once(tmp_path, monkeypatch, capsys):
+    for m in (gen_cpn([-3, -1, 0, 2, 3, 7, 8]), gen_sphere_product([1, 2, 3])):
+        path = tmp_path / "m.json"
+        path.write_text(manifold_to_json(m))
+        ind = [morse_index(fp) for fp in m.fixed_points]
+        needed = {
+            (f, g)
+            for f in range(len(ind))
+            for g in range(f, len(ind))
+            if ind[f] + ind[g] <= 2 * m.n - 2
+        }
+        for cut in mid_gap_cuts(m):
+            argv = ["betti", "--input", str(path), "--cut", str(cut.c)]
+            pairs = unordered(counted_gram_pairs(monkeypatch, argv))
+            assert len(pairs) == len(set(pairs)), (m.name, str(cut.c))
+            assert set(pairs) == needed
+    capsys.readouterr()
+
+
+def test_pair_computes_only_its_block(tmp_path, monkeypatch, capsys):
+    m = gen_cpn([-3, -1, 0, 2, 3, 7, 8])
+    path = tmp_path / "m.json"
+    path.write_text(manifold_to_json(m))
+    for d in range(0, 2 * m.n - 1, 2):
+        rows, cols = basis_points(m, d), basis_points(m, 2 * m.n - 2 - d)
+        argv = ["pair", "--input", str(path), "--cut", "5/2", "--degree", str(d)]
+        pairs = counted_gram_pairs(monkeypatch, argv)
+        assert set(pairs) <= {(f, g) for f in rows for g in cols}
+        assert len(pairs) <= len(rows) * len(cols)
+        block = unordered((f, g) for f in rows for g in cols)
+        assert sorted(unordered(pairs)) == sorted(set(block))
+    capsys.readouterr()

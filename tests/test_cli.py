@@ -134,9 +134,9 @@ def test_betti_exits_2_when_the_kernels_disagree(cp2_path, capsys, monkeypatch):
     _, agreed_md = run(capsys, "betti", *args)
     real = kernels_equal
 
-    def disagreeing(m, cut, degree):
+    def disagreeing(m, cut, degree, sweep=None):
         # no valid datum is known to make the two descriptions differ
-        report = real(m, cut, degree)
+        report = real(m, cut, degree, sweep)
         return dataclasses.replace(report, equal=degree != 2)
 
     monkeypatch.setattr(cli, "kernels_equal", disagreeing)

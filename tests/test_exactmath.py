@@ -16,7 +16,7 @@ from kirwan.exactmath import (
     solve_upper_triangular,
 )
 
-from oracles import laurent_residue
+from oracles import laurent_residue, reference_nullspace, reference_rref
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -124,6 +124,43 @@ def test_rref_pivots_are_one_and_zero_rows_last(m):
                 assert red.entry(r, c) == 0
     for i in range(len(pivots), red.rows):
         assert all(e == 0 for e in red.row(i))
+
+
+# Wider than matrix_strategy: up to 8 x 8, numerators and denominators up to
+# 10^30, zero rows, zero columns, dependent rows, and matrices with no rows.
+wide_entries = st.one_of(
+    st.just(Fraction(0)),
+    rationals,
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def wide_matrices(draw):
+    cols = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(
+        st.lists(st.lists(wide_entries, min_size=cols, max_size=cols), max_size=8)
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        # a combination of two rows already there, replacing a random row
+        if len(rows) >= 3:
+            i, j, k = draw(st.permutations(range(len(rows))))[:3]
+            a, b = draw(rationals), draw(wide_entries)
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=3)):
+        for row in rows:
+            row[j] = Fraction(0)
+    if rows:
+        for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)):
+            rows[i] = [Fraction(0)] * cols
+    return MatrixQ.from_rows(rows, cols=cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_matrices())
+def test_rref_and_nullspace_match_fraction_elimination(m):
+    assert rref(m) == reference_rref(m)
+    assert nullspace(m) == reference_nullspace(m)
 
 
 def test_nullspace_spec_examples():

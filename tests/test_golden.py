@@ -5,7 +5,9 @@ mid-gap cut and at one cut on a moment value, with one decompose class per
 degree and two mutated copies of each datum for `validate`.  Two larger data,
 S2^4 with tied levels and sparse tables and a CP^6, run `validate` and, at
 every mid-gap cut, `kernel --degree all` in json and md and `betti` in json.
-The fixture keeps the exit code and a short sha256 of stdout per job.
+A CP^10 with a wide weight spread, whose tables hold the largest coefficients
+of the set, runs `kernel --degree all` and `betti` in json at every mid-gap
+cut.  The fixture keeps the exit code and a short sha256 of stdout per job.
 
 Re-record (only when a report is meant to change) with
 
@@ -44,6 +46,11 @@ DATA = {
 SWEEP_DATA = {
     "s4": (gen_sphere_product, [1, 2, 3, 5]),
     "cp6": (gen_cpn, [-3, -1, 0, 2, 3, 7, 8]),
+}
+# the widest coefficient growth, swept only through kernel --degree all and
+# betti in json
+WIDE_DATA = {
+    "cp10w": (gen_cpn, [-1000003, -65537, -977, -31, 0, 2, 17, 101, 4099, 999983, 10**9 + 7]),
 }
 FORMATS = ("json", "md")
 
@@ -119,16 +126,19 @@ def cases(workdir: Path):
 
 
 def sweep_cases(workdir: Path):
-    """Yield (key, argv) for the validate, kernel and betti sweep of SWEEP_DATA."""
-    for label, (gen, params) in SWEEP_DATA.items():
+    """Yield (key, argv) for the validate, kernel and betti sweep of SWEEP_DATA
+    and the json kernel and betti sweep of WIDE_DATA."""
+    for label, (gen, params) in (SWEEP_DATA | WIDE_DATA).items():
+        wide = label in WIDE_DATA
         m = gen(params)
         path = workdir / f"{label}.json"
         path.write_text(manifold_to_json(m))
         src = str(path)
         levels = sorted({fp.moment for fp in m.fixed_points})
-        for fmt in FORMATS:
+        for fmt in ("json",) if wide else FORMATS:
             f = ["--format", fmt]
-            yield f"{label} validate {fmt}", ["validate", "--input", src, *f]
+            if not wide:
+                yield f"{label} validate {fmt}", ["validate", "--input", src, *f]
             for lo, hi in zip(levels, levels[1:]):
                 q = ["--input", src, "--cut", str((lo + hi) / 2), *f]
                 tag = f"{label} cut={(lo + hi) / 2} {fmt}"
