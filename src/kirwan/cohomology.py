@@ -21,18 +21,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .exactmath import (
-    MatrixQ,
-    RationalLike,
-    rat,
-    rat_str,
-    rref,
-)
+from .exactmath import RationalLike, primitive_row, rat, rat_str, row_basis
 from .momentdata import (
     ManifoldData,
     Table,
     euler_class,
-    morse_index,
     negative_euler_scalar,
     positive_euler_scalar,
 )
@@ -94,12 +87,12 @@ def class_to_dict(m: ManifoldData, eta: EquivariantClass) -> dict:
 
 
 def combine_rows(
-    coeffs: Sequence[Fraction], rows: Sequence[Vector], width: int
-) -> Vector:
+    coeffs: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction | int]], width: int
+) -> tuple[Fraction | int, ...]:
     """Sum of coeffs[k] * rows[k] over the nonzero coefficients, each row of
     the given width: coefficients over a degree basis expanded to restriction
-    scalars."""
-    acc = [Fraction(0)] * width
+    scalars.  Integer coefficients and rows give an integer sum."""
+    acc = [0] * width
     for c, row in zip(coeffs, rows):
         if c:
             acc = [a + c * r if r else a for a, r in zip(acc, row)]
@@ -111,7 +104,7 @@ def basis_points(m: ManifoldData, degree: int) -> list[int]:
     index <= d, in fixed-point order.  Empty for odd or negative degrees."""
     if degree < 0 or degree % 2 != 0:
         return []
-    return [i for i, fp in enumerate(m.fixed_points) if morse_index(fp) <= degree]
+    return [i for i, ind in enumerate(m.morse_indices) if ind <= degree]
 
 
 def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
@@ -223,17 +216,16 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     # (d): a product with ind f + ind g >= 2n localizes to a polynomial
     # whatever its entry, so only the lower-degree pairs are computed
     everywhere = range(len(pts))
+    ind = m.morse_indices
     for i, f in enumerate(pts):
-        partners = [
-            j for j in everywhere[i:] if morse_index(f) + morse_index(pts[j]) < 2 * m.n
-        ]
+        partners = [j for j in everywhere[i:] if ind[i] + ind[j] < 2 * m.n]
         (entries,) = weighted_gram(
             m, [m.alpha_minus[i]], [m.alpha_minus[j] for j in partners], everywhere
         )
         for j, entry in zip(partners, entries):
             if entry != 0:
                 g = pts[j]
-                power = (morse_index(f) + morse_index(g)) // 2 - m.n
+                power = (ind[i] + ind[j]) // 2 - m.n
                 violations.append(
                     f"localization sum of alpha_minus[{f.name}] * "
                     f"alpha_minus[{g.name}] has residue tail {rat_str(entry)} * X^{power}"
@@ -247,58 +239,68 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of the degree-d image span, in coefficient coordinates with
-    respect to the labeled degree basis; rows of `basis` form the canonical
-    reduced-row-echelon basis, so equality of values is equality of spans."""
+    respect to the labeled degree basis.  The rows of `basis` are the rows of
+    its reduced row echelon form, each as its primitive integer multiple with
+    positive leading entry (`exactmath.row_basis`), so equality of values is
+    equality of spans."""
 
     degree: int
     labels: tuple[str, ...]
-    basis: MatrixQ
+    basis: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
 
 def subspace_from_rows(
-    degree: int, labels: Sequence[str], rows: Sequence[Sequence[RationalLike]]
+    degree: int, labels: Sequence[str], rows: Sequence[Sequence[Fraction | int]]
 ) -> Subspace:
     """Canonicalize spanning rows (coefficient coordinates) into a Subspace."""
-    mat = MatrixQ.from_rows([list(r) for r in rows], cols=len(labels))
-    red, pivots = rref(mat)
-    kept = MatrixQ.from_rows(red.to_rows()[: len(pivots)], cols=len(labels))
-    return Subspace(degree, tuple(labels), kept)
+    basis = row_basis([primitive_row(r) for r in rows], len(labels))
+    return Subspace(degree, tuple(labels), tuple(basis))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.degree != b.degree or a.labels != b.labels:
         raise ValidationError("subspace sum needs matching ambient bases")
-    if a.basis.rows == 0:
+    if not a.basis:
         return b
-    if b.basis.rows == 0:
+    if not b.basis:
         return a
-    return subspace_from_rows(a.degree, a.labels, a.basis.to_rows() + b.basis.to_rows())
+    return Subspace(a.degree, a.labels, tuple(row_basis(a.basis + b.basis, len(a.labels))))
 
 
-def subspace_contains(s: Subspace, coeffs: Sequence[RationalLike]) -> bool:
+def subspace_contains(s: Subspace, coeffs: Sequence[Fraction | int]) -> bool:
     """Exact membership test by reduction against the canonical basis."""
-    v = [rat(c) for c in coeffs]
-    if len(v) != len(s.labels):
+    if len(coeffs) != len(s.labels):
         raise ValidationError("coefficient vector has the wrong length")
-    for i in range(s.basis.rows):
-        row = s.basis.row(i)
-        pivot = next(j for j, e in enumerate(row) if e != 0)
-        if v[pivot] != 0:
-            f = v[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+    v = primitive_row(coeffs)
+    for row in s.basis:
+        p = next(j for j, e in enumerate(row) if e)
+        if v[p]:
+            g = math.gcd(row[p], v[p])
+            a, b = row[p] // g, v[p] // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
-    """Canonical basis rows expanded to restriction scalars, in point order:
-    the coefficient rows times the degree-basis rows."""
-    expected = tuple(m.fixed_points[i].name for i in basis_points(m, s.degree))
-    if expected != s.labels:
+    """Reduced-row-echelon basis rows expanded to restriction scalars, in
+    point order: the coefficient rows times the degree-basis rows.
+
+    The expansion runs over the integer rows of the table
+    (`ManifoldData.integer_alpha_minus`); each entry becomes a Fraction only
+    once, divided by the table's denominator and the row's leading entry.
+    """
+    pts = basis_points(m, s.degree)
+    if tuple(m.fixed_points[i].name for i in pts) != s.labels:
         raise ValidationError("subspace labels do not match the degree basis")
-    ambient = degree_basis(m, s.degree)
+    table, den = m.integer_alpha_minus
+    ambient = [table[i] for i in pts]
     width = len(m.fixed_points)
-    return [combine_rows(s.basis.row(i), ambient, width) for i in range(s.basis.rows)]
+    out = []
+    for row in s.basis:
+        scale = den * next(e for e in row if e)
+        out.append(tuple(Fraction(e, scale) for e in combine_rows(row, ambient, width)))
+    return out

@@ -1,10 +1,13 @@
 """Exact arithmetic substrate: rationals and row-reduction linear algebra
 over Q.
 
-Scalars are fractions.Fraction throughout (arbitrary precision, always in
-lowest terms, positive denominator) and serialize as "p/q" strings, so no
-float ever enters the pipeline.  Matrices are immutable row-major rational
-grids.
+Scalars are fractions.Fraction (arbitrary precision, always in lowest terms,
+positive denominator) and serialize as "p/q" strings, so no float ever enters
+the pipeline.  Elimination runs on integer rows: a rational row spans the same
+line as its primitive integer multiple, and one integer Gauss-Jordan routine
+gives canonical bases of row spans (`row_basis`) and null spaces
+(`null_basis`) as primitive integer rows.  `rref` and `nullspace` are its
+Fraction-side wrappers for `MatrixQ`, an immutable row-major matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotTriangular, SingularDiagonal
 
@@ -21,6 +24,9 @@ __all__ = [
     "rat",
     "rat_str",
     "MatrixQ",
+    "primitive_row",
+    "row_basis",
+    "null_basis",
     "rref",
     "nullspace",
     "solve_upper_triangular",
@@ -73,25 +79,23 @@ def rat_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class MatrixQ:
-    """Immutable row-major matrix of rationals."""
+    """Immutable row-major matrix of exact numbers (Fractions or ints)."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Fraction | int, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        es = tuple(rat(e) for e in self.entries)
-        if len(es) != self.rows * self.cols:
+        if len(self.entries) != self.rows * self.cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(es)}"
+                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", es)
 
     @classmethod
     def from_rows(
-        cls, rows: Sequence[Sequence[RationalLike]], cols: int | None = None
+        cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None
     ) -> "MatrixQ":
         if not rows:
             if cols is None:
@@ -100,36 +104,123 @@ class MatrixQ:
         width = len(rows[0])
         if cols is not None and cols != width:
             raise ValueError("cols disagrees with row width")
-        flat: list[RationalLike] = []
+        flat: list[Fraction | int] = []
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged rows")
             flat.extend(r)
         return cls(len(rows), width, tuple(flat))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Fraction | int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Fraction | int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list[Fraction | int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        es, c = self.entries, self.cols
+        return MatrixQ(c, self.rows, tuple(e for j in range(c) for e in es[j::c]))
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
+def primitive_row(row: Sequence[Fraction | int]) -> list[int]:
     """The row times the lcm of its denominators, divided by the gcd of the
-    result: a primitive integer row spanning the same line."""
+    result: a primitive integer row spanning the same line (zero stays zero)."""
     den = math.lcm(*(e.denominator for e in row))
     ints = [e.numerator * (den // e.denominator) for e in row]
     g = math.gcd(*ints)
     return ints if g <= 1 else [e // g for e in ints]
+
+
+def _eliminate(
+    rows: Iterable[Sequence[int]], order: Iterable[int]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Gauss-Jordan elimination over the integers, visiting the columns in the
+    given order: the nonzero reduced rows and their pivot columns, in pivot
+    order.
+
+    Each row is first divided by the gcd of its entries; an update
+    a*row - b*pivot_row is divided by the gcd of its entries too, so every
+    returned row is primitive.  Its pivot entry is made positive, and it is
+    zero in every other pivot column.  Such a row is the unique primitive
+    integer multiple with positive pivot of the corresponding row of the
+    fully reduced form over the rationals.
+    """
+    work = []
+    for row in rows:
+        g = math.gcd(*row)
+        if g:
+            work.append(row if g == 1 else [e // g for e in row])
+    pivots: list[int] = []
+    r = 0
+    for c in order:
+        if r == len(work):
+            break
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        top = work[r]
+        pv = top[c]
+        for i, row in enumerate(work):
+            x = row[c]
+            if x and i != r:
+                g = math.gcd(pv, x)
+                a, b = pv // g, x // g
+                row = [a * e - b * t for e, t in zip(row, top)]
+                g = math.gcd(*row)
+                work[i] = row if g <= 1 else [e // g for e in row]
+        pivots.append(c)
+        r += 1
+    reduced = [
+        tuple(row) if row[c] > 0 else tuple(-e for e in row)
+        for row, c in zip(work, pivots)
+    ]
+    return reduced, pivots
+
+
+def row_basis(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the span of integer rows of the given width: the
+    rows of its reduced row echelon form, each as its primitive integer
+    multiple with positive leading entry, so equal spans give equal lists."""
+    return _eliminate(rows, range(width))[0]
+
+
+def null_basis(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
+    """Canonical basis of {v : row . v = 0 for every row}, in the form
+    `row_basis` gives, from one elimination.
+
+    Eliminating with the columns in reverse order leaves each pivot row
+    nonzero only at its pivot p and at free columns left of p.  So the kernel
+    vector of a free column f (1 at f, zero at the other free columns) is
+    zero left of f: these vectors, in order of f, already are the reduced
+    row echelon form of the kernel.
+    """
+    reduced, pivots = _eliminate(rows, range(width - 1, -1, -1))
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(width):
+        if f in pivot_set:
+            continue
+        terms = [(row, p) for row, p in zip(reduced, pivots) if row[f]]
+        scale = math.lcm(*(row[p] for row, p in terms))
+        v = [0] * width
+        v[f] = scale
+        for row, p in terms:
+            v[p] = -row[f] * (scale // row[p])
+        g = math.gcd(*v)
+        basis.append(tuple(v) if g == 1 else tuple(e // g for e in v))
+    return basis
+
+
+def _over_leading_entries(
+    rows: Sequence[Sequence[int]], leads: Iterable[int]
+) -> list[list[Fraction]]:
+    """Integer rows divided by their entries in the given columns."""
+    zero = Fraction(0)
+    return [[Fraction(e, row[c]) if e else zero for e in row] for row, c in zip(rows, leads)]
 
 
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
@@ -139,60 +230,29 @@ def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
     sink to the bottom, and the result is idempotent, so two row spaces are
     equal exactly when their reduced forms are identical.
 
-    The elimination runs over Python ints: each row is first scaled to a
-    primitive integer row, each update a*row - b*pivot_row is divided by the
-    gcd of its entries, and only at the end is each pivot row divided by its
-    pivot.  The reduced form is unique, so this is exactly the form that
-    Gauss-Jordan elimination over the rationals gives.
+    The elimination runs over Python ints (the one behind `row_basis`); only
+    the result is turned into Fractions, by dividing each row by its pivot.
+    The reduced form is unique, so this is exactly the form that Gauss-Jordan
+    elimination over the rationals gives.
     """
-    rows = [_integer_row(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        top = rows[r]
-        pv = top[c]
-        for i, row in enumerate(rows):
-            x = row[c]
-            if x and i != r:
-                g = math.gcd(pv, x)
-                a, b = pv // g, x // g
-                row = [a * e - b * t for e, t in zip(row, top)]
-                g = math.gcd(*row)
-                rows[i] = row if g <= 1 else [e // g for e in row]
-        pivots.append(c)
-        r += 1
-    zero = Fraction(0)
-    reduced = [[Fraction(e, row[c]) if e else zero for e in row] for row, c in zip(rows, pivots)]
-    reduced += [[zero] * m.cols for _ in range(m.rows - r)]
-    return MatrixQ.from_rows(reduced, cols=m.cols), tuple(pivots)
+    reduced, pivots = _eliminate(
+        (primitive_row(m.row(i)) for i in range(m.rows)), range(m.cols)
+    )
+    out = _over_leading_entries(reduced, pivots)
+    out += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
+    return MatrixQ.from_rows(out, cols=m.cols), tuple(pivots)
 
 
 def nullspace(m: MatrixQ) -> MatrixQ:
     """Canonical (RREF) basis of {v : m @ v = 0}, one basis vector per row.
 
     The dimension is cols - rank; a full-rank square matrix yields a matrix
-    with zero rows.
+    with zero rows.  One elimination (`null_basis`); Fractions are made only
+    for the result.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vecs: list[list[Fraction]] = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.entry(i, f)
-        vecs.append(v)
-    if not vecs:
-        return MatrixQ(0, m.cols, ())
-    canonical, _ = rref(MatrixQ.from_rows(vecs, cols=m.cols))
-    return canonical
+    basis = null_basis((primitive_row(m.row(i)) for i in range(m.rows)), m.cols)
+    leads = (next(j for j, e in enumerate(v) if e) for v in basis)
+    return MatrixQ.from_rows(_over_leading_entries(basis, leads), cols=m.cols)
 
 
 def solve_upper_triangular(

@@ -45,13 +45,14 @@ from .errors import (
     NotInImage,
     NotInKernel,
 )
-from .exactmath import MatrixQ, nullspace, rat_str, solve_upper_triangular
-from .momentdata import (
-    CutLevel,
-    ManifoldData,
-    morse_index,
-    split_fixed_points,
+from .exactmath import (
+    MatrixQ,
+    null_basis,
+    primitive_row,
+    rat_str,
+    solve_upper_triangular,
 )
+from .momentdata import CutLevel, ManifoldData, split_fixed_points
 
 __all__ = [
     "Sweep",
@@ -143,19 +144,23 @@ def pairing_matrix(
 def kernel_residue(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> Subspace:
-    """Degree-d classes pairing to zero against the whole complementary basis."""
+    """Degree-d classes pairing to zero against the whole complementary basis:
+    the null space of the pairing matrix's columns, each scaled to integers."""
     pm = pairing_matrix(m, cut, degree, sweep)
-    basis = nullspace(pm.matrix.transpose())
-    return Subspace(degree, pm.row_labels, basis)
+    t = pm.matrix.transpose()
+    basis = null_basis([primitive_row(t.row(j)) for j in range(t.rows)], t.cols)
+    return Subspace(degree, pm.row_labels, tuple(basis))
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
     """Degree-d classes vanishing at the fixed points in the given positions:
-    the null space of the basis rows restricted to those columns."""
-    basis = degree_basis(m, degree)
-    labels = tuple(m.fixed_points[i].name for i in basis_points(m, degree))
-    eva = MatrixQ.from_rows([[row[j] for row in basis] for j in points], cols=len(basis))
-    return Subspace(degree, labels, nullspace(eva))
+    the null space of the basis rows restricted to those columns, read off
+    the integer table."""
+    pts = basis_points(m, degree)
+    table, _ = m.integer_alpha_minus
+    constraints = [[table[i][j] for i in pts] for j in points]
+    labels = tuple(m.fixed_points[i].name for i in pts)
+    return Subspace(degree, labels, tuple(null_basis(constraints, len(pts))))
 
 
 def kernel_tw(
@@ -190,8 +195,7 @@ def _find_witness(
 ) -> EquivariantClass | None:
     """A class in one subspace but not the other, expanded to restrictions."""
     for first, second in ((a, b), (b, a)):
-        for i in range(first.basis.rows):
-            row = list(first.basis.row(i))
+        for i, row in enumerate(first.basis):
             if not subspace_contains(second, row):
                 return EquivariantClass(first.degree, subspace_scalar_rows(m, first)[i])
     return None
@@ -255,8 +259,8 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
     if m.alpha_plus is None:
         raise MissingAlphaPlus(f"{m.name!r} carries no alpha_plus table")
     above, _ = split_fixed_points(m, cut)
-    pts = m.fixed_points
-    order = [i for i in above if morse_index(pts[i]) >= degree + 2]
+    pts, ind = m.fixed_points, m.morse_indices
+    order = [i for i in above if ind[i] >= degree + 2]
     order.sort(key=lambda i: (-pts[i].moment, pts[i].name))
     labels = tuple(pts[i].name for i in order)
     entries = [[m.alpha_plus[i][j] for j in order] for i in order]
@@ -274,7 +278,7 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
         degree=degree,
         labels=labels,
         matrix=mat,
-        m_exponents=tuple((morse_index(pts[i]) - degree - 2) // 2 for i in order),
+        m_exponents=tuple((ind[i] - degree - 2) // 2 for i in order),
         upper_triangular=not below,
         diagonal_nonzero=not zero_diagonal,
         violations=tuple(violations),
@@ -410,13 +414,15 @@ def decompose(
 
 
 def _subspace_to_dict(m: ManifoldData, s: Subspace) -> dict:
+    coefficient_rows = []
+    for row in s.basis:
+        lead = next(e for e in row if e)
+        coefficient_rows.append([rat_str(Fraction(e, lead)) for e in row])
     return {
         "degree": s.degree,
         "labels": list(s.labels),
         "dimension": s.dim,
-        "coefficient_rows": [
-            [rat_str(e) for e in s.basis.row(i)] for i in range(s.basis.rows)
-        ],
+        "coefficient_rows": coefficient_rows,
         "restriction_rows": [
             [rat_str(e) for e in row] for row in subspace_scalar_rows(m, s)
         ],

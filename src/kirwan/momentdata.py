@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 from .errors import (
@@ -97,7 +98,8 @@ class ManifoldData:
     package is a pure function of the loaded data.
 
     The tables are indexed by position in `fixed_points`: alpha_minus[i][j]
-    is the restriction scalar of the downward class of point i at point j.
+    is the restriction scalar of the downward class of point i at point j,
+    and morse_indices[i] is the Morse index of point i.
     """
 
     name: str
@@ -106,11 +108,27 @@ class ManifoldData:
     fixed_points: tuple[FixedPoint, ...]
     alpha_minus: Table
     alpha_plus: Table | None = None
+    morse_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         positions = {fp.name: i for i, fp in enumerate(self.fixed_points)}
         object.__setattr__(self, "_position", positions)
+        indices = tuple(morse_index(fp) for fp in self.fixed_points)
+        object.__setattr__(self, "morse_indices", indices)
+
+    @cached_property
+    def integer_alpha_minus(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table
+        over the lcm of all its denominators, derived on first use.  Row i
+        expands kernel bases; the entries of column j, sliced, are an
+        evaluation constraint at point j."""
+        den = math.lcm(*(s.denominator for row in self.alpha_minus for s in row))
+        rows = tuple(
+            tuple(s.numerator * (den // s.denominator) for s in row)
+            for row in self.alpha_minus
+        )
+        return rows, den
 
     def position(self, name: str) -> int:
         """Index of the named fixed point in `fixed_points` and in every table."""
@@ -129,8 +147,7 @@ class ManifoldData:
 def index_census(m: ManifoldData) -> dict[int, int]:
     """How many fixed points have each Morse index."""
     census: dict[int, int] = {}
-    for fp in m.fixed_points:
-        ind = morse_index(fp)
+    for ind in m.morse_indices:
         census[ind] = census.get(ind, 0) + 1
     return dict(sorted(census.items()))
 

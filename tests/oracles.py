@@ -33,6 +33,16 @@ def combination(m, degree, coeffs):
     )
 
 
+def rref_rows(subspace):
+    """The subspace's reduced-row-echelon rows as Fractions: each primitive
+    integer basis row divided by its leading entry."""
+    rows = []
+    for row in subspace.basis:
+        lead = next(e for e in row if e)
+        rows.append([Fraction(e, lead) for e in row])
+    return rows
+
+
 def edited(m, *entries):
     """A copy of m with table[f][g] = value for each (table, f, g, value),
     loaded without table validation; value is a rational string."""

@@ -37,7 +37,7 @@ from kirwan.kernels import (
 )
 from kirwan.momentdata import CutLevel, split_fixed_points
 
-from oracles import census_betti, combination, localization_expansion
+from oracles import census_betti, combination, localization_expansion, rref_rows
 
 EXPECTED = json.loads(
     (Path(__file__).parent / "fixtures" / "regression_expected.json").read_text()
@@ -91,10 +91,11 @@ def random_combo(rng, m, degree):
 
 
 def random_kernel_element(rng, m, kernel):
-    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(kernel.basis.rows)]
+    rows = rref_rows(kernel)
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in rows]
     coeffs = [
-        sum((c * kernel.basis.row(i)[k] for i, c in enumerate(cs)), Fraction(0))
-        for k in range(kernel.basis.cols)
+        sum((c * rows[i][k] for i, c in enumerate(cs)), Fraction(0))
+        for k in range(len(kernel.labels))
     ]
     return combination(m, kernel.degree, coeffs)
 

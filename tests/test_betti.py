@@ -5,7 +5,10 @@
 - Metamorphic properties compare two computed tables that must agree:
   renamed fixed points, the reversed circle action on CP^n, and a
   translated moment map.
-- The sharing guard counts the Gram entries a degree sweep computes.
+- The sharing guard counts the Gram entries a degree sweep computes, and
+  the elimination guard the eliminations it runs.
+- Cup products: the residue kernel is closed under multiplication by basis
+  classes, a check that relates one degree to another.
 """
 
 from __future__ import annotations
@@ -16,11 +19,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kirwan import kernels
+from kirwan import exactmath, kernels
 from kirwan.cli import main
-from kirwan.cohomology import basis_points
+from kirwan.cohomology import (
+    EquivariantClass,
+    basis_points,
+    subspace_contains,
+    subspace_scalar_rows,
+)
+from kirwan.exactmath import MatrixQ, nullspace
 from kirwan.generators import gen_cpn, gen_sphere_product
-from kirwan.kernels import Sweep, kernels_equal
+from kirwan.kernels import Sweep, _solve_basis_coefficients, kernel_residue, kernels_equal
 from kirwan.momentdata import (
     CutLevel,
     load_manifold,
@@ -182,3 +191,76 @@ def test_pair_computes_only_its_block(tmp_path, monkeypatch, capsys):
         block = unordered((f, g) for f in rows for g in cols)
         assert sorted(unordered(pairs)) == sorted(set(block))
     capsys.readouterr()
+
+
+# --- elimination guard ------------------------------------------------------------
+
+
+def counted_eliminations(monkeypatch):
+    """Replace the integer elimination core by a wrapper that counts its calls."""
+    calls = []
+    real = exactmath._eliminate
+
+    def counting(rows, order):
+        calls.append(1)
+        return real(rows, order)
+
+    monkeypatch.setattr(exactmath, "_eliminate", counting)
+    return calls
+
+
+def test_one_nullspace_call_runs_one_elimination(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    m = MatrixQ.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, Fraction(1, 2), 0]])
+    assert nullspace(m).rows == 2
+    assert len(calls) == 1
+
+
+def test_betti_sweep_runs_at_most_four_eliminations_per_degree(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    m = gen_cpn([-3, -1, 0, 2, 3, 7, 8])
+    for cut in mid_gap_cuts(m):
+        sweep = Sweep(m, cut)
+        for d in range(0, 2 * m.n - 1, 2):
+            before = len(calls)
+            kernels_equal(m, cut, d, sweep)
+            assert 3 <= len(calls) - before <= 4, (str(cut.c), d)
+
+
+# --- cup products -----------------------------------------------------------------
+
+closure_data = st.one_of(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=6, unique=True).map(sorted).map(gen_cpn),
+    st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=4).map(
+        gen_sphere_product
+    ),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(closure_data, st.integers(0, 99))
+def test_residue_kernel_is_closed_under_products_with_basis_classes(m, gap):
+    """kappa * alpha_g lies in the residue kernel of degree d + ind g for every
+    residue-kernel basis class kappa of degree d and every downward class
+    alpha_g with d + ind g <= 2n - 2: the kernel of the reduction map is an
+    ideal.  The product is written over the degree basis by the triangular
+    solve of `decompose`, so the check ties the elimination in degree d to
+    that in degree d + ind g through no shared step."""
+    cuts = mid_gap_cuts(m)
+    cut = cuts[gap % len(cuts)]
+    sweep = Sweep(m, cut)
+    top = 2 * m.n - 2
+    kernels_by_degree = {
+        d: kernel_residue(m, cut, d, sweep) for d in range(0, top + 1, 2)
+    }
+    checked = 0
+    for d, kernel in kernels_by_degree.items():
+        for kappa in subspace_scalar_rows(m, kernel):
+            for g, ind in enumerate(m.morse_indices):
+                if d + ind > top:
+                    continue
+                product = tuple(a * b for a, b in zip(kappa, m.alpha_minus[g]))
+                coeffs = _solve_basis_coefficients(m, EquivariantClass(d + ind, product))
+                assert subspace_contains(kernels_by_degree[d + ind], list(coeffs.values()))
+                checked += 1
+    assert checked or all(not s.basis for s in kernels_by_degree.values())

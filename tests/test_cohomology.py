@@ -231,6 +231,17 @@ def test_subspace_canonicalization():
     assert a.dim == 1
 
 
+def test_subspace_basis_is_reduced_primitive_and_positive():
+    labels = ("p0", "p1", "p2")
+    # eliminating these rows in column order leaves negative pivots behind
+    a = subspace_from_rows(2, labels, [[1, 1, 0], [1, 0, 1]])
+    b = subspace_from_rows(2, labels, [[-2, 0, -2], [0, Fraction(-1, 3), Fraction(1, 3)]])
+    assert a == b
+    assert a.basis == ((1, 0, 1), (0, 1, -1))
+    c = subspace_from_rows(2, labels, [[Fraction(1, 2), Fraction(-3, 4), 0], [0, 0, -5]])
+    assert c.basis == ((2, -3, 0), (0, 0, 1))
+
+
 def test_subspace_sum_and_intersection():
     labels = ("p0", "p1", "p2")
     a = subspace_from_rows(2, labels, [[1, 0, 0]])

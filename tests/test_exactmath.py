@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kirwan.cohomology import basis_points
 from kirwan.errors import NotTriangular, SingularDiagonal
 from kirwan.exactmath import (
     MatrixQ,
@@ -15,8 +16,11 @@ from kirwan.exactmath import (
     rref,
     solve_upper_triangular,
 )
+from kirwan.generators import gen_cpn, gen_sphere_product
+from kirwan.kernels import kernel_residue, kernel_tw, pairing_matrix
+from kirwan.momentdata import CutLevel, split_fixed_points
 
-from oracles import laurent_residue, reference_nullspace, reference_rref
+from oracles import laurent_residue, reference_nullspace, reference_rref, rref_rows
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -156,11 +160,71 @@ def wide_matrices(draw):
     return MatrixQ.from_rows(rows, cols=cols)
 
 
-@settings(max_examples=100, deadline=None)
-@given(wide_matrices())
+@st.composite
+def sparse_matrices(draw):
+    """Up to 8 x 16 with about 10% of the entries nonzero, shaped like the
+    evaluation matrices of sphere products: some columns repeat another
+    column, some are zero."""
+    cols = draw(st.integers(min_value=1, max_value=16))
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    rows = [[Fraction(0)] * cols for _ in range(nrows)]
+    cells = nrows * cols
+    nonzero = draw(st.integers(max(1, cells // 20), max(1, cells // 7)))
+    for cell in draw(st.permutations(range(cells)))[:nonzero]:
+        rows[cell // cols][cell % cols] = draw(wide_entries.filter(bool))
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        for row in rows:
+            row[dst] = row[src]
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return MatrixQ.from_rows(rows, cols=cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(wide_matrices(), sparse_matrices()))
 def test_rref_and_nullspace_match_fraction_elimination(m):
     assert rref(m) == reference_rref(m)
     assert nullspace(m) == reference_nullspace(m)
+
+
+def mid_gap_cuts(m):
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    return [CutLevel((lo + hi) / 2) for lo, hi in zip(levels, levels[1:])]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        gen_sphere_product([1, 1, 1]),
+        gen_sphere_product([1, 2, 3, 5]),
+        gen_cpn([-3, -1, 0, 2, 3, 7, 8]),
+    ],
+    ids=lambda m: m.name,
+)
+def test_nullspace_matches_fraction_elimination_on_kernel_matrices(m):
+    """Every evaluation matrix and every transposed pairing matrix of a sweep,
+    at every mid-gap cut: `nullspace` against the Fraction oracle, and the
+    library's kernels, which eliminate integer rows of their own, against
+    the same oracle."""
+    checked = 0
+    for cut in mid_gap_cuts(m):
+        above, below = split_fixed_points(m, cut)
+        for d in range(0, 2 * m.n - 1, 2):
+            pts = basis_points(m, d)
+            evaluations = [
+                MatrixQ.from_rows([[m.alpha_minus[i][j] for i in pts] for j in side], cols=len(pts))
+                for side in (above, below)
+            ]
+            pairing = pairing_matrix(m, cut, d).matrix.transpose()
+            computed = [*kernel_tw(m, cut, d)[:2], kernel_residue(m, cut, d)]
+            for matrix, kernel in zip([*evaluations, pairing], computed):
+                expected = reference_nullspace(matrix)
+                assert nullspace(matrix) == expected
+                assert rref_rows(kernel) == expected.to_rows()
+                checked += 1
+    assert checked >= 3 * len(mid_gap_cuts(m))
 
 
 def test_nullspace_spec_examples():

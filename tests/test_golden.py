@@ -12,6 +12,11 @@ cut.  The fixture keeps the exit code and a short sha256 of stdout per job.
 Re-record (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+and check without pytest (any Python the package supports; the exit status
+is 1 when an output changed or a job is missing or extra) with
+
+    python tests/test_golden.py --check
 """
 
 from __future__ import annotations
@@ -170,7 +175,24 @@ def test_cli_outputs_match_golden():
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:5]}"
 
 
+def check() -> int:
+    """Compare every job with the fixture, print each difference, and return
+    the exit status."""
+    expected = json.loads(FIXTURE.read_text())
+    got = outputs()
+    unmatched = sorted(set(got) ^ set(expected))
+    changed = [key for key in sorted(expected) if key in got and got[key] != expected[key]]
+    for key in unmatched:
+        print(f"{'extra' if key in got else 'missing'}: {key}")
+    for key in changed:
+        print(f"changed: {key}: {expected[key]} -> {got[key]}")
+    print(f"{len(got)} jobs; {len(changed)} changed, {len(unmatched)} missing or extra")
+    return 1 if changed or unmatched else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     FIXTURE.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")
