@@ -21,7 +21,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .exactmath import RationalLike, primitive_row, rat, rat_str, row_basis
+from .exactmath import (
+    MatrixQ,
+    RationalLike,
+    integer_entries,
+    over_leading_entry,
+    rat,
+    rat_str,
+    rref,
+)
 from .momentdata import (
     ManifoldData,
     Table,
@@ -241,8 +249,8 @@ class Subspace:
     """A subspace of the degree-d image span, in coefficient coordinates with
     respect to the labeled degree basis.  The rows of `basis` are the rows of
     its reduced row echelon form, each as its primitive integer multiple with
-    positive leading entry (`exactmath.row_basis`), so equality of values is
-    equality of spans."""
+    positive leading entry (`exactmath.rref` with primitive=True), so equality
+    of values is equality of spans."""
 
     degree: int
     labels: tuple[str, ...]
@@ -257,8 +265,8 @@ def subspace_from_rows(
     degree: int, labels: Sequence[str], rows: Sequence[Sequence[Fraction | int]]
 ) -> Subspace:
     """Canonicalize spanning rows (coefficient coordinates) into a Subspace."""
-    basis = row_basis([primitive_row(r) for r in rows], len(labels))
-    return Subspace(degree, tuple(labels), tuple(basis))
+    red, pivots = rref(MatrixQ.from_rows(rows, cols=len(labels)), primitive=True)
+    return Subspace(degree, tuple(labels), tuple(map(red.row, range(len(pivots)))))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -268,14 +276,14 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return b
     if not b.basis:
         return a
-    return Subspace(a.degree, a.labels, tuple(row_basis(a.basis + b.basis, len(a.labels))))
+    return subspace_from_rows(a.degree, a.labels, a.basis + b.basis)
 
 
 def subspace_contains(s: Subspace, coeffs: Sequence[Fraction | int]) -> bool:
     """Exact membership test by reduction against the canonical basis."""
     if len(coeffs) != len(s.labels):
         raise ValidationError("coefficient vector has the wrong length")
-    v = primitive_row(coeffs)
+    v = integer_entries(coeffs)
     for row in s.basis:
         p = next(j for j, e in enumerate(row) if e)
         if v[p]:
@@ -291,7 +299,8 @@ def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
 
     The expansion runs over the integer rows of the table
     (`ManifoldData.integer_alpha_minus`); each entry becomes a Fraction only
-    once, divided by the table's denominator and the row's leading entry.
+    once, divided by the table's denominator and the row's leading entry
+    (`exactmath.over_leading_entry`).
     """
     pts = basis_points(m, s.degree)
     if tuple(m.fixed_points[i].name for i in pts) != s.labels:
@@ -299,8 +308,7 @@ def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
     table, den = m.integer_alpha_minus
     ambient = [table[i] for i in pts]
     width = len(m.fixed_points)
-    out = []
-    for row in s.basis:
-        scale = den * next(e for e in row if e)
-        out.append(tuple(Fraction(e, scale) for e in combine_rows(row, ambient, width)))
-    return out
+    return [
+        tuple(over_leading_entry(row, combine_rows(row, ambient, width), den))
+        for row in s.basis
+    ]

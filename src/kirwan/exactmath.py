@@ -4,10 +4,11 @@ over Q.
 Scalars are fractions.Fraction (arbitrary precision, always in lowest terms,
 positive denominator) and serialize as "p/q" strings, so no float ever enters
 the pipeline.  Elimination runs on integer rows: a rational row spans the same
-line as its primitive integer multiple, and one integer Gauss-Jordan routine
-gives canonical bases of row spans (`row_basis`) and null spaces
-(`null_basis`) as primitive integer rows.  `rref` and `nullspace` are its
-Fraction-side wrappers for `MatrixQ`, an immutable row-major matrix.
+line as its integer multiples, and one integer Gauss-Jordan routine behind
+`rref` and `nullspace` gives canonical bases of row spans and null spaces.
+With primitive=True they return each basis row as its primitive integer
+multiple instead of as a row of Fractions.  `MatrixQ` is an immutable
+row-major matrix of ints and Fractions.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ __all__ = [
     "rat",
     "rat_str",
     "MatrixQ",
-    "primitive_row",
-    "row_basis",
-    "null_basis",
+    "integer_entries",
+    "over_leading_entry",
     "rref",
     "nullspace",
     "solve_upper_triangular",
@@ -79,7 +79,12 @@ def rat_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class MatrixQ:
-    """Immutable row-major matrix of exact numbers (Fractions or ints)."""
+    """Immutable row-major matrix of exact numbers.
+
+    Entries must be ints or Fractions.  The constructor does not check them,
+    as it builds every pairing matrix; `solve_upper_triangular` rejects other
+    entries, and `rat` turns parsed text into Fractions.
+    """
 
     rows: int
     cols: int
@@ -125,28 +130,31 @@ class MatrixQ:
         return MatrixQ(c, self.rows, tuple(e for j in range(c) for e in es[j::c]))
 
 
-def primitive_row(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the lcm of its denominators, divided by the gcd of the
-    result: a primitive integer row spanning the same line (zero stays zero)."""
-    den = math.lcm(*(e.denominator for e in row))
-    ints = [e.numerator * (den // e.denominator) for e in row]
-    g = math.gcd(*ints)
-    return ints if g <= 1 else [e // g for e in ints]
+def integer_entries(values: Iterable[Fraction | int]) -> list[int]:
+    """The values times the lcm of their denominators.  The entries of a
+    matrix so scaled span the same rows; `_eliminate` divides each row by its
+    gcd."""
+    values = tuple(values)
+    if {*map(type, values)} <= {int}:
+        return list(values)
+    den = math.lcm(*[e.denominator for e in values])
+    if den == 1:
+        return [e.numerator for e in values]
+    return [e.numerator * (den // e.denominator) for e in values]
 
 
 def _eliminate(
-    rows: Iterable[Sequence[int]], order: Iterable[int]
+    rows: Iterable[Sequence[int]], width: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Gauss-Jordan elimination over the integers, visiting the columns in the
-    given order: the nonzero reduced rows and their pivot columns, in pivot
-    order.
+    """Gauss-Jordan elimination over the integers: the nonzero reduced rows
+    and their pivot columns, in pivot order.
 
     Each row is first divided by the gcd of its entries; an update
     a*row - b*pivot_row is divided by the gcd of its entries too, so every
     returned row is primitive.  Its pivot entry is made positive, and it is
     zero in every other pivot column.  Such a row is the unique primitive
     integer multiple with positive pivot of the corresponding row of the
-    fully reduced form over the rationals.
+    reduced row echelon form over the rationals.
     """
     work = []
     for row in rows:
@@ -155,7 +163,7 @@ def _eliminate(
             work.append(row if g == 1 else [e // g for e in row])
     pivots: list[int] = []
     r = 0
-    for c in order:
+    for c in range(width):
         if r == len(work):
             break
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -181,78 +189,79 @@ def _eliminate(
     return reduced, pivots
 
 
-def row_basis(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Canonical basis of the span of integer rows of the given width: the
-    rows of its reduced row echelon form, each as its primitive integer
-    multiple with positive leading entry, so equal spans give equal lists."""
-    return _eliminate(rows, range(width))[0]
+def over_leading_entry(
+    row: Sequence[int], values: Sequence[int] | None = None, den: int = 1
+) -> list[Fraction]:
+    """`values` (by default the row itself) divided by den times the row's
+    leading (first nonzero) entry.
 
-
-def null_basis(rows: Iterable[Sequence[int]], width: int) -> list[tuple[int, ...]]:
-    """Canonical basis of {v : row . v = 0 for every row}, in the form
-    `row_basis` gives, from one elimination.
-
-    Eliminating with the columns in reverse order leaves each pivot row
-    nonzero only at its pivot p and at free columns left of p.  So the kernel
-    vector of a free column f (1 at f, zero at the other free columns) is
-    zero left of f: these vectors, in order of f, already are the reduced
-    row echelon form of the kernel.
+    A primitive integer basis row with positive leading entry, as `rref` and
+    `nullspace` give with primitive=True, becomes its reduced-row-echelon row.
     """
-    reduced, pivots = _eliminate(rows, range(width - 1, -1, -1))
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        terms = [(row, p) for row, p in zip(reduced, pivots) if row[f]]
-        scale = math.lcm(*(row[p] for row, p in terms))
-        v = [0] * width
-        v[f] = scale
-        for row, p in terms:
-            v[p] = -row[f] * (scale // row[p])
-        g = math.gcd(*v)
-        basis.append(tuple(v) if g == 1 else tuple(e // g for e in v))
-    return basis
-
-
-def _over_leading_entries(
-    rows: Sequence[Sequence[int]], leads: Iterable[int]
-) -> list[list[Fraction]]:
-    """Integer rows divided by their entries in the given columns."""
+    scale = den * next(e for e in row if e)
     zero = Fraction(0)
-    return [[Fraction(e, row[c]) if e else zero for e in row] for row, c in zip(rows, leads)]
+    if values is None:
+        values = row
+    return [Fraction(e, scale) if e else zero for e in values]
 
 
-def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
+def rref(m: MatrixQ, *, primitive: bool = False) -> tuple[MatrixQ, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns.
 
     Pivot entries are 1, pivot columns are cleared above and below, zero rows
     sink to the bottom, and the result is idempotent, so two row spaces are
     equal exactly when their reduced forms are identical.
 
-    The elimination runs over Python ints (the one behind `row_basis`); only
-    the result is turned into Fractions, by dividing each row by its pivot.
-    The reduced form is unique, so this is exactly the form that Gauss-Jordan
-    elimination over the rationals gives.
+    The elimination runs over Python ints; the reduced form is unique, so
+    dividing each resulting row by its pivot gives exactly the form that
+    Gauss-Jordan elimination over the rationals gives.  With primitive=True
+    that division is skipped: each nonzero row comes as its primitive integer
+    multiple with positive pivot, which is as canonical, and no Fraction is
+    made.
     """
-    reduced, pivots = _eliminate(
-        (primitive_row(m.row(i)) for i in range(m.rows)), range(m.cols)
-    )
-    out = _over_leading_entries(reduced, pivots)
-    out += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
+    ints, w = integer_entries(m.entries), m.cols
+    reduced, pivots = _eliminate((ints[i * w : (i + 1) * w] for i in range(m.rows)), w)
+    out: list = reduced if primitive else [over_leading_entry(row) for row in reduced]
+    zero = 0 if primitive else Fraction(0)
+    out += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
     return MatrixQ.from_rows(out, cols=m.cols), tuple(pivots)
 
 
-def nullspace(m: MatrixQ) -> MatrixQ:
+def nullspace(m: MatrixQ, *, primitive: bool = False) -> MatrixQ:
     """Canonical (RREF) basis of {v : m @ v = 0}, one basis vector per row.
 
     The dimension is cols - rank; a full-rank square matrix yields a matrix
-    with zero rows.  One elimination (`null_basis`); Fractions are made only
-    for the result.
+    with zero rows.  With primitive=True each basis row comes as its
+    primitive integer multiple with positive leading entry, as in `rref`.
+
+    One elimination: `rref` of m with its columns in reverse order.  Read in
+    the original order, each pivot row is then nonzero only at its pivot p
+    and at free columns left of p.  So the kernel vector of a free column f
+    (nonzero at f, zero at the other free columns) is zero left of f: these
+    vectors, in order of f, already are the reduced row echelon form of the
+    kernel.
     """
-    basis = null_basis((primitive_row(m.row(i)) for i in range(m.rows)), m.cols)
-    leads = (next(j for j, e in enumerate(v) if e) for v in basis)
-    return MatrixQ.from_rows(_over_leading_entries(basis, leads), cols=m.cols)
+    w = m.cols
+    flipped = MatrixQ.from_rows([m.row(i)[::-1] for i in range(m.rows)], cols=w)
+    red, flipped_pivots = rref(flipped, primitive=True)
+    reduced = [red.row(i)[::-1] for i in range(len(flipped_pivots))]
+    pivots = [w - 1 - p for p in flipped_pivots]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(w):
+        if f in pivot_set:
+            continue
+        terms = [(row, p) for row, p in zip(reduced, pivots) if row[f]]
+        scale = math.lcm(*(row[p] for row, p in terms))
+        v = [0] * w
+        v[f] = scale
+        for row, p in terms:
+            v[p] = -row[f] * (scale // row[p])
+        g = math.gcd(*v)
+        basis.append(v if g == 1 else [e // g for e in v])
+    if not primitive:
+        basis = [over_leading_entry(v) for v in basis]
+    return MatrixQ.from_rows(basis, cols=w)
 
 
 def solve_upper_triangular(
@@ -261,8 +270,11 @@ def solve_upper_triangular(
     """Back-substitution solve of an upper-triangular square system.
 
     The matrix must be upper triangular in the supplied ordering with nonzero
-    diagonal; violations raise NotTriangular / SingularDiagonal.
+    diagonal; violations raise NotTriangular / SingularDiagonal.  An entry
+    that is not an int or a Fraction raises TypeError.
     """
+    if any(type(e) not in (int, Fraction) for e in m.entries):
+        raise TypeError("matrix entries must be ints or Fractions")
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     if len(rhs) != m.rows:

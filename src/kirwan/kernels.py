@@ -47,8 +47,8 @@ from .errors import (
 )
 from .exactmath import (
     MatrixQ,
-    null_basis,
-    primitive_row,
+    nullspace,
+    over_leading_entry,
     rat_str,
     solve_upper_triangular,
 )
@@ -145,11 +145,10 @@ def kernel_residue(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> Subspace:
     """Degree-d classes pairing to zero against the whole complementary basis:
-    the null space of the pairing matrix's columns, each scaled to integers."""
+    the null space of the transposed pairing matrix."""
     pm = pairing_matrix(m, cut, degree, sweep)
-    t = pm.matrix.transpose()
-    basis = null_basis([primitive_row(t.row(j)) for j in range(t.rows)], t.cols)
-    return Subspace(degree, pm.row_labels, tuple(basis))
+    ns = nullspace(pm.matrix.transpose(), primitive=True)
+    return Subspace(degree, pm.row_labels, tuple(map(ns.row, range(ns.rows))))
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
@@ -159,8 +158,9 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
     pts = basis_points(m, degree)
     table, _ = m.integer_alpha_minus
     constraints = [[table[i][j] for i in pts] for j in points]
+    ns = nullspace(MatrixQ.from_rows(constraints, cols=len(pts)), primitive=True)
     labels = tuple(m.fixed_points[i].name for i in pts)
-    return Subspace(degree, labels, tuple(null_basis(constraints, len(pts))))
+    return Subspace(degree, labels, tuple(map(ns.row, range(ns.rows))))
 
 
 def kernel_tw(
@@ -414,15 +414,13 @@ def decompose(
 
 
 def _subspace_to_dict(m: ManifoldData, s: Subspace) -> dict:
-    coefficient_rows = []
-    for row in s.basis:
-        lead = next(e for e in row if e)
-        coefficient_rows.append([rat_str(Fraction(e, lead)) for e in row])
     return {
         "degree": s.degree,
         "labels": list(s.labels),
         "dimension": s.dim,
-        "coefficient_rows": coefficient_rows,
+        "coefficient_rows": [
+            [rat_str(e) for e in over_leading_entry(row)] for row in s.basis
+        ],
         "restriction_rows": [
             [rat_str(e) for e in row] for row in subspace_scalar_rows(m, s)
         ],

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from kirwan.cohomology import EquivariantClass, degree_basis
-from kirwan.exactmath import MatrixQ
+from kirwan.exactmath import MatrixQ, over_leading_entry
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index
 
 
@@ -36,11 +36,7 @@ def combination(m, degree, coeffs):
 def rref_rows(subspace):
     """The subspace's reduced-row-echelon rows as Fractions: each primitive
     integer basis row divided by its leading entry."""
-    rows = []
-    for row in subspace.basis:
-        lead = next(e for e in row if e)
-        rows.append([Fraction(e, lead) for e in row])
-    return rows
+    return [over_leading_entry(row) for row in subspace.basis]
 
 
 def edited(m, *entries):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from kirwan.errors import NotTriangular, SingularDiagonal
 from kirwan.exactmath import (
     MatrixQ,
     nullspace,
+    over_leading_entry,
     rat,
     rat_str,
     rref,
@@ -189,6 +191,26 @@ def test_rref_and_nullspace_match_fraction_elimination(m):
     assert nullspace(m) == reference_nullspace(m)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_matrices(), sparse_matrices()))
+def test_primitive_rows_are_the_reduced_rows_scaled(m):
+    """With primitive=True, `rref` and `nullspace` give the rows of the
+    Fraction forms as primitive integer rows with positive leading entry."""
+    red, pivots = rref(m)
+    ints, int_pivots = rref(m, primitive=True)
+    ns, int_ns = nullspace(m), nullspace(m, primitive=True)
+    assert int_pivots == pivots and int_ns.rows == ns.rows
+    nonzero = [ints.row(i) for i in range(len(pivots))] + int_ns.to_rows()
+    for row in nonzero:
+        assert all(type(e) is int for e in row)
+        assert math.gcd(*row) == 1 and next(e for e in row if e) > 0
+    assert [over_leading_entry(ints.row(i)) for i in range(len(pivots))] == [
+        list(red.row(i)) for i in range(len(pivots))
+    ]
+    assert all(e == 0 for i in range(len(pivots), ints.rows) for e in ints.row(i))
+    assert [over_leading_entry(row) for row in int_ns.to_rows()] == ns.to_rows()
+
+
 def mid_gap_cuts(m):
     levels = sorted({fp.moment for fp in m.fixed_points})
     return [CutLevel((lo + hi) / 2) for lo, hi in zip(levels, levels[1:])]
@@ -268,6 +290,14 @@ def test_solve_upper_triangular_errors():
         solve_upper_triangular(MatrixQ.from_rows([[1, 0], [2, 1]]), [1, 1])
     with pytest.raises(ValueError):
         solve_upper_triangular(MatrixQ.from_rows([[1, 0]]), [1])
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_solve_upper_triangular_rejects_non_exact_entries(bad):
+    """MatrixQ does not check its entries, so the solve does: a float would
+    turn the back-substitution into float arithmetic."""
+    with pytest.raises(TypeError):
+        solve_upper_triangular(MatrixQ.from_rows([[1, bad], [0, 2]]), [1, 1])
 
 
 @settings(max_examples=50)
