@@ -5,29 +5,25 @@ example data.
 Reports are byte-deterministic for identical inputs.  Exit codes: 0 success,
 2 validation failure, 3 irregular cut level, 4 class outside the image or the
 kernel, 64 usage error (including an unreadable input or class file and an
-unwritable --out path).
+unwritable --out path).  A usage error writes the usage line and
+"kirwan <command>: error: ..." to stderr; -h/--help writes usage to stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
 from .cohomology import make_class, validate_alpha_basis
 from .errors import (
     KirwanError,
-    MissingAlphaPlus,
     NotInImage,
     NotInKernel,
     NotRegularValue,
     ParseError,
     SchemaError,
-    SpecError,
-    UnknownFixedPoint,
     ValidationError,
 )
 from .exactmath import rat, rat_str
@@ -54,83 +50,140 @@ class _FileError(Exception):
     """An input file that cannot be read or an --out path that cannot be written."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse only lets values starting with "-" through when they look
-        # like negative numbers; widen that to rationals and comma lists
-        # (-1/2, -2,0,3) so cuts below zero need no "=" form
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*\Z"
-        )
-
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return rat(text)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# The command line is read as kirwan 0.6.0's argparse parser read it, from
+# the table _COMMANDS at the end of this module: command -> (handler,
+# options), where options is a table of subcommands or a list of (flag, dest,
+# convert, default).  convert is a function or a tuple of choices; default may
+# be _REQUIRED, or _ONE_OF for options of which exactly one must be given.
+_REQUIRED, _ONE_OF = object(), object()
+_HELP = {"-h": None, "--help": None}
+# a word starting with "-" is a value only when it looks like a negative
+# rational or comma list (-1/2, -2,0,3), so cuts below zero need no "=" form
+_NEGATIVE = re.compile(r"^-\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*\Z")
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return [int(part) for part in text.split(",")]
 
 
-def _degree(text: str) -> int | None:
+def _degree(text: str) -> int:
     if text == "all":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"degree must be an integer or 'all': {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree must be nonnegative")
+        raise ValueError("only kernel reads --degree all")
+    if (value := int(text)) < 0:
+        raise ValueError(f"degree must be nonnegative: {text!r}")
     return value
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="kirwan", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _usage(prog: str, options) -> str:
+    if isinstance(options, dict):
+        return f"usage: {prog} [-h] {{{','.join(options)}}} ...\n"
+    words = ["usage:", prog, "[-h]"]
+    for flag, dest, convert, default in options:
+        meta = "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else dest.upper()
+        word = f"{flag} {meta}"
+        words.append({_REQUIRED: word, _ONE_OF: f"({word})"}.get(default, f"[{word}]"))
+    return " ".join(words).replace(") (", " | ") + "\n"  # (a | b) for the _ONE_OF options
 
-    def manifold_command(name: str, help_text: str, *, cut: bool, degree: str | None):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="manifold JSON file")
-        if cut:
-            p.add_argument("--cut", required=True, type=_rational, help="cut level p/q")
-        if degree == "required":
-            p.add_argument("--degree", required=True, type=_degree)
-        elif degree == "all":
-            p.add_argument("--degree", default=None, type=_degree, help="even degree or 'all'")
-        p.add_argument("--format", choices=("json", "md"), default="md")
-        return p
 
-    manifold_command("validate", "check a manifold document", cut=False, degree=None)
-    manifold_command("pair", "pairing matrix in one degree", cut=True, degree="required")
-    kernel = manifold_command("kernel", "kernel subspaces per degree", cut=True, degree="all")
-    kernel.add_argument("--method", choices=("both", "residue", "tw"), default="both")
-    manifold_command("betti", "Betti table of the reduced space", cut=True, degree=None)
-    dec = manifold_command("decompose", "split a kernel class", cut=True, degree="required")
-    group = dec.add_mutually_exclusive_group(required=True)
-    group.add_argument("--class-file", help="JSON file with degree and restrictions")
-    group.add_argument("--class-json", help="inline JSON class")
-    manifold_command("bmatrix", "upward-restriction diagnostics", cut=True, degree="required")
+def _invalid(word: str, choices) -> str:
+    return f"invalid choice: {word!r} (choose from {', '.join(map(repr, choices))})"
 
-    gen = sub.add_parser("generate", help="emit a built-in manifold datum")
-    gen_sub = gen.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    cpn = gen_sub.add_parser("cpn", help="projective space")
-    cpn.add_argument("--lambda", dest="lambdas", required=True, type=_int_list)
-    cpn.add_argument("--out", default=None)
-    spheres = gen_sub.add_parser("spheres", help="product of rotating two-spheres")
-    spheres.add_argument("--w", dest="speeds", required=True, type=_int_list)
-    spheres.add_argument("--out", default=None)
-    return parser
+
+def _fail(prog: str, options, message: str):
+    sys.stderr.write(f"{_usage(prog, options)}{prog}: error: {message}\n")
+    raise SystemExit(USAGE_EXIT)
+
+
+def _help(prog: str, options, doc: str | None, flag: str, text: str | None):
+    # as in argparse, -hh is -h -h, and any other text given to -h is an error
+    if text is not None and not (flag == "-h" and text and not text.strip("h")):
+        _fail(prog, options, f"argument -h/--help: ignored explicit argument {text!r}")
+    lines = [_usage(prog, options), doc or ""]
+    if options is _COMMANDS:
+        lines += ["commands:"] + [f"  {name:<10} {h.__doc__}" for name, (h, _) in options.items()]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _option(word: str, flags: dict, prog: str, options):
+    """(flag, text after "=" or None) when word names an option in flags,
+    (None, word) when it is an unknown option, None when it is a value."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in flags:
+        return word, None
+    name, eq, text = word.partition("=")
+    if eq and name in flags:
+        return name, text
+    if word[1] == "-":  # a --flag may be shortened to any unique prefix
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            _fail(prog, options, f"ambiguous option: {word} could match {', '.join(found)}")
+        if found:
+            return found[0], text if eq else None
+    elif word[:2] == "-h":
+        return "-h", word[2:]
+    return None if _NEGATIVE.match(word) or " " in word else (None, word)
+
+
+def _parse(argv: list[str]):
+    """The handler and the values that argv asks for; SystemExit(64) on a
+    usage error, SystemExit(0) after -h/--help."""
+    prog, options, doc, words = "kirwan", _COMMANDS, __doc__, list(argv)
+    values, extras = {}, []
+    while isinstance(options, dict):  # the command, then the family of generate
+        dest, k = "family" if values else "command", 0
+        while k < len(words) and words[k] != "--":
+            kind = _option(words[k], _HELP, prog, options)
+            if not kind:
+                break
+            if kind[0]:
+                _help(prog, options, doc, *kind)
+            k += 1
+        if k == len(words):
+            _fail(prog, options, f"the following arguments are required: {dest}")
+        if words[k] not in options:
+            _fail(prog, options, f"argument {dest}: {_invalid(words[k], options)}")
+        values[dest], prog, (handler, options) = words[k], f"{prog} {words[k]}", options[words[k]]
+        words, extras, doc = words[k + 1:], extras + words[:k], handler.__doc__
+    flags = _HELP | {option[0]: option for option in options}
+    end = words.index("--") if "--" in words else len(words)
+    words, extras = words[:end], extras + words[end:]  # "--" and what follows are left over
+    kinds = [_option(word, flags, prog, options) for word in words]  # all before any value
+    values |= {dest: None if o in (_REQUIRED, _ONE_OF) else o for _, dest, _, o in options}
+    chosen, i = None, 0
+    while i < len(words):
+        kind, i = kinds[i], i + 1
+        if not kind or not kind[0]:
+            extras.append(words[i - 1])
+            continue
+        flag, text = kind
+        if flags[flag] is None:
+            _help(prog, options, doc, flag, text)
+        _, dest, convert, default = flags[flag]
+        if text is None:
+            if i == len(words) or kinds[i]:
+                _fail(prog, options, f"argument {flag}: expected one argument")
+            text, i = words[i], i + 1
+        try:
+            if isinstance(convert, tuple) and text not in convert:
+                raise ValueError(_invalid(text, convert))
+            values[dest] = text if isinstance(convert, tuple) else convert(text)
+        except (ValueError, TypeError) as exc:
+            _fail(prog, options, f"argument {flag}: {exc}")
+        if default is _ONE_OF:
+            if chosen not in (None, flag):
+                _fail(prog, options, f"argument {flag}: not allowed with argument {chosen}")
+            chosen = flag
+    missing = [f for f, d, _, o in options if o is _REQUIRED and values[d] is None]
+    if missing:
+        _fail(prog, options, f"the following arguments are required: {', '.join(missing)}")
+    one_of = [f for f, _, _, o in options if o is _ONE_OF]
+    if one_of and chosen is None:
+        _fail(prog, options, f"one of the arguments {' '.join(one_of)} is required")
+    if extras:
+        _fail(prog, options, f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**values)
 
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -154,7 +207,8 @@ def _emit(report: dict, fmt: str, md_lines: list[str]) -> None:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise _FileError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -176,6 +230,7 @@ def _even_degrees(n: int) -> list[int]:
 
 
 def _cmd_validate(args) -> int:
+    """check a manifold document"""
     try:
         m = _load(args.input, validate_alpha=False)
     except (ParseError, SchemaError, ValidationError) as exc:
@@ -192,15 +247,13 @@ def _cmd_validate(args) -> int:
     if result.ok:
         _emit(report, args.format, [f"validation of {m.name}: ok"])
         return 0
-    _emit(
-        report,
-        args.format,
-        [f"validation of {m.name}: FAILED"] + [f"- {v}" for v in result.violations],
-    )
+    md = [f"validation of {m.name}: FAILED"] + [f"- {v}" for v in result.violations]
+    _emit(report, args.format, md)
     return 2
 
 
 def _cmd_pair(args) -> int:
+    """pairing matrix in one degree"""
     m = _load(args.input)
     pm = pairing_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "pair", "manifold": m.name} | pairing_to_dict(pm)
@@ -219,6 +272,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    """kernel subspaces per degree ('all' by default)"""
     m = _load(args.input)
     cut = CutLevel(args.cut)
     degrees = _even_degrees(m.n) if args.degree is None else [args.degree]
@@ -228,24 +282,12 @@ def _cmd_kernel(args) -> int:
     for d in degrees:
         if args.method == "residue":
             sub = kernel_residue(m, cut, d, sweep)
-            entries.append(
-                {
-                    "degree": d,
-                    "kernel_dim": sub.dim,
-                    "betti": len(sub.labels) - sub.dim,
-                }
-            )
+            entries.append({"degree": d, "kernel_dim": sub.dim,
+                            "betti": len(sub.labels) - sub.dim})
         elif args.method == "tw":
             tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, d, sweep)
-            entries.append(
-                {
-                    "degree": d,
-                    "tw_plus_dim": tw_plus.dim,
-                    "tw_minus_dim": tw_minus.dim,
-                    "kernel_dim": tw_sum.dim,
-                    "betti": len(tw_sum.labels) - tw_sum.dim,
-                }
-            )
+            entries.append({"degree": d, "tw_plus_dim": tw_plus.dim, "tw_minus_dim": tw_minus.dim,
+                            "kernel_dim": tw_sum.dim, "betti": len(tw_sum.labels) - tw_sum.dim})
         else:
             reports.append(kernels_equal(m, cut, d, sweep))
     if args.format == "json":
@@ -264,24 +306,14 @@ def _cmd_kernel(args) -> int:
     if args.method == "both":
         headers = ["degree", "basis", "residue kernel", "tw sum", "equal", "betti"]
         rows = [
-            [
-                str(rep.degree),
-                str(len(rep.residue_kernel.labels)),
-                str(rep.residue_kernel.dim),
-                str(rep.tw_sum.dim),
-                "yes" if rep.equal else "NO",
-                str(rep.betti),
-            ]
+            [str(rep.degree), str(len(rep.residue_kernel.labels)), str(rep.residue_kernel.dim),
+             str(rep.tw_sum.dim), "yes" if rep.equal else "NO", str(rep.betti)]
             for rep in reports
         ]
     else:
         rows = [
-            [
-                str(e["degree"]),
-                str(e["kernel_dim"] + e["betti"]),
-                str(e["kernel_dim"]),
-                str(e["betti"]),
-            ]
+            [str(e["degree"]), str(e["kernel_dim"] + e["betti"]),
+             str(e["kernel_dim"]), str(e["betti"])]
             for e in entries
         ]
     md = [
@@ -296,15 +328,14 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_betti(args) -> int:
+    """Betti table of the reduced space"""
     m = _load(args.input)
     cut = CutLevel(args.cut)
     sweep = Sweep(m, cut)
     reports = [kernels_equal(m, cut, d, sweep) for d in _even_degrees(m.n)]
     table = [(rep.degree, rep.betti) for rep in reports]
     disagreement = not all(rep.equal for rep in reports)
-    dual = all(
-        b == dict(table)[2 * m.n - 2 - d] for d, b in table
-    )
+    dual = all(b == dict(table)[2 * m.n - 2 - d] for d, b in table)
     report = {
         "command": "betti",
         "manifold": m.name,
@@ -324,10 +355,7 @@ def _cmd_betti(args) -> int:
 
 
 def _read_class(m, args):
-    if args.class_file is not None:
-        text = _read_file(args.class_file)
-    else:
-        text = args.class_json
+    text = args.class_json if args.class_file is None else _read_file(args.class_file)
     try:
         obj = json.loads(text)
     except ValueError as exc:
@@ -357,32 +385,25 @@ def _read_class(m, args):
 
 
 def _cmd_decompose(args) -> int:
+    """split a kernel class"""
     m = _load(args.input)
     eta = _read_class(m, args)
     cert = decompose(m, eta, CutLevel(args.cut))
     report = {"command": "decompose", "manifold": m.name} | certificate_to_dict(m, cert)
     md = [
         f"decomposition on {m.name} at cut {args.cut}, degree {eta.degree}",
-        _md_table(
-            ["point", "coefficient"],
-            [[k, v] for k, v in report["coefficients"].items()],
-        ),
-        _md_table(
-            ["point", "correction"],
-            [[k, v] for k, v in report["corrections"].items()],
-        )
-        if report["corrections"]
-        else "corrections: none needed",
-        "minus part (vanishes above the cut): "
-        + json.dumps(report["eta_minus"]["restrictions"]),
-        "plus part (vanishes below the cut): "
-        + json.dumps(report["eta_plus"]["restrictions"]),
+        _md_table(["point", "coefficient"], [[k, v] for k, v in report["coefficients"].items()]),
+        _md_table(["point", "correction"], [[k, v] for k, v in report["corrections"].items()])
+        if report["corrections"] else "corrections: none needed",
+        "minus part (vanishes above the cut): " + json.dumps(report["eta_minus"]["restrictions"]),
+        "plus part (vanishes below the cut): " + json.dumps(report["eta_plus"]["restrictions"]),
     ]
     _emit(report, args.format, md)
     return 0
 
 
 def _cmd_bmatrix(args) -> int:
+    """upward-restriction diagnostics"""
     m = _load(args.input)
     rep = b_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "bmatrix", "manifold": m.name} | bmatrix_to_dict(rep)
@@ -401,6 +422,7 @@ def _cmd_bmatrix(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    """emit a built-in datum: cpn (projective space) or spheres (two-sphere product)"""
     if args.family == "cpn":
         m = gen_cpn(args.lambdas)
     else:
@@ -410,44 +432,47 @@ def _cmd_generate(args) -> int:
         sys.stdout.write(text)
     else:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             raise _FileError(f"cannot write {args.out}: {exc.strerror or exc}") from None
         print(f"wrote {m.name} to {args.out}")
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "pair": _cmd_pair,
-    "kernel": _cmd_kernel,
-    "betti": _cmd_betti,
-    "decompose": _cmd_decompose,
-    "bmatrix": _cmd_bmatrix,
-    "generate": _cmd_generate,
+_INPUT = ("--input", "input", str, _REQUIRED)
+_CUT = ("--cut", "cut", rat, _REQUIRED)
+_DEGREE = ("--degree", "degree", _degree, _REQUIRED)
+_FORMAT = ("--format", "format", ("json", "md"), "md")
+_OUT = ("--out", "out", str, None)
+_COMMANDS = {  # see _parse
+    "validate": (_cmd_validate, [_INPUT, _FORMAT]),
+    "pair": (_cmd_pair, [_INPUT, _CUT, _DEGREE, _FORMAT]),
+    "kernel": (_cmd_kernel, [
+        _INPUT, _CUT, ("--degree", "degree", lambda t: None if t == "all" else _degree(t), None),
+        _FORMAT, ("--method", "method", ("both", "residue", "tw"), "both"),
+    ]),
+    "betti": (_cmd_betti, [_INPUT, _CUT, _FORMAT]),
+    "decompose": (_cmd_decompose, [
+        _INPUT, _CUT, _DEGREE, _FORMAT,
+        ("--class-file", "class_file", str, _ONE_OF), ("--class-json", "class_json", str, _ONE_OF),
+    ]),
+    "bmatrix": (_cmd_bmatrix, [_INPUT, _CUT, _DEGREE, _FORMAT]),
+    "generate": (_cmd_generate, {
+        "cpn": (_cmd_generate, [("--lambda", "lambdas", _int_list, _REQUIRED), _OUT]),
+        "spheres": (_cmd_generate, [("--w", "speeds", _int_list, _REQUIRED), _OUT]),
+    }),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ParseError, SchemaError, ValidationError, UnknownFixedPoint,
-            MissingAlphaPlus, SpecError) as exc:
+        return handler(args)
+    except (KirwanError, _FileError) as exc:
         print(f"error: {exc}")
-        return 2
-    except NotRegularValue as exc:
-        print(f"error: {exc}")
-        return 3
-    except _FileError as exc:
-        print(f"error: {exc}")
-        return USAGE_EXIT
-    except (NotInImage, NotInKernel) as exc:
-        print(f"error: {exc}")
-        return 4
-    except KirwanError as exc:
-        print(f"error: {exc}")
-        return 2
+        codes = {NotRegularValue: 3, NotInImage: 4, NotInKernel: 4, _FileError: USAGE_EXIT}
+        return codes.get(type(exc), 2)  # 2 for every other KirwanError
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ than failing so degree sweeps stay uniform.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .exactmath import (

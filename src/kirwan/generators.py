@@ -15,10 +15,10 @@ all-minus vertex) and the basis classes are products of per-factor classes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 from .errors import SpecError
 from .momentdata import FixedPoint, ManifoldData, make_manifold

@@ -23,9 +23,9 @@ is applied.  Kernels and Betti numbers are unaffected by that convention
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .cohomology import (
     EquivariantClass,

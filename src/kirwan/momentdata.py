@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Mapping, Sequence
 
 from .errors import (
     NotRegularValue,
@@ -167,7 +167,7 @@ def split_fixed_points(
     return above, below
 
 
-def _check_alpha_names(table: Mapping[str, Any], names: set[str], label: str) -> None:
+def _check_alpha_names(table: Mapping[str, object], names: set[str], label: str) -> None:
     for f, row in table.items():
         if f not in names:
             raise ValidationError(f"{label} references unknown fixed point {f!r}")
@@ -259,7 +259,7 @@ _TOP_OPTIONAL = {"alpha_plus"}
 _POINT_KEYS = {"name", "moment", "weights"}
 
 
-def _schema_rat(value: Any, where: str) -> Fraction:
+def _schema_rat(value: object, where: str) -> Fraction:
     if not isinstance(value, str):
         raise SchemaError(f'{where} must be a rational string like "p/q"')
     try:
@@ -268,13 +268,13 @@ def _schema_rat(value: Any, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _schema_int(value: Any, where: str) -> int:
+def _schema_int(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where} must be an integer")
     return value
 
 
-def _schema_alpha(value: Any, where: str) -> AlphaTable:
+def _schema_alpha(value: object, where: str) -> AlphaTable:
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be an object")
     table: AlphaTable = {}
@@ -288,7 +288,7 @@ def _schema_alpha(value: Any, where: str) -> AlphaTable:
 
 
 def load_manifold(
-    document: str | bytes | Mapping[str, Any], *, validate_alpha: bool = True
+    document: str | bytes | Mapping[str, object], *, validate_alpha: bool = True
 ) -> ManifoldData:
     """Parse, schema-check, and validate a manifold document.
 
@@ -371,9 +371,9 @@ def _alpha_to_dict(m: ManifoldData, table: Table) -> dict[str, dict[str, str]]:
     }
 
 
-def manifold_to_dict(m: ManifoldData) -> dict[str, Any]:
+def manifold_to_dict(m: ManifoldData) -> dict[str, object]:
     """Canonical document: fixed points sorted, zero restrictions omitted."""
-    doc: dict[str, Any] = {
+    doc: dict[str, object] = {
         "name": m.name,
         "n": m.n,
         "orientation_direction": m.orientation_direction,

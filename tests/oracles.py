@@ -6,18 +6,22 @@ expansions are dict-based and verified by multiplying back, and fixed-point
 sums add up the expansion of every term separately, so a slip in the
 library's closed form (entry = sum of a_F b_F / e_F in one power of X) cannot
 hide here.  `reference_rref` is the plain Fraction Gauss-Jordan elimination
-the library's integer elimination must reproduce, and `census_betti` reads
+the library's integer elimination must reproduce, `census_betti` reads
 Betti numbers off the index census alone, with no restriction table and no
-elimination.
+elimination, and `reference_parser` is the argparse command line the
+hand-written `kirwan.cli` parser must read the same way.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import re
+import sys
 from fractions import Fraction
 
 from kirwan.cohomology import EquivariantClass, degree_basis
-from kirwan.exactmath import MatrixQ, over_leading_entry
+from kirwan.exactmath import MatrixQ, over_leading_entry, rat
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index
 
 
@@ -162,3 +166,87 @@ def census_betti(m, cut):
         quotient[power] = running
     assert quotient[top] == 0, "the census sum is not a polynomial"
     return {d: quotient[d] for d in range(0, top - 1, 2)}
+
+
+# The argparse parser of kirwan 0.6.0, kept verbatim but for its name.
+
+USAGE_EXIT = 64
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse only lets values starting with "-" through when they look
+        # like negative numbers; widen that to rationals and comma lists
+        # (-1/2, -2,0,3) so cuts below zero need no "=" form
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*\Z"
+        )
+
+    def error(self, message: str):  # noqa: D102 - argparse hook
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+
+
+def _degree(text: str) -> int | None:
+    if text == "all":
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"degree must be an integer or 'all': {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("degree must be nonnegative")
+    return value
+
+
+def reference_parser() -> _Parser:
+    parser = _Parser(prog="kirwan", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def manifold_command(name: str, help_text: str, *, cut: bool, degree: str | None):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="manifold JSON file")
+        if cut:
+            p.add_argument("--cut", required=True, type=_rational, help="cut level p/q")
+        if degree == "required":
+            p.add_argument("--degree", required=True, type=_degree)
+        elif degree == "all":
+            p.add_argument("--degree", default=None, type=_degree, help="even degree or 'all'")
+        p.add_argument("--format", choices=("json", "md"), default="md")
+        return p
+
+    manifold_command("validate", "check a manifold document", cut=False, degree=None)
+    manifold_command("pair", "pairing matrix in one degree", cut=True, degree="required")
+    kernel = manifold_command("kernel", "kernel subspaces per degree", cut=True, degree="all")
+    kernel.add_argument("--method", choices=("both", "residue", "tw"), default="both")
+    manifold_command("betti", "Betti table of the reduced space", cut=True, degree=None)
+    dec = manifold_command("decompose", "split a kernel class", cut=True, degree="required")
+    group = dec.add_mutually_exclusive_group(required=True)
+    group.add_argument("--class-file", help="JSON file with degree and restrictions")
+    group.add_argument("--class-json", help="inline JSON class")
+    manifold_command("bmatrix", "upward-restriction diagnostics", cut=True, degree="required")
+
+    gen = sub.add_parser("generate", help="emit a built-in manifold datum")
+    gen_sub = gen.add_subparsers(dest="family", required=True, parser_class=_Parser)
+    cpn = gen_sub.add_parser("cpn", help="projective space")
+    cpn.add_argument("--lambda", dest="lambdas", required=True, type=_int_list)
+    cpn.add_argument("--out", default=None)
+    spheres = gen_sub.add_parser("spheres", help="product of rotating two-spheres")
+    spheres.add_argument("--w", dest="speeds", required=True, type=_int_list)
+    spheres.add_argument("--out", default=None)
+    return parser

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -18,6 +22,7 @@ from kirwan.cohomology import degree_basis
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import kernels_equal
 from kirwan.momentdata import manifold_to_json
+from oracles import reference_parser
 
 
 @pytest.fixture
@@ -347,6 +352,19 @@ def test_usage_error_exits_64(cp2_path, capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("command", ["pair", "decompose", "bmatrix"])
+def test_degree_all_is_a_usage_error_outside_kernel(cp2_path, capsys, command):
+    argv = [command, "--input", cp2_path, "--cut", "3/2", "--degree", "all"]
+    if command == "decompose":
+        argv += ["--class-json", '{"degree": 2, "restrictions": {}}']
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64
+    assert out == ""
+    assert f"kirwan {command}: error: argument --degree: " in err
+
+
 def test_reports_are_deterministic(cp2_path, capsys):
     args = ("kernel", "--input", cp2_path, "--cut", "3/2", "--degree", "all",
             "--format", "json")
@@ -368,6 +386,161 @@ def test_generate_round_trip_reproducible(tmp_path, capsys):
     assert text1 == open(out2).read()
     code, validated = run(capsys, "validate", "--input", out1, "--format", "json")
     assert code == 0 and json.loads(validated)["ok"]
+
+
+# --- command-line parsing -------------------------------------------------------------
+
+COMMANDS = ["validate", "pair", "kernel", "betti", "decompose", "bmatrix", "generate"]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize(
+    "words", [[]] + [[c] for c in COMMANDS] + [["generate", "cpn"], ["generate", "spheres"]]
+)
+def test_help_goes_to_stdout_and_exits_0(capsys, words, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith(" ".join(["usage: kirwan", *words]))
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--bogus", "betti", "--input", "p.json", "--cut", "1/2"],
+        ["betti"],
+        ["betti", "--input"],
+        ["betti", "--input", "p.json", "--cut", "x/y"],
+        ["betti", "--input", "p.json", "--cut", "1/2", "--bogus"],
+        ["betti", "--input", "p.json", "--cut", "1/2", "p.json"],
+        ["betti", "--input", "p.json", "--cut", "1/2", "--help=x"],
+        ["kernel", "--input", "p.json", "--cut", "1/2", "--format", "html"],
+        ["kernel", "--input", "p.json", "--cut", "1/2", "--degree", "-2"],
+        ["decompose", "--c", "1/2"],
+        ["decompose", "--input", "p.json", "--cut", "1/2", "--degree", "0"],
+        ["decompose", "--input", "p.json", "--cut", "1/2", "--degree", "0",
+         "--class-file", "c.json", "--class-json", "{}"],
+        ["generate"],
+        ["generate", "cones"],
+        ["generate", "cpn"],
+        ["generate", "cpn", "--lambda", "0,x"],
+    ],
+)
+def test_usage_errors_go_to_stderr_and_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64
+    assert out == ""
+    usage, *_, error = err.splitlines()
+    assert usage.startswith("usage: kirwan")
+    assert error.startswith("kirwan") and ": error: " in error
+
+
+def test_a_job_imports_no_argparse_pathlib_or_typing(cp2_path):
+    # a fresh interpreter, since the test runner has imported all of them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kirwan.cli; "
+        "kirwan.cli.main(['betti', '--input', sys.argv[2], '--cut', '1/2']); "
+        "print(sorted(set(sys.argv[3:]) & set(sys.modules)))"
+    )
+    modules = ["argparse", "gettext", "shutil", "pathlib", "typing"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, cp2_path, *modules],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Betti numbers" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+FLAGS = {
+    ("validate",): ["--input", "--format"],
+    ("pair",): ["--input", "--cut", "--degree", "--format"],
+    ("kernel",): ["--input", "--cut", "--degree", "--format", "--method"],
+    ("betti",): ["--input", "--cut", "--format"],
+    ("decompose",): ["--input", "--cut", "--degree", "--format", "--class-file", "--class-json"],
+    ("bmatrix",): ["--input", "--cut", "--degree", "--format"],
+    ("generate", "cpn"): ["--lambda", "--out"],
+    ("generate", "spheres"): ["--w", "--out"],
+}
+VALUES = ["p.json", "3/2", "-1/2", "-2,0,3", "all", "2", "-1", "x/y", "json", "md", "tw", ""]
+# the values each flag takes, drawn after it most of the time
+FITS = {"--cut": ["3/2", "-1/2", "2", "-1"], "--degree": ["2", "all"], "--format": ["json", "md"],
+        "--method": ["tw"], "--lambda": ["-2,0,3", "2", "-1"], "--w": ["-2,0,3", "2", "-1"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and up to 8 words: its flags, every prefix of them (unique,
+    or shared as --c is in decompose), --bogus, -h, values and flag=value
+    forms.  Most words are some of the command's flags, each followed by a
+    value that fits it, so that many lines parse."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = FLAGS[command]
+    names = sorted({f[:k] for f in flags for k in range(3, len(f) + 1)}) + ["--bogus", "-h"]
+    name, value = st.sampled_from(names), st.sampled_from(VALUES)
+    # -h and --bogus are drawn more often than the other names
+    word = st.sampled_from(["-h", "--bogus"]) | name | value | st.builds("{}={}".format, name, value)
+    items = [
+        (f, draw(st.sampled_from(FITS.get(f, VALUES))))
+        for f in draw(st.lists(st.sampled_from(flags), unique=True))
+    ]
+    items += draw(st.lists(word.map(lambda w: (w,)), max_size=2))
+    return [*command, *[w for item in draw(st.permutations(items)) for w in item][:8]]
+
+
+def refuse_all(convert):
+    """convert, but a usage error on "all"."""
+
+    def degree(text):
+        if text == "all":
+            raise argparse.ArgumentTypeError("'all' is read only by kernel")
+        return convert(text)
+
+    return degree
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The argparse parser of kirwan 0.6.0, but for the one intended change:
+    --degree all is a usage error outside kernel."""
+    parser = reference_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for name in ("pair", "decompose", "bmatrix"):
+        action = commands[name]._option_string_actions["--degree"]
+        action.type = refuse_all(action.type)
+    return parser.parse_args
+
+
+def parsed(parse, argv):
+    """(values or exit code, stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=command_lines())
+def test_the_parser_reads_argv_as_argparse_did(reference, argv):
+    want, _, _ = parsed(reference, argv)
+    got, out, err = parsed(lambda a: cli._parse(a)[1], argv)
+    assert got == want
+    if got == 0:  # -h/--help
+        assert out and not err
+    elif got == 64:
+        assert err and not out
+    else:
+        assert not out and not err
 
 
 # --- fuzzing ------------------------------------------------------------------------
@@ -483,10 +656,10 @@ def fuzz_jobs(draw):
     argv = [command, "--input", None, "--format", draw(st.sampled_from(["json", "md"]))]
     if command != "validate":
         argv += ["--cut", cut]
-    if command in ("pair", "decompose", "bmatrix"):
-        argv += ["--degree", str(degree)]
-    if command == "kernel":
+    if command in ("pair", "kernel", "decompose", "bmatrix"):
+        # "all" is a usage error everywhere but kernel
         argv += ["--degree", draw(st.sampled_from(["all", str(degree)]))]
+    if command == "kernel":
         argv += ["--method", draw(st.sampled_from(["both", "residue", "tw"]))]
     if command == "decompose":
         even = degree - degree % 2
@@ -510,7 +683,7 @@ def run_quietly(argv):
             warnings.simplefilter("ignore")
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse rejecting the command line
+            except SystemExit as exc:  # a usage error
                 code = exc.code
     return code, out.getvalue()
 
