@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import Frozen, ValidationError
 from .exactmath import (
     MatrixQ,
     RationalLike,
@@ -58,13 +57,14 @@ __all__ = [
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class EquivariantClass:
+class EquivariantClass(Frozen):
     """Homogeneous class of even degree, stored by restriction scalars in
     fixed-point order."""
 
-    degree: int
-    restrictions: Vector
+    __slots__ = ("degree", "restrictions")
+
+    def __init__(self, degree: int, restrictions: Vector) -> None:
+        self._set(degree, restrictions)
 
     def is_zero(self) -> bool:
         return not any(self.restrictions)
@@ -166,11 +166,13 @@ def weighted_gram(
 # --- restriction-table validation ---------------------------------------------
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Frozen):
     """Every violated restriction-table axiom, in check order."""
 
-    violations: list[str]
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: list[str]) -> None:
+        self._set(violations)
 
     @property
     def ok(self) -> bool:
@@ -244,17 +246,19 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
 # --- subspaces of a graded piece ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of the degree-d image span, in coefficient coordinates with
     respect to the labeled degree basis.  The rows of `basis` are the rows of
     its reduced row echelon form, each as its primitive integer multiple with
     positive leading entry (`exactmath.rref` with primitive=True), so equality
     of values is equality of spans."""
 
-    degree: int
-    labels: tuple[str, ...]
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("degree", "labels", "basis")
+
+    def __init__(
+        self, degree: int, labels: tuple[str, ...], basis: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self._set(degree, labels, basis)
 
     @property
     def dim(self) -> int:

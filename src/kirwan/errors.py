@@ -1,12 +1,14 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the base of its immutable
+values.
 
-Everything derives from KirwanError so callers (and the CLI) can tell the
+Every exception derives from KirwanError so callers (and the CLI) can tell the
 package's own failures apart from genuine bugs.
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "Frozen",
     "KirwanError",
     "SingularDiagonal",
     "NotTriangular",
@@ -73,3 +75,42 @@ class InternalContradiction(KirwanError):
 
 class SpecError(KirwanError):
     """Invalid generator specification."""
+
+
+class Frozen:
+    """Immutable value: its fields are the names in a subclass's `__slots__`
+    (`__dict__`, where listed, holds derived members), set once by `__init__`
+    through `_set`.  Values are equal when of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        # the slots' own setters, which bypass the __setattr__ below
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def _set(self, *values: object) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()  # copy and pickle through __init__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotTriangular, SingularDiagonal
+from .errors import Frozen, NotTriangular, SingularDiagonal
 
 __all__ = [
     "rat",
@@ -77,8 +76,7 @@ def rat_str(value: Fraction) -> str:
         return num if value.denominator == 1 else f"{num}/{den}"
 
 
-@dataclass(frozen=True)
-class MatrixQ:
+class MatrixQ(Frozen):
     """Immutable row-major matrix of exact numbers.
 
     Entries must be ints or Fractions.  The constructor does not check them,
@@ -86,17 +84,14 @@ class MatrixQ:
     entries, and `rat` turns parsed text into Fractions.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction | int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[Fraction | int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        self._set(rows, cols, entries)
 
     @classmethod
     def from_rows(

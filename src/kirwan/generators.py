@@ -16,62 +16,30 @@ all-minus vertex) and the basis classes are products of per-factor classes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import SpecError
 from .momentdata import FixedPoint, ManifoldData, make_manifold
 
-__all__ = ["CPnSpec", "SphereProductSpec", "gen_cpn", "gen_sphere_product"]
+__all__ = ["gen_cpn", "gen_sphere_product"]
 
 
-@dataclass(frozen=True)
-class CPnSpec:
-    """Circle weights on homogeneous coordinates; must strictly increase."""
-
-    lambdas: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ls = tuple(self.lambdas)
-        object.__setattr__(self, "lambdas", ls)
-        if len(ls) < 2:
-            raise SpecError("need at least two homogeneous weights")
-        for a in ls:
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise SpecError("homogeneous weights must be integers")
-        if any(a >= b for a, b in zip(ls, ls[1:])):
-            raise SpecError("homogeneous weights must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SphereProductSpec:
-    """Rotation speed per sphere factor; all nonzero."""
-
-    speeds: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ws = tuple(self.speeds)
-        object.__setattr__(self, "speeds", ws)
-        if not ws:
-            raise SpecError("need at least one sphere factor")
-        for w in ws:
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise SpecError("rotation speeds must be integers")
-            if w == 0:
-                raise SpecError("rotation speeds must be nonzero")
-
-
-def gen_cpn(spec: CPnSpec | Sequence[int]) -> ManifoldData:
-    """Projective-space datum for the given homogeneous weights.
+def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
+    """Projective-space datum for the given homogeneous weights, which must be
+    at least two strictly increasing integers.
 
     >>> m = gen_cpn([0, 1])
     >>> [(fp.name, str(fp.moment), fp.weights) for fp in m.fixed_points]
     [('p0', '0', (1,)), ('p1', '1', (-1,))]
     """
-    if not isinstance(spec, CPnSpec):
-        spec = CPnSpec(tuple(spec))
-    ls = spec.lambdas
+    ls = tuple(lambdas)
+    if len(ls) < 2:
+        raise SpecError("need at least two homogeneous weights")
+    if any(isinstance(a, bool) or not isinstance(a, int) for a in ls):
+        raise SpecError("homogeneous weights must be integers")
+    if any(a >= b for a, b in zip(ls, ls[1:])):
+        raise SpecError("homogeneous weights must be strictly increasing")
     n = len(ls) - 1
     points = [
         FixedPoint(
@@ -113,17 +81,24 @@ def _vertex_name(signs: tuple[int, ...]) -> str:
     return "".join("p" if s > 0 else "m" for s in signs)
 
 
-def gen_sphere_product(spec: SphereProductSpec | Sequence[int]) -> ManifoldData:
-    """Sphere-product datum; speeds enter through their absolute values, so
-    the moment minimum sits at the all-minus vertex.
+def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
+    """Sphere-product datum for one nonzero integer rotation speed per sphere
+    factor; speeds enter through their absolute values, so the moment minimum
+    sits at the all-minus vertex.
 
     >>> m = gen_sphere_product([1, 1])
     >>> [str(fp.moment) for fp in m.fixed_points]
     ['-2', '0', '0', '2']
     """
-    if not isinstance(spec, SphereProductSpec):
-        spec = SphereProductSpec(tuple(spec))
-    speeds = tuple(abs(w) for w in spec.speeds)
+    given = tuple(rotation_speeds)
+    if not given:
+        raise SpecError("need at least one sphere factor")
+    for w in given:
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise SpecError("rotation speeds must be integers")
+        if w == 0:
+            raise SpecError("rotation speeds must be nonzero")
+    speeds = tuple(abs(w) for w in given)
     k = len(speeds)
     vertices = list(product((-1, 1), repeat=k))
     points = [
@@ -154,7 +129,7 @@ def gen_sphere_product(spec: SphereProductSpec | Sequence[int]) -> ManifoldData:
         alpha_minus[_vertex_name(f_signs)] = row_minus
         alpha_plus[_vertex_name(f_signs)] = row_plus
     return make_manifold(
-        name=f"S2x{k}[{','.join(str(w) for w in spec.speeds)}]",
+        name=f"S2x{k}[{','.join(str(w) for w in given)}]",
         n=k,
         orientation_direction=1,
         fixed_points=points,

@@ -24,7 +24,6 @@ is applied.  Kernels and Betti numbers are unaffected by that convention
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import (
@@ -40,6 +39,7 @@ from .cohomology import (
     weighted_gram,
 )
 from .errors import (
+    Frozen,
     InternalContradiction,
     MissingAlphaPlus,
     NotInImage,
@@ -107,16 +107,21 @@ class Sweep:
         return [[gram[f, g] for g in cols] for f in rows]
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
+class PairingMatrix(Frozen):
     """Pairing values between the degree-d basis (rows) and the complementary
     degree-(2n-2-d) basis (columns)."""
 
-    cut: CutLevel
-    degree: int
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    matrix: MatrixQ
+    __slots__ = ("cut", "degree", "row_labels", "col_labels", "matrix")
+
+    def __init__(
+        self,
+        cut: CutLevel,
+        degree: int,
+        row_labels: tuple[str, ...],
+        col_labels: tuple[str, ...],
+        matrix: MatrixQ,
+    ) -> None:
+        self._set(cut, degree, row_labels, col_labels, matrix)
 
 
 def pairing_matrix(
@@ -174,20 +179,28 @@ def kernel_tw(
     return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(Frozen):
     """Both kernel descriptions in one degree, their comparison, and the
     resulting Betti number of the reduced space."""
 
-    cut: CutLevel
-    degree: int
-    residue_kernel: Subspace
-    tw_plus: Subspace
-    tw_minus: Subspace
-    tw_sum: Subspace
-    equal: bool
-    betti: int
-    witness: EquivariantClass | None = None
+    __slots__ = (
+        "cut", "degree", "residue_kernel", "tw_plus", "tw_minus", "tw_sum", "equal", "betti",
+        "witness",
+    )
+
+    def __init__(
+        self,
+        cut: CutLevel,
+        degree: int,
+        residue_kernel: Subspace,
+        tw_plus: Subspace,
+        tw_minus: Subspace,
+        tw_sum: Subspace,
+        equal: bool,
+        betti: int,
+        witness: EquivariantClass | None = None,
+    ) -> None:
+        self._set(cut, degree, residue_kernel, tw_plus, tw_minus, tw_sum, equal, betti, witness)
 
 
 def _find_witness(
@@ -229,8 +242,7 @@ def kernels_equal(
     )
 
 
-@dataclass(frozen=True)
-class BMatrixReport:
+class BMatrixReport(Frozen):
     """Upward-restriction matrix over the high-index points above the cut.
 
     Rows and columns are ordered by DESCENDING (moment, name): the support
@@ -239,14 +251,26 @@ class BMatrixReport:
     point, the X power that makes the test class land in degree 2n - 2.
     """
 
-    cut: CutLevel
-    degree: int
-    labels: tuple[str, ...]
-    matrix: MatrixQ
-    m_exponents: tuple[int, ...]
-    upper_triangular: bool
-    diagonal_nonzero: bool
-    violations: tuple[str, ...]
+    __slots__ = (
+        "cut", "degree", "labels", "matrix", "m_exponents", "upper_triangular",
+        "diagonal_nonzero", "violations",
+    )
+
+    def __init__(
+        self,
+        cut: CutLevel,
+        degree: int,
+        labels: tuple[str, ...],
+        matrix: MatrixQ,
+        m_exponents: tuple[int, ...],
+        upper_triangular: bool,
+        diagonal_nonzero: bool,
+        violations: tuple[str, ...],
+    ) -> None:
+        self._set(
+            cut, degree, labels, matrix, m_exponents, upper_triangular, diagonal_nonzero,
+            violations,
+        )
 
     @property
     def ok(self) -> bool:
@@ -285,18 +309,25 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
     )
 
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+class DecompositionCertificate(Frozen):
     """Outcome of splitting a kernel class into pieces vanishing above and
     below the cut, with every coefficient that produced it."""
 
-    input: EquivariantClass
-    cut: CutLevel
-    coefficients: dict[str, Fraction]
-    corrections: dict[str, Fraction]
-    eta_plus: EquivariantClass
-    eta_minus: EquivariantClass
-    b_exhibit: BMatrixReport | None
+    __slots__ = (
+        "input", "cut", "coefficients", "corrections", "eta_plus", "eta_minus", "b_exhibit"
+    )
+
+    def __init__(
+        self,
+        input: EquivariantClass,
+        cut: CutLevel,
+        coefficients: dict[str, Fraction],
+        corrections: dict[str, Fraction],
+        eta_plus: EquivariantClass,
+        eta_minus: EquivariantClass,
+        b_exhibit: BMatrixReport | None,
+    ) -> None:
+        self._set(input, cut, coefficients, corrections, eta_plus, eta_minus, b_exhibit)
 
 
 def _solve_basis_coefficients(

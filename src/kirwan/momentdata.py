@@ -20,11 +20,11 @@ import json
 import math
 import warnings
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
+    Frozen,
     NotRegularValue,
     ParseError,
     SchemaError,
@@ -55,20 +55,22 @@ AlphaTable = dict[str, dict[str, Fraction]]
 Table = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Frozen):
     """An isolated fixed point: name, moment value, and isotropy weights."""
 
-    name: str
-    moment: Fraction
-    weights: tuple[int, ...]
+    __slots__ = ("name", "moment", "weights")
+
+    def __init__(self, name: str, moment: Fraction, weights: tuple[int, ...]) -> None:
+        self._set(name, moment, weights)
 
 
-@dataclass(frozen=True)
-class CutLevel:
+class CutLevel(Frozen):
     """A reduction level; must differ from every fixed point's moment value."""
 
-    c: Fraction
+    __slots__ = ("c",)
+
+    def __init__(self, c: Fraction) -> None:
+        self._set(c)
 
 
 def morse_index(fp: FixedPoint) -> int:
@@ -92,30 +94,35 @@ def positive_euler_scalar(fp: FixedPoint) -> Fraction:
     return Fraction(math.prod(w for w in fp.weights if w > 0))
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(Frozen):
     """Validated localization datum, immutable: every operation in this
     package is a pure function of the loaded data.
 
     The tables are indexed by position in `fixed_points`: alpha_minus[i][j]
     is the restriction scalar of the downward class of point i at point j,
-    and morse_indices[i] is the Morse index of point i.
+    and morse_indices[i] is the Morse index of point i.  The members derived
+    from the fields live in `__dict__` and take no part in equality.
     """
 
-    name: str
-    n: int
-    orientation_direction: int
-    fixed_points: tuple[FixedPoint, ...]
-    alpha_minus: Table
-    alpha_plus: Table | None = None
-    morse_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _position: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "name", "n", "orientation_direction", "fixed_points", "alpha_minus", "alpha_plus",
+        "__dict__",
+    )
 
-    def __post_init__(self) -> None:
-        positions = {fp.name: i for i, fp in enumerate(self.fixed_points)}
-        object.__setattr__(self, "_position", positions)
-        indices = tuple(morse_index(fp) for fp in self.fixed_points)
-        object.__setattr__(self, "morse_indices", indices)
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        orientation_direction: int,
+        fixed_points: tuple[FixedPoint, ...],
+        alpha_minus: Table,
+        alpha_plus: Table | None = None,
+    ) -> None:
+        self._set(name, n, orientation_direction, fixed_points, alpha_minus, alpha_plus)
+        self.__dict__.update(
+            _position={fp.name: i for i, fp in enumerate(fixed_points)},
+            morse_indices=tuple(morse_index(fp) for fp in fixed_points),
+        )
 
     @cached_property
     def integer_alpha_minus(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -3,7 +3,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import os
@@ -20,7 +19,7 @@ from kirwan import cli, cohomology, kernels
 from kirwan.cli import main
 from kirwan.cohomology import degree_basis
 from kirwan.generators import gen_cpn, gen_sphere_product
-from kirwan.kernels import kernels_equal
+from kirwan.kernels import KernelReport, kernels_equal
 from kirwan.momentdata import manifold_to_json
 from oracles import reference_parser
 
@@ -141,8 +140,11 @@ def test_betti_exits_2_when_the_kernels_disagree(cp2_path, capsys, monkeypatch):
 
     def disagreeing(m, cut, degree, sweep=None):
         # no valid datum is known to make the two descriptions differ
-        report = real(m, cut, degree, sweep)
-        return dataclasses.replace(report, equal=degree != 2)
+        r = real(m, cut, degree, sweep)
+        return KernelReport(
+            r.cut, r.degree, r.residue_kernel, r.tw_plus, r.tw_minus, r.tw_sum,
+            equal=degree != 2, betti=r.betti, witness=r.witness,
+        )
 
     monkeypatch.setattr(cli, "kernels_equal", disagreeing)
     _, kernel_md = run(capsys, "kernel", *args)
@@ -442,14 +444,16 @@ def test_usage_errors_go_to_stderr_and_exit_64(capsys, argv):
 
 
 def test_a_job_imports_no_argparse_pathlib_or_typing(cp2_path):
-    # a fresh interpreter, since the test runner has imported all of them
+    # a fresh interpreter, since the test runner has imported all of them;
+    # dataclasses would bring inspect, ast, dis and tokenize with it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import kirwan.cli; "
         "kirwan.cli.main(['betti', '--input', sys.argv[2], '--cut', '1/2']); "
         "print(sorted(set(sys.argv[3:]) & set(sys.modules)))"
     )
-    modules = ["argparse", "gettext", "shutil", "pathlib", "typing"]
+    modules = ["argparse", "gettext", "shutil", "pathlib", "typing",
+               "dataclasses", "inspect", "ast", "dis", "tokenize"]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, src, cp2_path, *modules],
         capture_output=True, text=True, timeout=60,

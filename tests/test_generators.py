@@ -6,7 +6,7 @@ import pytest
 
 from kirwan.cohomology import validate_alpha_basis
 from kirwan.errors import SpecError
-from kirwan.generators import CPnSpec, SphereProductSpec, gen_cpn, gen_sphere_product
+from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import kernels_equal
 from kirwan.momentdata import CutLevel, euler_class, index_census, morse_index
 
@@ -29,19 +29,23 @@ def test_cp2_tables_match_hand_values():
 
 
 def test_cpn_spec_rejects_non_increasing():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="must be strictly increasing"):
         gen_cpn([0, 0, 1])
-    with pytest.raises(SpecError):
-        CPnSpec((3, 1))
-    with pytest.raises(SpecError):
-        CPnSpec((1,))
+    with pytest.raises(SpecError, match="must be strictly increasing"):
+        gen_cpn((3, 1))
+    with pytest.raises(SpecError, match="need at least two homogeneous weights"):
+        gen_cpn((1,))
+    with pytest.raises(SpecError, match="homogeneous weights must be integers"):
+        gen_cpn([0, True])
 
 
 def test_sphere_spec_rejects_zero_speed():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="rotation speeds must be nonzero"):
         gen_sphere_product([1, 0])
-    with pytest.raises(SpecError):
-        SphereProductSpec(())
+    with pytest.raises(SpecError, match="need at least one sphere factor"):
+        gen_sphere_product(())
+    with pytest.raises(SpecError, match="rotation speeds must be integers"):
+        gen_sphere_product([1, 1.0])
 
 
 def test_single_sphere_matches_cp1_structure():
