@@ -70,7 +70,6 @@ def test_copies_and_pickles_are_equal_values(kind):
     value = MAKERS[kind](2)
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value
-        assert all(getattr(twin, f) == getattr(value, f) for f in value._fields)
 
 
 @pytest.mark.parametrize("kind", MAKERS)
