@@ -20,15 +20,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import Frozen, ValidationError
-from .exactmath import (
-    MatrixQ,
-    RationalLike,
-    integer_entries,
-    over_leading_entry,
-    rat,
-    rat_str,
-    rref,
-)
+from .exactmath import MatrixQ, RationalLike, over_leading_entry, rat, rat_str, rref
 from .momentdata import (
     ManifoldData,
     Table,
@@ -250,8 +242,8 @@ class Subspace(Frozen):
     """A subspace of the degree-d image span, in coefficient coordinates with
     respect to the labeled degree basis.  The rows of `basis` are the rows of
     its reduced row echelon form, each as its primitive integer multiple with
-    positive leading entry (`exactmath.rref` with primitive=True), so equality
-    of values is equality of spans."""
+    positive leading entry (as `exactmath.rref` gives them), so equality of
+    values is equality of spans."""
 
     __slots__ = ("degree", "labels", "basis")
 
@@ -269,8 +261,8 @@ def subspace_from_rows(
     degree: int, labels: Sequence[str], rows: Sequence[Sequence[Fraction | int]]
 ) -> Subspace:
     """Canonicalize spanning rows (coefficient coordinates) into a Subspace."""
-    red, pivots = rref(MatrixQ.from_rows(rows, cols=len(labels)), primitive=True)
-    return Subspace(degree, tuple(labels), tuple(map(red.row, range(len(pivots)))))
+    basis, _ = rref(MatrixQ.from_rows(rows, cols=len(labels)))
+    return Subspace(degree, tuple(labels), basis)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -284,17 +276,11 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_contains(s: Subspace, coeffs: Sequence[Fraction | int]) -> bool:
-    """Exact membership test by reduction against the canonical basis."""
+    """Exact membership test: adding the vector leaves the canonical basis as
+    it is."""
     if len(coeffs) != len(s.labels):
         raise ValidationError("coefficient vector has the wrong length")
-    v = integer_entries(coeffs)
-    for row in s.basis:
-        p = next(j for j, e in enumerate(row) if e)
-        if v[p]:
-            g = math.gcd(row[p], v[p])
-            a, b = row[p] // g, v[p] // g
-            v = [a * x - b * y for x, y in zip(v, row)]
-    return not any(v)
+    return subspace_from_rows(s.degree, s.labels, (*s.basis, coeffs)) == s
 
 
 def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:

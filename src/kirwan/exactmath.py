@@ -4,11 +4,10 @@ over Q.
 Scalars are fractions.Fraction (arbitrary precision, always in lowest terms,
 positive denominator) and serialize as "p/q" strings, so no float ever enters
 the pipeline.  Elimination runs on integer rows: a rational row spans the same
-line as its integer multiples, and one integer Gauss-Jordan routine behind
-`rref` and `nullspace` gives canonical bases of row spans and null spaces.
-With primitive=True they return each basis row as its primitive integer
-multiple instead of as a row of Fractions.  `MatrixQ` is an immutable
-row-major matrix of ints and Fractions.
+line as its integer multiples, so `rref` and `nullspace` give canonical bases
+of row spans and null spaces as primitive integer rows (each divided by the
+gcd of its entries, with positive leading entry).  `over_leading_entry` turns
+such a row into its reduced-row-echelon row of Fractions.
 """
 
 from __future__ import annotations
@@ -77,11 +76,11 @@ def rat_str(value: Fraction) -> str:
 
 
 class MatrixQ(Frozen):
-    """Immutable row-major matrix of exact numbers.
+    """Immutable row-major matrix of exact numbers: the input of `rref` and
+    `nullspace`, and the matrix of a pairing or upward-restriction report.
 
     Entries must be ints or Fractions.  The constructor does not check them,
-    as it builds every pairing matrix; `solve_upper_triangular` rejects other
-    entries, and `rat` turns parsed text into Fractions.
+    as it builds every pairing matrix; `rat` turns parsed text into Fractions.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -111,9 +110,6 @@ class MatrixQ(Frozen):
             flat.extend(r)
         return cls(len(rows), width, tuple(flat))
 
-    def entry(self, i: int, j: int) -> Fraction | int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Fraction | int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -127,7 +123,7 @@ class MatrixQ(Frozen):
 
 def integer_entries(values: Iterable[Fraction | int]) -> list[int]:
     """The values times the lcm of their denominators.  The entries of a
-    matrix so scaled span the same rows; `_eliminate` divides each row by its
+    matrix so scaled span the same rows; `rref` divides each row by its
     gcd."""
     values = tuple(values)
     if {*map(type, values)} <= {int}:
@@ -138,27 +134,43 @@ def integer_entries(values: Iterable[Fraction | int]) -> list[int]:
     return [e.numerator * (den // e.denominator) for e in values]
 
 
-def _eliminate(
-    rows: Iterable[Sequence[int]], width: int
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Gauss-Jordan elimination over the integers: the nonzero reduced rows
-    and their pivot columns, in pivot order.
+def over_leading_entry(
+    row: Sequence[int], values: Sequence[int] | None = None, den: int = 1
+) -> list[Fraction]:
+    """`values` (by default the row itself) divided by den times the row's
+    leading (first nonzero) entry.
 
-    Each row is first divided by the gcd of its entries; an update
-    a*row - b*pivot_row is divided by the gcd of its entries too, so every
-    returned row is primitive.  Its pivot entry is made positive, and it is
-    zero in every other pivot column.  Such a row is the unique primitive
-    integer multiple with positive pivot of the corresponding row of the
-    reduced row echelon form over the rationals.
+    A basis row of `rref` or `nullspace` becomes its reduced-row-echelon row.
     """
+    scale = den * next(e for e in row if e)
+    zero = Fraction(0)
+    if values is None:
+        values = row
+    return [Fraction(e, scale) if e else zero for e in values]
+
+
+def rref(m: MatrixQ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form, in integers, and the
+    pivot columns.
+
+    Gauss-Jordan elimination over the integers: each row is first divided by
+    the gcd of its entries, and an update a*row - b*pivot_row is divided by
+    the gcd of its entries too, so every returned row is primitive.  Its
+    pivot entry is made positive, and it is zero in every other pivot column.
+    Such a row is the unique primitive integer multiple with positive pivot
+    of the corresponding row of the reduced row echelon form over the
+    rationals, so two row spaces are equal exactly when their rows are.
+    """
+    ints, w = integer_entries(m.entries), m.cols
     work = []
-    for row in rows:
+    for i in range(m.rows):
+        row = ints[i * w : (i + 1) * w]
         g = math.gcd(*row)
         if g:
             work.append(row if g == 1 else [e // g for e in row])
     pivots: list[int] = []
     r = 0
-    for c in range(width):
+    for c in range(w):
         if r == len(work):
             break
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -177,57 +189,17 @@ def _eliminate(
                 work[i] = row if g <= 1 else [e // g for e in row]
         pivots.append(c)
         r += 1
-    reduced = [
+    rows = tuple(
         tuple(row) if row[c] > 0 else tuple(-e for e in row)
         for row, c in zip(work, pivots)
-    ]
-    return reduced, pivots
+    )
+    return rows, tuple(pivots)
 
 
-def over_leading_entry(
-    row: Sequence[int], values: Sequence[int] | None = None, den: int = 1
-) -> list[Fraction]:
-    """`values` (by default the row itself) divided by den times the row's
-    leading (first nonzero) entry.
+def nullspace(m: MatrixQ) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of {v : m @ v = 0}, scaled as the rows of `rref`.
 
-    A primitive integer basis row with positive leading entry, as `rref` and
-    `nullspace` give with primitive=True, becomes its reduced-row-echelon row.
-    """
-    scale = den * next(e for e in row if e)
-    zero = Fraction(0)
-    if values is None:
-        values = row
-    return [Fraction(e, scale) if e else zero for e in values]
-
-
-def rref(m: MatrixQ, *, primitive: bool = False) -> tuple[MatrixQ, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns.
-
-    Pivot entries are 1, pivot columns are cleared above and below, zero rows
-    sink to the bottom, and the result is idempotent, so two row spaces are
-    equal exactly when their reduced forms are identical.
-
-    The elimination runs over Python ints; the reduced form is unique, so
-    dividing each resulting row by its pivot gives exactly the form that
-    Gauss-Jordan elimination over the rationals gives.  With primitive=True
-    that division is skipped: each nonzero row comes as its primitive integer
-    multiple with positive pivot, which is as canonical, and no Fraction is
-    made.
-    """
-    ints, w = integer_entries(m.entries), m.cols
-    reduced, pivots = _eliminate((ints[i * w : (i + 1) * w] for i in range(m.rows)), w)
-    out: list = reduced if primitive else [over_leading_entry(row) for row in reduced]
-    zero = 0 if primitive else Fraction(0)
-    out += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
-    return MatrixQ.from_rows(out, cols=m.cols), tuple(pivots)
-
-
-def nullspace(m: MatrixQ, *, primitive: bool = False) -> MatrixQ:
-    """Canonical (RREF) basis of {v : m @ v = 0}, one basis vector per row.
-
-    The dimension is cols - rank; a full-rank square matrix yields a matrix
-    with zero rows.  With primitive=True each basis row comes as its
-    primitive integer multiple with positive leading entry, as in `rref`.
+    The dimension is cols - rank; a full-rank square matrix yields no rows.
 
     One elimination: `rref` of m with its columns in reverse order.  Read in
     the original order, each pivot row is then nonzero only at its pivot p
@@ -238,8 +210,8 @@ def nullspace(m: MatrixQ, *, primitive: bool = False) -> MatrixQ:
     """
     w = m.cols
     flipped = MatrixQ.from_rows([m.row(i)[::-1] for i in range(m.rows)], cols=w)
-    red, flipped_pivots = rref(flipped, primitive=True)
-    reduced = [red.row(i)[::-1] for i in range(len(flipped_pivots))]
+    red, flipped_pivots = rref(flipped)
+    reduced = [row[::-1] for row in red]
     pivots = [w - 1 - p for p in flipped_pivots]
     pivot_set = set(pivots)
     basis = []
@@ -253,39 +225,39 @@ def nullspace(m: MatrixQ, *, primitive: bool = False) -> MatrixQ:
         for row, p in terms:
             v[p] = -row[f] * (scale // row[p])
         g = math.gcd(*v)
-        basis.append(v if g == 1 else [e // g for e in v])
-    if not primitive:
-        basis = [over_leading_entry(v) for v in basis]
-    return MatrixQ.from_rows(basis, cols=w)
+        basis.append(tuple(v) if g == 1 else tuple(e // g for e in v))
+    return tuple(basis)
 
 
 def solve_upper_triangular(
-    m: MatrixQ, rhs: Sequence[RationalLike]
+    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[RationalLike]
 ) -> tuple[Fraction, ...]:
-    """Back-substitution solve of an upper-triangular square system.
+    """Back-substitution solve of an upper-triangular square system, given
+    by its rows.
 
     The matrix must be upper triangular in the supplied ordering with nonzero
     diagonal; violations raise NotTriangular / SingularDiagonal.  An entry
     that is not an int or a Fraction raises TypeError.
     """
-    if any(type(e) not in (int, Fraction) for e in m.entries):
+    k = len(rows)
+    if any(type(e) not in (int, Fraction) for row in rows for e in row):
         raise TypeError("matrix entries must be ints or Fractions")
-    if m.rows != m.cols:
+    if any(len(row) != k for row in rows):
         raise ValueError("matrix must be square")
-    if len(rhs) != m.rows:
+    if len(rhs) != k:
         raise ValueError("right-hand side length does not match")
-    for i in range(m.rows):
+    for i, row in enumerate(rows):
         for j in range(i):
-            if m.entry(i, j) != 0:
+            if row[j] != 0:
                 raise NotTriangular(f"nonzero entry below the diagonal at ({i}, {j})")
-    for i in range(m.rows):
-        if m.entry(i, i) == 0:
+    for i, row in enumerate(rows):
+        if row[i] == 0:
             raise SingularDiagonal(f"zero diagonal entry at position {i}")
     b = [rat(x) for x in rhs]
-    x = [Fraction(0)] * m.rows
-    for i in range(m.rows - 1, -1, -1):
+    x = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
         acc = b[i]
-        for j in range(i + 1, m.cols):
-            acc -= m.entry(i, j) * x[j]
-        x[i] = acc / m.entry(i, i)
+        for j in range(i + 1, k):
+            acc -= rows[i][j] * x[j]
+        x[i] = acc / rows[i][i]
     return tuple(x)

@@ -152,8 +152,7 @@ def kernel_residue(
     """Degree-d classes pairing to zero against the whole complementary basis:
     the null space of the transposed pairing matrix."""
     pm = pairing_matrix(m, cut, degree, sweep)
-    ns = nullspace(pm.matrix.transpose(), primitive=True)
-    return Subspace(degree, pm.row_labels, tuple(map(ns.row, range(ns.rows))))
+    return Subspace(degree, pm.row_labels, nullspace(pm.matrix.transpose()))
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
@@ -163,9 +162,8 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
     pts = basis_points(m, degree)
     table, _ = m.integer_alpha_minus
     constraints = [[table[i][j] for i in pts] for j in points]
-    ns = nullspace(MatrixQ.from_rows(constraints, cols=len(pts)), primitive=True)
     labels = tuple(m.fixed_points[i].name for i in pts)
-    return Subspace(degree, labels, tuple(map(ns.row, range(ns.rows))))
+    return Subspace(degree, labels, nullspace(MatrixQ.from_rows(constraints, cols=len(pts))))
 
 
 def kernel_tw(
@@ -289,19 +287,18 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
     labels = tuple(pts[i].name for i in order)
     entries = [[m.alpha_plus[i][j] for j in order] for i in order]
     k = len(order)
-    mat = MatrixQ.from_rows(entries, cols=k)
-    below = [(i, j) for i in range(k) for j in range(i) if mat.entry(i, j) != 0]
-    zero_diagonal = [i for i in range(k) if mat.entry(i, i) == 0]
+    below = [(i, j) for i in range(k) for j in range(i) if entries[i][j] != 0]
+    zero_diagonal = [i for i in range(k) if entries[i][i] == 0]
     violations = [
         f"entry ({labels[i]}, {labels[j]}) = "
-        f"{rat_str(mat.entry(i, j))} breaks upper triangularity"
+        f"{rat_str(entries[i][j])} breaks upper triangularity"
         for i, j in below
     ] + [f"diagonal entry at {labels[i]} is zero" for i in zero_diagonal]
     return BMatrixReport(
         cut=cut,
         degree=degree,
         labels=labels,
-        matrix=mat,
+        matrix=MatrixQ.from_rows(entries, cols=k),
         m_exponents=tuple((ind[i] - degree - 2) // 2 for i in order),
         upper_triangular=not below,
         diagonal_nonzero=not zero_diagonal,
@@ -350,7 +347,7 @@ def _solve_basis_coefficients(
         )
     desc = pts[::-1]
     a = m.alpha_minus
-    system = MatrixQ.from_rows([[a[f][g] for f in desc] for g in desc], cols=len(desc))
+    system = [[a[f][g] for f in desc] for g in desc]
     solution = solve_upper_triangular(system, [eta.restrictions[g] for g in desc])
     coeffs = solution[::-1]
     # the triangular solve pinned the basis points; membership needs the rest

@@ -136,7 +136,7 @@ def reference_nullspace(m: MatrixQ) -> MatrixQ:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -red.entry(i, f)
+            v[p] = -red.row(i)[f]
         vecs.append(v)
     if not vecs:
         return MatrixQ(0, m.cols, ())

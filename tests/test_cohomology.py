@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirwan.cohomology import (
     EquivariantClass,
@@ -19,10 +21,11 @@ from kirwan.cohomology import (
     weighted_gram,
 )
 from kirwan.errors import UnknownFixedPoint, ValidationError
+from kirwan.exactmath import MatrixQ
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.momentdata import index_census, morse_index
 
-from oracles import combination, edited
+from oracles import combination, edited, reference_rref
 
 
 @pytest.fixture
@@ -259,6 +262,42 @@ def test_subspace_contains():
     assert subspace_contains(s, [2, 2])
     assert not subspace_contains(s, [1, 0])
     assert subspace_contains(s, [0, 0])
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """Spanning rows of width 1-5 and a vector of Fractions: a combination
+    of the rows, the zero vector, or any vector."""
+    width = draw(st.integers(1, 5))
+    vectors = st.lists(rationals, min_size=width, max_size=width)
+    rows = draw(st.lists(vectors, max_size=4))
+    kind = draw(st.sampled_from(["combination", "zero", "any"]))
+    if kind == "combination":
+        coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        v = [sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(width)]
+    elif kind == "zero":
+        v = [Fraction(0)] * width
+    else:
+        v = draw(vectors)
+    return rows, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans_and_vectors())
+def test_subspace_contains_matches_the_rank_oracle(data):
+    """v lies in the span exactly when adding it to the spanning rows leaves
+    the rank of the Fraction elimination as it is."""
+    rows, v = data
+    width = len(v)
+    s = subspace_from_rows(2, tuple(f"p{j}" for j in range(width)), rows)
+    rank = len(reference_rref(MatrixQ.from_rows(rows, cols=width))[1])
+    rank_with_v = len(reference_rref(MatrixQ.from_rows([*rows, v], cols=width))[1])
+    assert subspace_contains(s, v) == (rank_with_v == rank)
+    with pytest.raises(ValidationError):
+        subspace_contains(s, [*v, 0])
 
 
 def test_combine_rows_matches_pointwise_sum():
