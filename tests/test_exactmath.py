@@ -195,18 +195,32 @@ def nonzero_rows(m):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(wide_matrices(), sparse_matrices()))
 def test_rref_and_nullspace_match_fraction_elimination(m):
-    """`rref` and `nullspace` give primitive integer rows with positive
-    leading entry; divided by that entry, they are the nonzero rows of the
-    Fraction elimination, with the same pivots."""
+    """Divided by their leading entry, the rows of `rref` and `nullspace` are
+    the nonzero rows of the Fraction elimination, with the same pivots."""
     rows, pivots = rref(m)
-    basis = nullspace(m)
     reduced, reference_pivots = reference_rref(m)
     assert pivots == reference_pivots
-    for row in (*rows, *basis):
+    assert [over_leading_entry(row) for row in rows] == nonzero_rows(reduced)
+    assert [over_leading_entry(v) for v in nullspace(m)] == nonzero_rows(
+        reference_nullspace(m)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_matrices(), sparse_matrices()))
+def test_primitive_rows_are_the_reduced_rows_scaled(m):
+    """`rref` and `nullspace` give primitive integer rows with positive
+    leading entry, each a positive multiple of the matching nonzero row of
+    the Fraction elimination."""
+    rows, _ = rref(m)
+    basis = nullspace(m)
+    expected = nonzero_rows(reference_rref(m)[0]) + nonzero_rows(reference_nullspace(m))
+    assert len(rows) + len(basis) == len(expected)
+    for row, reduced in zip((*rows, *basis), expected):
         assert all(type(e) is int for e in row)
         assert math.gcd(*row) == 1 and next(e for e in row if e) > 0
-    assert [over_leading_entry(row) for row in rows] == nonzero_rows(reduced)
-    assert [over_leading_entry(v) for v in basis] == nonzero_rows(reference_nullspace(m))
+        lead = next(e for e in row if e)
+        assert [Fraction(e) for e in row] == [lead * e for e in reduced]
 
 
 def mid_gap_cuts(m):
