@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from operator import mul
 
 from .errors import Frozen, ValidationError
 from .exactmath import MatrixQ, RationalLike, over_leading_entry, rat, rat_str, rref
 from .momentdata import (
     ManifoldData,
-    Table,
-    euler_class,
     negative_euler_scalar,
     positive_euler_scalar,
 )
@@ -115,42 +114,43 @@ def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
     return [m.alpha_minus[i] for i in basis_points(m, degree)]
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators of the values."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def weighted_gram(
-    m: ManifoldData,
-    rows: Sequence[Vector],
-    cols: Sequence[Vector],
-    points: Sequence[int],
-) -> list[list[Fraction]]:
-    """Fixed-point sums of products of restriction vectors over Euler classes.
+    m: ManifoldData, rows: Sequence[int], cols: Sequence[int], points: Sequence[int]
+) -> list[list[Fraction | int]]:
+    """Fixed-point sums of products of downward classes over Euler classes.
 
-    Entry (i, k) is sum over positions j in points of rows[i][j] *
-    cols[k][j] / e_j, with e_j the product of the weights at fixed point j.
-    For downward classes f and g, each summand is the restriction of the
-    product class, a_j X^((ind f + ind g)/2), over the tangent Euler class
-    e_j X^n, so the entry is the coefficient of X^((ind f + ind g)/2 - n) in
-    the localization sum of the product: the residue pairing when that power
-    is -1, an obstruction when it is negative and the entry nonzero.
+    Entry (f, g), for positions f in rows and g in cols, is the sum over
+    positions j in points of alpha_minus[f][j] * alpha_minus[g][j] / e_j,
+    with e_j the product of the weights at point j: the coefficient of
+    X^((ind f + ind g)/2 - n) in the localization sum of the product class,
+    so the residue pairing when that power is -1, an obstruction when it is
+    negative and the entry nonzero.
 
-    The sums run over integers: on the points where a row is nonzero, the
-    row's weighted terms and each column's entries are put over a common
-    denominator, so an entry is one integer dot product divided by the
-    product of two denominators.
+    With a the integer table over its denominator den
+    (`ManifoldData.integer_alpha_minus`) and E the lcm of the integer Euler
+    classes e_j over points, the entry is the integer dot product, over the
+    support of row f, of a_fj * (E / e_j) with a_gj, divided by E * den^2.
+    A zero sum stays the int 0; only a nonzero one becomes a Fraction.
+
+    >>> from kirwan.generators import gen_cpn
+    >>> weighted_gram(gen_cpn([0, 1]), [0, 1], [0, 1], [0, 1]) == [[0, 1], [1, -1]]
+    True
     """
-    euler = {j: euler_class(m.fixed_points[j])[0] for j in points}
+    table, den = m.integer_alpha_minus
+    euler = m.euler_classes
+    common = math.lcm(*(euler[j] for j in points))
+    weight = {j: common // euler[j] for j in points}
+    scale = common * den * den
     gram = []
-    for row in rows:
+    for f in rows:
+        row = table[f]
         support = [j for j in points if row[j]]
-        nums, den = _over_common_denominator([row[j] / euler[j] for j in support])
+        terms = [row[j] * weight[j] for j in support]
         line = []
-        for col in cols:
-            col_nums, col_den = _over_common_denominator([col[j] for j in support])
-            line.append(Fraction(sum(a * b for a, b in zip(nums, col_nums)), den * col_den))
+        for g in cols:
+            col = table[g]
+            total = sum(map(mul, terms, map(col.__getitem__, support)))
+            line.append(Fraction(total, scale) if total else 0)
         gram.append(line)
     return gram
 
@@ -171,21 +171,28 @@ class ValidationReport(Frozen):
         return not self.violations
 
 
-def _support_violations(
-    m: ManifoldData, table_name: str, table: Table, upward: bool
-) -> Iterable[str]:
-    for f, row in zip(m.fixed_points, table):
-        for g, s in zip(m.fixed_points, row):
-            if s == 0:
-                continue
-            below = g.moment < f.moment if not upward else g.moment > f.moment
-            tied = g.moment == f.moment and g.name != f.name
-            if below or tied:
-                side = "above" if not upward else "below"
-                yield (
-                    f"{table_name}[{f.name}][{g.name}] = {rat_str(s)} must vanish: "
-                    f"{g.name} does not sit strictly {side} {f.name}"
-                )
+def _support_violations(m: ManifoldData, upward: bool) -> Iterable[str]:
+    """Nonzero entries of each downward (upward) row at another point of its
+    moment level or a lower (higher) one, in table order: with the points
+    sorted by (moment, name), one slice per row, up to the end of its level
+    (from its start)."""
+    pts = m.fixed_points
+    label, table = ("alpha_plus", m.alpha_plus) if upward else ("alpha_minus", m.alpha_minus)
+    tested = table if upward else m.integer_alpha_minus[0]
+    side = "below" if upward else "above"
+    start = 0
+    for end in range(1, len(pts) + 1):
+        if end < len(pts) and pts[end].moment == pts[start].moment:
+            continue
+        for i in range(start, end):
+            row = tested[i]
+            for j in range(start, len(pts)) if upward else range(end):
+                if row[j] and j != i:
+                    yield (
+                        f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(table[i][j])} "
+                        f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
+                    )
+        start = end
 
 
 def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
@@ -204,7 +211,7 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     if m.alpha_plus is not None:
         tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
     for label, table, upward, product in tables:
-        violations.extend(_support_violations(m, label, table, upward))
+        violations.extend(_support_violations(m, upward))
         sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
             diag = table[i][i]
@@ -221,11 +228,9 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     ind = m.morse_indices
     for i, f in enumerate(pts):
         partners = [j for j in everywhere[i:] if ind[i] + ind[j] < 2 * m.n]
-        (entries,) = weighted_gram(
-            m, [m.alpha_minus[i]], [m.alpha_minus[j] for j in partners], everywhere
-        )
+        (entries,) = weighted_gram(m, [i], partners, everywhere)
         for j, entry in zip(partners, entries):
-            if entry != 0:
+            if entry:
                 g = pts[j]
                 power = (ind[i] + ind[j]) // 2 - m.n
                 violations.append(

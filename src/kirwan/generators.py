@@ -11,10 +11,13 @@ j > i with sign (-1)^(n-i).
 A product of k spheres with rotation speeds w has 2^k fixed points indexed by
 sign vectors; moments are signed sums of |w_i| (so the minimum sits at the
 all-minus vertex) and the basis classes are products of per-factor classes.
+Both families build their tables over the integers and make each nonzero
+entry a Fraction once.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
@@ -41,40 +44,37 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
     if any(a >= b for a, b in zip(ls, ls[1:])):
         raise SpecError("homogeneous weights must be strictly increasing")
     n = len(ls) - 1
+    names = [f"p{i}" for i in range(n + 1)]
     points = [
         FixedPoint(
-            name=f"p{i}",
+            name=names[i],
             moment=Fraction(ls[i]),
             weights=tuple(ls[j] - ls[i] for j in range(n + 1) if j != i),
         )
         for i in range(n + 1)
     ]
-    alpha_minus: dict[str, dict[str, Fraction]] = {}
-    alpha_plus: dict[str, dict[str, Fraction]] = {}
-    for i in range(n + 1):
-        sign_minus = -1 if i % 2 else 1
-        sign_plus = -1 if (n - i) % 2 else 1
-        row_minus: dict[str, Fraction] = {}
-        row_plus: dict[str, Fraction] = {}
-        for k in range(n + 1):
-            down = Fraction(sign_minus)
-            for j in range(i):
-                down *= ls[k] - ls[j]
-            up = Fraction(sign_plus)
-            for j in range(i + 1, n + 1):
-                up *= ls[k] - ls[j]
-            row_minus[f"p{k}"] = down
-            row_plus[f"p{k}"] = up
-        alpha_minus[f"p{i}"] = row_minus
-        alpha_plus[f"p{i}"] = row_plus
+    # down[i][k] = -down[i-1][k] * (lambda_k - lambda_(i-1)), from down[0] = 1;
+    # up[i][k] = -up[i+1][k] * (lambda_k - lambda_(i+1)), from up[n] = 1
+    down = [[1] * (n + 1)]
+    for i in range(n):
+        down.append([-d * (lk - ls[i]) for d, lk in zip(down[-1], ls)])
+    up = [[1] * (n + 1)]
+    for i in range(n, 0, -1):
+        up.append([-u * (lk - ls[i]) for u, lk in zip(up[-1], ls)])
+    up.reverse()
     return make_manifold(
         name=f"CP{n}[{','.join(str(a) for a in ls)}]",
         n=n,
         orientation_direction=1,
         fixed_points=points,
-        alpha_minus=alpha_minus,
-        alpha_plus=alpha_plus,
+        alpha_minus=_named(names, down),
+        alpha_plus=_named(names, up),
     )
+
+
+def _named(names: Sequence[str], rows: Sequence[Sequence[int]]) -> dict[str, dict[str, Fraction]]:
+    """Name-keyed table of integer rows, zero entries omitted."""
+    return {f: {g: Fraction(s) for g, s in zip(names, row) if s} for f, row in zip(names, rows)}
 
 
 def _vertex_name(signs: tuple[int, ...]) -> str:
@@ -101,33 +101,23 @@ def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     speeds = tuple(abs(w) for w in given)
     k = len(speeds)
     vertices = list(product((-1, 1), repeat=k))
+    names = [_vertex_name(signs) for signs in vertices]
     points = [
         FixedPoint(
-            name=_vertex_name(signs),
+            name=name,
             moment=Fraction(sum(s * w for s, w in zip(signs, speeds))),
             weights=tuple(-s * w for s, w in zip(signs, speeds)),
         )
-        for signs in vertices
+        for name, signs in zip(names, vertices)
     ]
-    alpha_minus: dict[str, dict[str, Fraction]] = {}
-    alpha_plus: dict[str, dict[str, Fraction]] = {}
-    for f_signs in vertices:
-        row_minus: dict[str, Fraction] = {}
-        row_plus: dict[str, Fraction] = {}
-        for g_signs in vertices:
-            down = Fraction(1)
-            up = Fraction(1)
-            for i in range(k):
-                if f_signs[i] > 0:
-                    # factor class vanishing at the factor minimum
-                    down *= -speeds[i] if g_signs[i] > 0 else 0
-                else:
-                    # factor class vanishing at the factor maximum
-                    up *= speeds[i] if g_signs[i] < 0 else 0
-            row_minus[_vertex_name(g_signs)] = down
-            row_plus[_vertex_name(g_signs)] = up
-        alpha_minus[_vertex_name(f_signs)] = row_minus
-        alpha_plus[_vertex_name(f_signs)] = row_plus
+    # bit k-1-i of vertex v is set where v is + in factor i; the downward class
+    # of f is nonzero at g when g is + wherever f is (f & g == f), the upward
+    # one when g is - wherever f is (f & g == g)
+    down = [math.prod(-w for s, w in zip(signs, speeds) if s > 0) for signs in vertices]
+    up = [math.prod(w for s, w in zip(signs, speeds) if s < 0) for signs in vertices]
+    every = range(len(vertices))
+    alpha_minus = _named(names, [[down[f] if f & g == f else 0 for g in every] for f in every])
+    alpha_plus = _named(names, [[up[f] if f & g == g else 0 for g in every] for f in every])
     return make_manifold(
         name=f"S2x{k}[{','.join(str(w) for w in given)}]",
         n=k,

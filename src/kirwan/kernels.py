@@ -6,12 +6,13 @@ the X^-1 coefficient of (eta * zeta)|_F divided by the tangent Euler class
 e_F X^n at F.  Every class restricts to a monomial, so that coefficient is
 eta_F zeta_F / e_F when the degrees add to 2n-2 and zero otherwise; a whole
 pairing matrix is a block of one weighted Gram product of downward classes
-over the points above the cut (`cohomology.weighted_gram`), and a `Sweep`
-shares that product among the degrees of a sweep at one cut.  A degree-d
-class is in the kernel exactly when it pairs to zero with the whole
-complementary degree 2n-2-d; restricting the test set to that one degree is
-exact, not an approximation, since homogeneous classes of any other degree
-pair to zero identically.  The second
+over the points above the cut (`cohomology.weighted_gram`, one integer dot
+product per entry), and a `Sweep` shares that product among the degrees of a
+sweep at one cut; `decompose` pairs a class through its basis coefficients
+with the same product.  A degree-d class is in the kernel exactly when it
+pairs to zero with the whole complementary degree 2n-2-d; restricting the
+test set to that one degree is exact, not an approximation, since
+homogeneous classes of any other degree pair to zero identically.  The second
 characterization is the direct sum of the classes vanishing above the cut and
 those vanishing below it; the two kernels agree on every valid datum, and
 `kernels_equal` treats any disagreement as a diagnosable data error.
@@ -82,7 +83,8 @@ class Sweep:
     the cut, and the pairing Gram product over the points above it.
 
     Entry (f, g) of the product is the weighted Gram entry of the downward
-    classes of the points at positions f and g; it is symmetric, and each
+    classes at positions f and g (`cohomology.weighted_gram`, an integer dot
+    product, made a Fraction only when nonzero); it is symmetric, and each
     entry is computed the first time a pairing matrix asks for it.  A sweep
     over all degrees therefore computes each pair with ind f + ind g <= 2n - 2
     once, and a single pairing matrix no more than its own block.
@@ -91,17 +93,15 @@ class Sweep:
     def __init__(self, m: ManifoldData, cut: CutLevel):
         self.m = m
         self.above, self.below = split_fixed_points(m, cut)
-        self._gram: dict[tuple[int, int], Fraction] = {}
+        self._gram: dict[tuple[int, int], Fraction | int] = {}
 
-    def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[Fraction]]:
+    def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[Fraction | int]]:
         """The entries (f, g) for the positions f in rows and g in cols."""
-        gram, alpha = self._gram, self.m.alpha_minus
+        gram = self._gram
         for f in rows:
             missing = [g for g in cols if (f, g) not in gram]
             if missing:
-                (entries,) = weighted_gram(
-                    self.m, [alpha[f]], [alpha[g] for g in missing], self.above
-                )
+                (entries,) = weighted_gram(self.m, [f], missing, self.above)
                 for g, entry in zip(missing, entries):
                     gram[f, g] = gram[g, f] = entry
         return [[gram[f, g] for g in cols] for f in rows]
@@ -380,17 +380,22 @@ def decompose(
     """
     above, below = split_fixed_points(m, cut)
     coeffs = _solve_basis_coefficients(m, eta)
+    pts = basis_points(m, eta.degree)
 
+    # eta is the combination of its basis classes with coeffs, so its pairing
+    # with a complementary basis class is the same combination of Gram entries
     co_degree = 2 * m.n - 2 - eta.degree
-    (values,) = weighted_gram(m, [eta.restrictions], degree_basis(m, co_degree), above)
-    for i, value in zip(basis_points(m, co_degree), values):
-        if value != 0:
+    terms = [(f, c) for f, c in zip(pts, coeffs.values()) if c]
+    co_pts = basis_points(m, co_degree)
+    gram = weighted_gram(m, [f for f, _ in terms], co_pts, above)
+    for k, i in enumerate(co_pts):
+        value = sum(c * line[k] for (_, c), line in zip(terms, gram) if line[k])
+        if value:
             raise NotInKernel(
                 f"pairing against the basis class of {m.fixed_points[i].name} "
                 f"in degree {co_degree} is {rat_str(value)}, not zero"
             )
 
-    pts = basis_points(m, eta.degree)
     rows = degree_basis(m, eta.degree)
     width = len(m.fixed_points)
     is_above = [m.fixed_points[i].moment > cut.c for i in pts]

@@ -22,6 +22,7 @@ import warnings
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import (
     Frozen,
@@ -38,7 +39,6 @@ __all__ = [
     "ManifoldData",
     "CutLevel",
     "morse_index",
-    "euler_class",
     "negative_euler_scalar",
     "positive_euler_scalar",
     "split_fixed_points",
@@ -53,6 +53,7 @@ __all__ = [
 AlphaTable = dict[str, dict[str, Fraction]]
 # positional table: one row per fixed point, one entry per fixed point
 Table = tuple[tuple[Fraction, ...], ...]
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 class FixedPoint(Frozen):
@@ -78,20 +79,14 @@ def morse_index(fp: FixedPoint) -> int:
     return 2 * sum(1 for w in fp.weights if w < 0)
 
 
-def euler_class(fp: FixedPoint) -> tuple[Fraction, int]:
-    """Tangent Euler class at fp as (scalar, exponent): product of all weights
-    times X^(weight count)."""
-    return Fraction(math.prod(fp.weights)), len(fp.weights)
-
-
-def negative_euler_scalar(fp: FixedPoint) -> Fraction:
+def negative_euler_scalar(fp: FixedPoint) -> int:
     """Product of the strictly negative weights; 1 at a local minimum."""
-    return Fraction(math.prod(w for w in fp.weights if w < 0))
+    return math.prod(w for w in fp.weights if w < 0)
 
 
-def positive_euler_scalar(fp: FixedPoint) -> Fraction:
+def positive_euler_scalar(fp: FixedPoint) -> int:
     """Product of the strictly positive weights; 1 at a local maximum."""
-    return Fraction(math.prod(w for w in fp.weights if w > 0))
+    return math.prod(w for w in fp.weights if w > 0)
 
 
 class ManifoldData(Frozen):
@@ -100,8 +95,10 @@ class ManifoldData(Frozen):
 
     The tables are indexed by position in `fixed_points`: alpha_minus[i][j]
     is the restriction scalar of the downward class of point i at point j,
-    and morse_indices[i] is the Morse index of point i.  The members derived
-    from the fields live in `__dict__` and take no part in equality.
+    morse_indices[i] is the Morse index of point i, and euler_classes[i] the
+    scalar of its tangent Euler class, the product of its weights (times
+    X^n).  The members derived from the fields live in `__dict__` and take no
+    part in equality.
     """
 
     __slots__ = (
@@ -122,19 +119,20 @@ class ManifoldData(Frozen):
         self.__dict__.update(
             _position={fp.name: i for i, fp in enumerate(fixed_points)},
             morse_indices=tuple(morse_index(fp) for fp in fixed_points),
+            euler_classes=tuple(math.prod(fp.weights) for fp in fixed_points),
         )
 
     @cached_property
     def integer_alpha_minus(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table
-        over the lcm of all its denominators, derived on first use.  Row i
-        expands kernel bases; the entries of column j, sliced, are an
-        evaluation constraint at point j."""
-        den = math.lcm(*(s.denominator for row in self.alpha_minus for s in row))
-        rows = tuple(
-            tuple(s.numerator * (den // s.denominator) for s in row)
-            for row in self.alpha_minus
-        )
+        over the lcm of all its denominators, derived on first use.  Rows
+        enter the weighted Gram product and expand kernel bases; the entries
+        of column j, sliced, are an evaluation constraint at point j."""
+        table = self.alpha_minus
+        den = math.lcm(*(math.lcm(*map(_denominator, row)) for row in table))
+        if den == 1:
+            return tuple(tuple(map(_numerator, row)) for row in table), den
+        rows = tuple(tuple(s.numerator * (den // s.denominator) for s in row) for row in table)
         return rows, den
 
     def position(self, name: str) -> int:

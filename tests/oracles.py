@@ -9,7 +9,11 @@ hide here.  `reference_rref` is the plain Fraction Gauss-Jordan elimination
 the library's integer elimination must reproduce, `census_betti` reads
 Betti numbers off the index census alone, with no restriction table and no
 elimination, and `reference_parser` is the argparse command line the
-hand-written `kirwan.cli` parser must read the same way.
+hand-written `kirwan.cli` parser must read the same way.  `reference_cpn` and
+`reference_sphere_product` build the generator data from their closed forms
+entry by entry in Fractions, `reference_support_violations` is the pairwise
+support check of table validation, and `localization_pairing` the weighted
+Gram entry of any two restriction vectors as a plain Fraction sum.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from kirwan.cohomology import EquivariantClass, degree_basis
-from kirwan.exactmath import MatrixQ, over_leading_entry, rat
+from kirwan.exactmath import MatrixQ, over_leading_entry, rat, rat_str
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index
 
 
@@ -97,6 +101,100 @@ def product_scalars(m, f, g):
         fp.name: m.alpha_minus_scalar(f, fp.name) * m.alpha_minus_scalar(g, fp.name)
         for fp in m.fixed_points
     }
+
+
+def localization_pairing(m, eta, zeta, points):
+    """Sum over the positions j in points of eta[j] * zeta[j] / e_j, for two
+    restriction vectors of any kind, in Fractions, with e_j the product of
+    the weights at fixed point j: the weighted Gram entry of eta and zeta."""
+    total = Fraction(0)
+    for j in points:
+        total += Fraction(eta[j]) * Fraction(zeta[j]) / math.prod(m.fixed_points[j].weights)
+    return total
+
+
+def reference_cpn(lambdas):
+    """Projective space from the closed forms alone, all in Fractions:
+    (name, [(point name, moment, weights)], alpha_minus, alpha_plus), the
+    tables name-keyed with every entry, zeros included.  Point p_i has
+    moment lambda_i and weights lambda_j - lambda_i (j != i); its downward
+    class restricts at p_k to (-1)^i prod_{j<i} (lambda_k - lambda_j), its
+    upward class to (-1)^(n-i) prod_{j>i} (lambda_k - lambda_j)."""
+    ls = [Fraction(a) for a in lambdas]
+    n = len(ls) - 1
+    names = [f"p{i}" for i in range(n + 1)]
+    points = [
+        (names[i], ls[i], tuple(int(ls[j] - ls[i]) for j in range(n + 1) if j != i))
+        for i in range(n + 1)
+    ]
+    alpha_minus, alpha_plus = {}, {}
+    for i in range(n + 1):
+        alpha_minus[names[i]], alpha_plus[names[i]] = {}, {}
+        for k in range(n + 1):
+            down = Fraction((-1) ** i)
+            for j in range(i):
+                down *= ls[k] - ls[j]
+            up = Fraction((-1) ** (n - i))
+            for j in range(i + 1, n + 1):
+                up *= ls[k] - ls[j]
+            alpha_minus[names[i]][names[k]] = down
+            alpha_plus[names[i]][names[k]] = up
+    name = f"CP{n}[{','.join(str(a) for a in lambdas)}]"
+    return name, points, alpha_minus, alpha_plus
+
+
+def reference_sphere_product(speeds):
+    """A product of rotating two-spheres from the closed forms alone, in the
+    form of `reference_cpn`.  Vertices are sign vectors, named by "p" for +
+    and "m" for -; a vertex has moment sum s_i |w_i| and weights -s_i |w_i|.
+    The downward class of f is the product over the factors of -|w_i| at
+    vertices with s_i = + where f has s_i = +, of 0 at the other vertices
+    there, and of 1 where f has s_i = -; the upward class likewise with
+    |w_i| at s_i = - where f has s_i = -."""
+    ws = [abs(w) for w in speeds]
+    k = len(ws)
+    vertices = [
+        tuple(1 if (v >> (k - 1 - i)) & 1 else -1 for i in range(k)) for v in range(2 ** k)
+    ]
+
+    def name(signs):
+        return "".join("p" if s > 0 else "m" for s in signs)
+
+    points = [
+        (name(v), Fraction(sum(s * w for s, w in zip(v, ws))),
+         tuple(-s * w for s, w in zip(v, ws)))
+        for v in vertices
+    ]
+    alpha_minus, alpha_plus = {}, {}
+    for f in vertices:
+        alpha_minus[name(f)], alpha_plus[name(f)] = {}, {}
+        for g in vertices:
+            down = up = Fraction(1)
+            for i in range(k):
+                if f[i] > 0:
+                    down *= -ws[i] if g[i] > 0 else 0
+                else:
+                    up *= ws[i] if g[i] < 0 else 0
+            alpha_minus[name(f)][name(g)] = down
+            alpha_plus[name(f)][name(g)] = up
+    return f"S2x{k}[{','.join(str(w) for w in speeds)}]", points, alpha_minus, alpha_plus
+
+
+def reference_support_violations(m, table_name, table, upward):
+    """The support check of table validation as it was first written: every
+    pair of fixed points, N^2 of them, in table order."""
+    for f, row in zip(m.fixed_points, table):
+        for g, s in zip(m.fixed_points, row):
+            if s == 0:
+                continue
+            below = g.moment < f.moment if not upward else g.moment > f.moment
+            tied = g.moment == f.moment and g.name != f.name
+            if below or tied:
+                side = "above" if not upward else "below"
+                yield (
+                    f"{table_name}[{f.name}][{g.name}] = {rat_str(s)} must vanish: "
+                    f"{g.name} does not sit strictly {side} {f.name}"
+                )
 
 
 def reference_rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:

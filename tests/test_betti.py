@@ -145,8 +145,7 @@ def counted_gram_pairs(monkeypatch, argv):
     real = kernels.weighted_gram
 
     def counting(m, rows, cols, points):
-        position = {id(row): i for i, row in enumerate(m.alpha_minus)}
-        computed.extend((position[id(r)], position[id(c)]) for r in rows for c in cols)
+        computed.extend((f, g) for f in rows for g in cols)
         return real(m, rows, cols, points)
 
     monkeypatch.setattr(kernels, "weighted_gram", counting)

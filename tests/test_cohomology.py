@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,13 @@ from kirwan.exactmath import MatrixQ
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.momentdata import index_census, morse_index
 
-from oracles import combination, edited, reference_rref
+from oracles import (
+    combination,
+    edited,
+    localization_pairing,
+    reference_rref,
+    reference_support_violations,
+)
 
 
 @pytest.fixture
@@ -91,6 +98,59 @@ def test_validator_same_level_support(cp2):
     assert any("alpha_minus[pm][mp]" in v for v in report.violations)
 
 
+# distinct primes above 10^9, one per mutated entry, so the table denominators
+# multiply up to a large lcm
+PRIMES = (
+    1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093,
+    1000000097, 1000000103, 1000000123, 1000000181, 1000000207, 1000000223,
+)
+TAIL = re.compile(
+    r"localization sum of alpha_minus\[(.+)\] \* alpha_minus\[(.+)\] "
+    r"has residue tail (\S+) \* X\^-?\d+\Z"
+)
+
+
+def mutate_both_tables(rng, m, count):
+    """Overwrite `count` random entries of alpha_minus or alpha_plus, zero ones
+    included, each with a value over its own large prime denominator."""
+    names = [fp.name for fp in m.fixed_points]
+    entries = []
+    for prime in PRIMES[:count]:
+        table = rng.choice(("alpha_minus", "alpha_plus"))
+        value = Fraction(rng.randint(-9, 9), prime)
+        entries.append((table, rng.choice(names), rng.choice(names), str(value)))
+    return edited(m, *entries)
+
+
+def test_support_and_tail_violations_match_the_pairwise_oracles():
+    rng = random.Random(2027)
+    tied = [[1, 1], [1, 1, 2], [1, 2, 3], [2, 1, 1, 3], [1, 1, 1, 1]]
+    data = [gen_sphere_product(w) for w in tied] + [gen_cpn([-2, 0, 1, 5])]
+    tables = set()
+    for m in data:
+        for _ in range(12):
+            broken = mutate_both_tables(rng, m, rng.randint(1, len(PRIMES)))
+            found = validate_alpha_basis(broken).violations
+            expected = list(
+                reference_support_violations(broken, "alpha_minus", broken.alpha_minus, False)
+            ) + list(reference_support_violations(broken, "alpha_plus", broken.alpha_plus, True))
+            assert [v for v in found if " must vanish: " in v] == expected
+            tables.update(v.partition("[")[0] for v in expected)
+            # the residue tails, over the large common denominator
+            pts, ind = broken.fixed_points, broken.morse_indices
+            sums = [
+                (pts[i].name, pts[j].name, localization_pairing(
+                    broken, broken.alpha_minus[i], broken.alpha_minus[j], range(len(pts))
+                ))
+                for i in range(len(pts))
+                for j in range(i, len(pts))
+                if ind[i] + ind[j] < 2 * broken.n
+            ]
+            tails = [(f, g, str(c)) for f, g, c in sums if c]
+            assert [TAIL.match(v).groups() for v in found if TAIL.match(v)] == tails
+    assert tables == {"alpha_minus", "alpha_plus"}
+
+
 # --- classes --------------------------------------------------------------------
 
 
@@ -134,7 +194,7 @@ def test_degree_basis_census_consistency():
 
 def test_weighted_gram_cp1(cp1):
     # e_p0 = 1, e_p1 = -1; downward classes (1, 1) at p0 and (0, -1) at p1
-    rows = cp1.alpha_minus
+    rows = [0, 1]
     assert weighted_gram(cp1, rows, rows, [0, 1]) == [[0, 1], [1, -1]]
     assert weighted_gram(cp1, rows, rows, [1]) == [[-1, 1], [1, -1]]
     assert weighted_gram(cp1, rows, rows[:1], []) == [[0], [0]]
@@ -143,7 +203,7 @@ def test_weighted_gram_cp1(cp1):
 
 def test_weighted_gram_is_symmetric():
     m = gen_sphere_product([2, -3, 1])
-    gram = weighted_gram(m, m.alpha_minus, m.alpha_minus, range(3, 8))
+    gram = weighted_gram(m, range(8), range(8), range(3, 8))
     assert gram == [list(col) for col in zip(*gram)]
 
 
@@ -152,11 +212,10 @@ def test_weighted_gram_is_symmetric():
 # entry over all fixed points, in the power X^((ind f + ind g)/2 - n).
 
 
-def unit_row(m):
-    """The downward class of the minimum, which is the unit."""
-    low = m.alpha_minus[0]
-    assert all(s == 1 for s in low)
-    return low
+def unit_position(m):
+    """Position of the downward class of the minimum, which is the unit."""
+    assert all(s == 1 for s in m.alpha_minus[0])
+    return 0
 
 
 def everywhere(m):
@@ -165,14 +224,13 @@ def everywhere(m):
 
 def test_localization_sum_unit_classes(cp1, cp2):
     for m in (cp1, cp2):
-        one = unit_row(m)
+        one = unit_position(m)
         assert weighted_gram(m, [one], [one], everywhere(m)) == [[0]]
 
 
 def test_localization_obstruction(cp1):
     broken = edited(cp1, ("alpha_minus", "p0", "p1", "0"))  # the class {p0: 1} in degree 0
-    p0 = broken.alpha_minus[0]
-    assert weighted_gram(broken, [p0], [p0], everywhere(broken)) == [[1]]
+    assert weighted_gram(broken, [0], [0], everywhere(broken)) == [[1]]
     assert validate_alpha_basis(broken).violations[-1] == (
         "localization sum of alpha_minus[p0] * alpha_minus[p0] has residue tail 1 * X^-1"
     )
@@ -180,8 +238,7 @@ def test_localization_obstruction(cp1):
 
 def test_localization_polynomial_range(cp2):
     # alpha_minus[p2] = {p2: 2} times the unit: degree 4 over X^2 leaves a constant
-    p2 = cp2.alpha_minus[2]
-    assert weighted_gram(cp2, [p2], [unit_row(cp2)], everywhere(cp2)) == [[1]]
+    assert weighted_gram(cp2, [2], [unit_position(cp2)], everywhere(cp2)) == [[1]]
     assert validate_alpha_basis(cp2).ok
 
 
@@ -193,7 +250,7 @@ def test_localization_fuzz_combos():
         euler = [math.prod(fp.weights) for fp in m.fixed_points]
         for d in range(0, 2 * m.n, 2):
             e = rng.choice(range(0, 2 * m.n - d, 2))
-            gram = weighted_gram(m, degree_basis(m, d), degree_basis(m, e), everywhere(m))
+            gram = weighted_gram(m, basis_points(m, d), basis_points(m, e), everywhere(m))
             for _ in range(20):
                 a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gram]
                 b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gram[0]]

@@ -3,12 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirwan.cohomology import validate_alpha_basis
 from kirwan.errors import SpecError
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import kernels_equal
-from kirwan.momentdata import CutLevel, euler_class, index_census, morse_index
+from kirwan.momentdata import CutLevel, index_census, morse_index
+
+from oracles import reference_cpn, reference_sphere_product
 
 
 def test_cp1_tables_match_hand_values():
@@ -22,7 +26,7 @@ def test_cp1_tables_match_hand_values():
 
 def test_cp2_tables_match_hand_values():
     m = gen_cpn([0, 1, 2])
-    assert [euler_class(fp)[0] for fp in m.fixed_points] == [2, -1, 2]
+    assert m.euler_classes == (2, -1, 2)
     # rows and columns in fixed-point order p0, p1, p2
     assert m.alpha_minus[1:] == ((0, -1, -2), (0, 0, 2))
     assert m.alpha_plus[1:] == ((2, 1, 0), (1, 1, 1))
@@ -111,3 +115,37 @@ def test_max_point_alpha_plus_is_unit():
     top = m.fixed_points[-1]
     assert morse_index(top) == 2 * m.n
     assert all(v == 1 for v in m.alpha_plus[-1])
+
+
+# --- closed forms ------------------------------------------------------------------
+
+cpn_lambdas = st.lists(st.integers(-60, 60), min_size=2, max_size=15, unique=True).map(sorted)
+sphere_speeds = st.lists(
+    st.sampled_from((-7, -5, -3, -2, -1, 1, 2, 3, 5, 7)), min_size=1, max_size=6
+)
+
+
+def named(m):
+    """m's name, fixed points and tables, keyed by fixed-point name."""
+    pts = m.fixed_points
+    points = [(fp.name, fp.moment, fp.weights) for fp in pts]
+
+    def table(t):
+        return {f.name: {g.name: s for g, s in zip(pts, row)} for f, row in zip(pts, t)}
+
+    return m.name, points, table(m.alpha_minus), table(m.alpha_plus)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(
+    cpn_lambdas.map(lambda ls: (gen_cpn, reference_cpn, ls)),
+    sphere_speeds.map(lambda ws: (gen_sphere_product, reference_sphere_product, ws)),
+))
+def test_generated_data_match_the_closed_forms(case):
+    generate, reference, args = case
+    name, points, alpha_minus, alpha_plus = reference(args)
+    got_name, got_points, got_minus, got_plus = named(generate(args))
+    assert got_name == name
+    assert sorted(got_points) == sorted(points)
+    assert got_minus == alpha_minus
+    assert got_plus == alpha_plus

@@ -16,7 +16,6 @@ from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.momentdata import (
     CutLevel,
     FixedPoint,
-    euler_class,
     index_census,
     load_manifold,
     manifold_to_json,
@@ -170,13 +169,6 @@ def test_morse_index_flips_under_weight_negation():
         for fp in m.fixed_points:
             flipped = FixedPoint(fp.name, fp.moment, tuple(-w for w in fp.weights))
             assert morse_index(flipped) == 2 * m.n - morse_index(fp)
-
-
-def test_euler_class_values():
-    assert euler_class(FixedPoint("a", Fraction(0), (1,))) == (Fraction(1), 1)
-    assert euler_class(FixedPoint("a", Fraction(0), (-1,))) == (Fraction(-1), 1)
-    cp2 = gen_cpn([0, 1, 2])
-    assert euler_class(cp2.fixed_points[2]) == (Fraction(2), 2)
 
 
 def test_negative_and_positive_euler_scalars():
