@@ -178,18 +178,17 @@ def _support_violations(m: ManifoldData, upward: bool) -> Iterable[str]:
     (from its start)."""
     pts = m.fixed_points
     label, table = ("alpha_plus", m.alpha_plus) if upward else ("alpha_minus", m.alpha_minus)
-    tested = table if upward else m.integer_alpha_minus[0]
     side = "below" if upward else "above"
     start = 0
     for end in range(1, len(pts) + 1):
         if end < len(pts) and pts[end].moment == pts[start].moment:
             continue
         for i in range(start, end):
-            row = tested[i]
+            row = table[i]
             for j in range(start, len(pts)) if upward else range(end):
                 if row[j] and j != i:
                     yield (
-                        f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(table[i][j])} "
+                        f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(row[j])} "
                         f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
                     )
         start = end

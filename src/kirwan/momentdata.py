@@ -22,7 +22,6 @@ import warnings
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 
 from .errors import (
     Frozen,
@@ -53,7 +52,6 @@ __all__ = [
 AlphaTable = dict[str, dict[str, Fraction]]
 # positional table: one row per fixed point, one entry per fixed point
 Table = tuple[tuple[Fraction, ...], ...]
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 class FixedPoint(Frozen):
@@ -129,9 +127,7 @@ class ManifoldData(Frozen):
         enter the weighted Gram product and expand kernel bases; the entries
         of column j, sliced, are an evaluation constraint at point j."""
         table = self.alpha_minus
-        den = math.lcm(*(math.lcm(*map(_denominator, row)) for row in table))
-        if den == 1:
-            return tuple(tuple(map(_numerator, row)) for row in table), den
+        den = math.lcm(*(s.denominator for row in table for s in row))
         rows = tuple(tuple(s.numerator * (den // s.denominator) for s in row) for row in table)
         return rows, den
 
