@@ -16,7 +16,7 @@ than failing so degree sweeps stay uniform.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -37,6 +37,7 @@ __all__ = [
     "combine_rows",
     "basis_points",
     "degree_basis",
+    "gram_rows",
     "weighted_gram",
     "validate_alpha_basis",
     "subspace_from_rows",
@@ -114,6 +115,28 @@ def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
     return [m.alpha_minus[i] for i in basis_points(m, degree)]
 
 
+def gram_rows(m: ManifoldData, points: Sequence[int]) -> Callable[[int, Sequence[int]], list]:
+    """`weighted_gram` over points as row_entries(f, cols), row f at the positions in cols:
+    E, the weights E / e_j and the scale are set up once for all the rows asked."""
+    table, den = m.integer_alpha_minus
+    euler = m.euler_classes
+    common = math.lcm(*(euler[j] for j in points))
+    weight = {j: common // euler[j] for j in points}
+    scale = common * den * den
+
+    def row_entries(f: int, cols: Sequence[int]) -> list[Fraction | int]:
+        row = table[f]
+        support = [j for j in points if row[j]]
+        terms = [row[j] * weight[j] for j in support]
+        line = []
+        for g in cols:
+            total = sum(map(mul, terms, map(table[g].__getitem__, support)))
+            line.append(Fraction(total, scale) if total else 0)
+        return line
+
+    return row_entries
+
+
 def weighted_gram(
     m: ManifoldData, rows: Sequence[int], cols: Sequence[int], points: Sequence[int]
 ) -> list[list[Fraction | int]]:
@@ -136,23 +159,8 @@ def weighted_gram(
     >>> weighted_gram(gen_cpn([0, 1]), [0, 1], [0, 1], [0, 1]) == [[0, 1], [1, -1]]
     True
     """
-    table, den = m.integer_alpha_minus
-    euler = m.euler_classes
-    common = math.lcm(*(euler[j] for j in points))
-    weight = {j: common // euler[j] for j in points}
-    scale = common * den * den
-    gram = []
-    for f in rows:
-        row = table[f]
-        support = [j for j in points if row[j]]
-        terms = [row[j] * weight[j] for j in support]
-        line = []
-        for g in cols:
-            col = table[g]
-            total = sum(map(mul, terms, map(col.__getitem__, support)))
-            line.append(Fraction(total, scale) if total else 0)
-        gram.append(line)
-    return gram
+    row_entries = gram_rows(m, points)
+    return [row_entries(f, cols) for f in rows]
 
 
 # --- restriction-table validation ---------------------------------------------
@@ -171,26 +179,30 @@ class ValidationReport(Frozen):
         return not self.violations
 
 
-def _support_violations(m: ManifoldData, upward: bool) -> Iterable[str]:
+def _support_violations(
+    m: ManifoldData, label: str, table: Sequence[Vector], rows: Sequence[Sequence[int]],
+    upward: bool,
+) -> Iterable[str]:
     """Nonzero entries of each downward (upward) row at another point of its
     moment level or a lower (higher) one, in table order: with the points
-    sorted by (moment, name), one slice per row, up to the end of its level
-    (from its start)."""
+    sorted by (moment, name), one slice per row of the integer table, up to
+    the end of its level (from its start)."""
     pts = m.fixed_points
-    label, table = ("alpha_plus", m.alpha_plus) if upward else ("alpha_minus", m.alpha_minus)
     side = "below" if upward else "above"
     start = 0
     for end in range(1, len(pts) + 1):
         if end < len(pts) and pts[end].moment == pts[start].moment:
             continue
         for i in range(start, end):
-            row = table[i]
-            for j in range(start, len(pts)) if upward else range(end):
-                if row[j] and j != i:
-                    yield (
-                        f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(row[j])} "
-                        f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
-                    )
+            row = rows[i]
+            lo, hi = (start, len(pts)) if upward else (0, end)
+            if any(row[lo:i]) or any(row[i + 1:hi]):
+                yield from (
+                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(table[i][j])} "
+                    f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
+                    for j in range(lo, hi)
+                    if row[j] and j != i
+                )
         start = end
 
 
@@ -206,18 +218,18 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     """
     pts = m.fixed_points
     violations: list[str] = []
-    tables = [("alpha_minus", m.alpha_minus, False, negative_euler_scalar)]
+    tables = [("alpha_minus", m.alpha_minus, m.integer_alpha_minus, False, negative_euler_scalar)]
     if m.alpha_plus is not None:
-        tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
-    for label, table, upward, product in tables:
-        violations.extend(_support_violations(m, upward))
+        plus = ("alpha_plus", m.alpha_plus, m.integer_alpha_plus, True, positive_euler_scalar)
+        tables.append(plus)
+    for label, table, (rows, den), upward, product in tables:
+        violations.extend(_support_violations(m, label, table, rows, upward))
         sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
-            diag = table[i][i]
             want = product(f)
-            if diag != want:
+            if rows[i][i] != want * den:
                 violations.append(
-                    f"{label}[{f.name}][{f.name}] = {rat_str(diag)} but the "
+                    f"{label}[{f.name}][{f.name}] = {rat_str(table[i][i])} but the "
                     f"{sign}-weight product is {rat_str(want)}"
                 )
 
@@ -225,10 +237,10 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     # whatever its entry, so only the lower-degree pairs are computed
     everywhere = range(len(pts))
     ind = m.morse_indices
+    row_entries = gram_rows(m, everywhere)
     for i, f in enumerate(pts):
         partners = [j for j in everywhere[i:] if ind[i] + ind[j] < 2 * m.n]
-        (entries,) = weighted_gram(m, [i], partners, everywhere)
-        for j, entry in zip(partners, entries):
+        for j, entry in zip(partners, row_entries(i, partners)):
             if entry:
                 g = pts[j]
                 power = (ind[i] + ind[j]) // 2 - m.n

@@ -32,31 +32,33 @@ __all__ = [
 
 RationalLike = Fraction | int | str
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+# ASCII digits only: \d would also match other scripts' decimal digits
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a Fraction.
 
-    Strings must match ``-?digits[/digits]``; float syntax is rejected so
-    serialized data can never smuggle in rounding.
+    Strings must match ``-?digits[/digits]`` in ASCII digits; float syntax is
+    rejected so serialized data can never smuggle in rounding.
 
     >>> str(rat("-6/4"))
     '-3/2'
     """
+    if isinstance(value, str):
+        match = _RATIONAL_RE.match(value)
+        if match is None:
+            raise ValueError(f"not a rational literal: {value!r}")
+        num, den = match.groups()
+        if den and int(den) == 0:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
-            raise ValueError(f"not a rational literal: {value!r}")
-        num, _, den = value.partition("/")
-        if den and int(den) == 0:
-            raise ValueError(f"zero denominator: {value!r}")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 

@@ -11,8 +11,9 @@ j > i with sign (-1)^(n-i).
 A product of k spheres with rotation speeds w has 2^k fixed points indexed by
 sign vectors; moments are signed sums of |w_i| (so the minimum sits at the
 all-minus vertex) and the basis classes are products of per-factor classes.
-Both families build their tables over the integers and make each nonzero
-entry a Fraction once.
+Both families build their tables over the integers in the sorted point order,
+make each nonzero entry a Fraction once and hand both forms to
+`momentdata.assemble`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import SpecError
-from .momentdata import FixedPoint, ManifoldData, make_manifold
+from .momentdata import FixedPoint, IntegerTable, ManifoldData, Table, assemble
 
 __all__ = ["gen_cpn", "gen_sphere_product"]
 
@@ -44,15 +45,15 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
     if any(a >= b for a, b in zip(ls, ls[1:])):
         raise SpecError("homogeneous weights must be strictly increasing")
     n = len(ls) - 1
-    names = [f"p{i}" for i in range(n + 1)]
-    points = [
+    # the moments increase, so p0..pn is already the sorted order
+    points = tuple(
         FixedPoint(
-            name=names[i],
+            name=f"p{i}",
             moment=Fraction(ls[i]),
             weights=tuple(ls[j] - ls[i] for j in range(n + 1) if j != i),
         )
         for i in range(n + 1)
-    ]
+    )
     # down[i][k] = -down[i-1][k] * (lambda_k - lambda_(i-1)), from down[0] = 1;
     # up[i][k] = -up[i+1][k] * (lambda_k - lambda_(i+1)), from up[n] = 1
     down = [[1] * (n + 1)]
@@ -62,19 +63,15 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
     for i in range(n, 0, -1):
         up.append([-u * (lk - ls[i]) for u, lk in zip(up[-1], ls)])
     up.reverse()
-    return make_manifold(
-        name=f"CP{n}[{','.join(str(a) for a in ls)}]",
-        n=n,
-        orientation_direction=1,
-        fixed_points=points,
-        alpha_minus=_named(names, down),
-        alpha_plus=_named(names, up),
-    )
+    name = f"CP{n}[{','.join(str(a) for a in ls)}]"
+    return assemble(name, n, 1, points, (_both_forms(down), _both_forms(up)))
 
 
-def _named(names: Sequence[str], rows: Sequence[Sequence[int]]) -> dict[str, dict[str, Fraction]]:
-    """Name-keyed table of integer rows, zero entries omitted."""
-    return {f: {g: Fraction(s) for g, s in zip(names, row) if s} for f, row in zip(names, rows)}
+def _both_forms(rows: Sequence[Sequence[int]]) -> tuple[Table, IntegerTable]:
+    """Positional integer rows as Fractions and over the denominator 1."""
+    zero = Fraction(0)
+    fractions = tuple(tuple(Fraction(s) if s else zero for s in row) for row in rows)
+    return fractions, (tuple(map(tuple, rows)), 1)
 
 
 def _vertex_name(signs: tuple[int, ...]) -> str:
@@ -102,27 +99,22 @@ def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     k = len(speeds)
     vertices = list(product((-1, 1), repeat=k))
     names = [_vertex_name(signs) for signs in vertices]
-    points = [
+    moments = [sum(s * w for s, w in zip(signs, speeds)) for signs in vertices]
+    order = sorted(range(len(vertices)), key=lambda v: (moments[v], names[v]))
+    points = tuple(
         FixedPoint(
-            name=name,
-            moment=Fraction(sum(s * w for s, w in zip(signs, speeds))),
-            weights=tuple(-s * w for s, w in zip(signs, speeds)),
+            name=names[v],
+            moment=Fraction(moments[v]),
+            weights=tuple(-s * w for s, w in zip(vertices[v], speeds)),
         )
-        for name, signs in zip(names, vertices)
-    ]
+        for v in order
+    )
     # bit k-1-i of vertex v is set where v is + in factor i; the downward class
     # of f is nonzero at g when g is + wherever f is (f & g == f), the upward
     # one when g is - wherever f is (f & g == g)
     down = [math.prod(-w for s, w in zip(signs, speeds) if s > 0) for signs in vertices]
     up = [math.prod(w for s, w in zip(signs, speeds) if s < 0) for signs in vertices]
-    every = range(len(vertices))
-    alpha_minus = _named(names, [[down[f] if f & g == f else 0 for g in every] for f in every])
-    alpha_plus = _named(names, [[up[f] if f & g == g else 0 for g in every] for f in every])
-    return make_manifold(
-        name=f"S2x{k}[{','.join(str(w) for w in given)}]",
-        n=k,
-        orientation_direction=1,
-        fixed_points=points,
-        alpha_minus=alpha_minus,
-        alpha_plus=alpha_plus,
-    )
+    alpha_minus = _both_forms([[down[f] if f & g == f else 0 for g in order] for f in order])
+    alpha_plus = _both_forms([[up[f] if f & g == g else 0 for g in order] for f in order])
+    name = f"S2x{k}[{','.join(str(w) for w in given)}]"
+    return assemble(name, k, 1, points, (alpha_minus, alpha_plus))

@@ -34,6 +34,7 @@ from .cohomology import (
     class_to_dict,
     combine_rows,
     degree_basis,
+    gram_rows,
     subspace_contains,
     subspace_scalar_rows,
     subspace_sum,
@@ -83,16 +84,17 @@ class Sweep:
     the cut, and the pairing Gram product over the points above it.
 
     Entry (f, g) of the product is the weighted Gram entry of the downward
-    classes at positions f and g (`cohomology.weighted_gram`, an integer dot
-    product, made a Fraction only when nonzero); it is symmetric, and each
-    entry is computed the first time a pairing matrix asks for it.  A sweep
-    over all degrees therefore computes each pair with ind f + ind g <= 2n - 2
-    once, and a single pairing matrix no more than its own block.
+    classes at positions f and g (`cohomology.gram_rows`, set up once per
+    sweep); it is symmetric, and each entry is computed the first time a
+    pairing matrix asks for it.  A sweep over all degrees therefore computes
+    each pair with ind f + ind g <= 2n - 2 once, and a single pairing matrix
+    no more than its own block.
     """
 
     def __init__(self, m: ManifoldData, cut: CutLevel):
         self.m = m
         self.above, self.below = split_fixed_points(m, cut)
+        self._row_entries = gram_rows(m, self.above)
         self._gram: dict[tuple[int, int], Fraction | int] = {}
 
     def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[Fraction | int]]:
@@ -101,8 +103,7 @@ class Sweep:
         for f in rows:
             missing = [g for g in cols if (f, g) not in gram]
             if missing:
-                (entries,) = weighted_gram(self.m, [f], missing, self.above)
-                for g, entry in zip(missing, entries):
+                for g, entry in zip(missing, self._row_entries(f, missing)):
                     gram[f, g] = gram[g, f] = entry
         return [[gram[f, g] for g in cols] for f in rows]
 

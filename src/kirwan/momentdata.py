@@ -10,8 +10,11 @@ a cut level must avoid every moment value (the level set stays smooth).
 Storage is positional: fixed points are sorted by (moment, name), and a
 restriction table is a tuple of row tuples in that order, zeros included, so
 alpha_minus[i][j] is the scalar of the downward class of point i at point j.
-Names appear only at the boundary: `make_manifold` takes name-keyed tables,
-and `manifold_to_dict` writes them back.
+Each table is also kept over the lcm of its denominators, as integers.  Names
+appear only at the boundary: `load_manifold` and `make_manifold` read
+name-keyed tables in one pass each, placing every entry by position in both
+forms, and end, like the generators, in one positional constructor,
+`assemble`; `manifold_to_dict` writes the names back.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "split_fixed_points",
     "index_census",
     "make_manifold",
+    "assemble",
     "load_manifold",
     "manifold_to_dict",
     "manifold_to_json",
@@ -52,6 +56,8 @@ __all__ = [
 AlphaTable = dict[str, dict[str, Fraction]]
 # positional table: one row per fixed point, one entry per fixed point
 Table = tuple[tuple[Fraction, ...], ...]
+# the same over a common denominator: (integer rows, den)
+IntegerTable = tuple[tuple[tuple[int, ...], ...], int]
 
 
 class FixedPoint(Frozen):
@@ -121,15 +127,18 @@ class ManifoldData(Frozen):
         )
 
     @cached_property
-    def integer_alpha_minus(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def integer_alpha_minus(self) -> IntegerTable:
         """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table
-        over the lcm of all its denominators, derived on first use.  Rows
-        enter the weighted Gram product and expand kernel bases; the entries
-        of column j, sliced, are an evaluation constraint at point j."""
-        table = self.alpha_minus
-        den = math.lcm(*(s.denominator for row in table for s in row))
-        rows = tuple(tuple(s.numerator * (den // s.denominator) for s in row) for row in table)
-        return rows, den
+        over the lcm of all its denominators, set by `assemble` (else derived
+        on first use).  Rows enter the weighted Gram product and expand kernel
+        bases; the entries of column j, sliced, are an evaluation constraint
+        at point j."""
+        return _over_lcm(self.alpha_minus)
+
+    @cached_property
+    def integer_alpha_plus(self) -> IntegerTable | None:
+        """alpha_plus as `integer_alpha_minus` gives alpha_minus, or None."""
+        return None if self.alpha_plus is None else _over_lcm(self.alpha_plus)
 
     def position(self, name: str) -> int:
         """Index of the named fixed point in `fixed_points` and in every table."""
@@ -143,6 +152,11 @@ class ManifoldData(Frozen):
     def alpha_minus_scalar(self, f: str, g: str) -> Fraction:
         """Restriction scalar of the downward class of f at g."""
         return self.alpha_minus[self.position(f)][self.position(g)]
+
+
+def _over_lcm(table: Table) -> IntegerTable:
+    den = math.lcm(*(s.denominator for row in table for s in row))
+    return tuple(tuple(s.numerator * (den // s.denominator) for s in row) for row in table), den
 
 
 def index_census(m: ManifoldData) -> dict[int, int]:
@@ -168,21 +182,103 @@ def split_fixed_points(
     return above, below
 
 
-def _check_alpha_names(table: Mapping[str, object], names: set[str], label: str) -> None:
-    for f, row in table.items():
-        if f not in names:
-            raise ValidationError(f"{label} references unknown fixed point {f!r}")
-        for g in row:
-            if g not in names:
-                raise ValidationError(
-                    f"{label}[{f!r}] references unknown fixed point {g!r}"
-                )
+def assemble(
+    name: str, n: int, orientation_direction: int, points: tuple[FixedPoint, ...],
+    tables: Sequence[tuple[Table, IntegerTable] | None], *, validate_alpha: bool = True,
+) -> ManifoldData:
+    """The positional constructor, taking its pieces as they are: points sorted by
+    (moment, name), alpha_minus and alpha_plus (or None) as (Fraction rows, integer form) in
+    that order.  Warns when the census lacks a minimum or a maximum; validates as loading does."""
+    (minus, integer_minus), plus = tables
+    m = ManifoldData(name, n, orientation_direction, points, minus, plus and plus[0])
+    m.__dict__.update(integer_alpha_minus=integer_minus, integer_alpha_plus=plus and plus[1])
+
+    census = index_census(m)
+    if census.get(0, 0) < 1 or census.get(2 * n, 0) < 1:
+        warnings.warn(
+            f"index census of {name!r} has no "
+            + ("minimum" if census.get(0, 0) < 1 else "maximum")
+            + "; this is not a closed-manifold datum",
+            stacklevel=4,
+        )
+
+    if validate_alpha:
+        from .cohomology import validate_alpha_basis  # deferred: cohomology imports this module
+
+        report = validate_alpha_basis(m)
+        if not report.ok:
+            raise ValidationError(report.violations[0])
+    return m
 
 
-def _positional(table: AlphaTable, points: Sequence[FixedPoint]) -> Table:
+def _place(
+    value: object, where: str, position: dict[str, int], size: int, unknown: list[str], read
+) -> tuple[Table, IntegerTable]:
+    """One pass over a name-keyed table: read each entry, once per distinct
+    string, with read(entry, where, f, g) and place it by position in both
+    forms.  A name without a position goes into unknown, unplaced."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
     zero = Fraction(0)
-    rows = [table.get(f.name, {}) for f in points]
-    return tuple(tuple(row.get(g.name, zero) for g in points) for row in rows)
+    fractions = [[zero] * size for _ in range(size)]
+    integers = [[0] * size for _ in range(size)]
+    parsed: dict[object, tuple[Fraction, int]] = {}
+    for f, row in value.items():
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}[{f!r}] must be an object")
+        i = position.get(f)
+        if i is None:
+            unknown.append(f"{where} references unknown fixed point {f!r}")
+        for g, s in row.items():
+            entry = parsed.get(s) if isinstance(s, str) else None
+            if entry is None:
+                q = read(s, where, f, g)
+                entry = parsed[s] = q, q.numerator
+            j = position.get(g)
+            if j is None:
+                unknown.append(f"{where}[{f!r}] references unknown fixed point {g!r}")
+            elif i is not None:
+                fractions[i][j], integers[i][j] = entry
+    table = tuple(map(tuple, fractions))
+    den = math.lcm(*(q.denominator for q, _ in parsed.values()))
+    return table, (tuple(map(tuple, integers)), 1) if den == 1 else _over_lcm(table)
+
+
+def _from_names(
+    name: str, n: int, orientation_direction: int, points: Sequence[FixedPoint],
+    tables: dict[str, object], read, validate_alpha: bool,
+) -> ManifoldData:
+    """Sort the points, place each table in tables with `_place`, run the
+    structural checks, reject the first unknown name, and assemble."""
+    ordered = tuple(sorted(points, key=lambda fp: (fp.moment, fp.name)))
+    position, size = {fp.name: i for i, fp in enumerate(ordered)}, len(ordered)
+    unknown: list[str] = []
+    placed = [
+        _place(tables[label], label, position, size, unknown, read) if label in tables else None
+        for label in ("alpha_minus", "alpha_plus")
+    ]
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    if orientation_direction not in (1, -1):
+        raise ValidationError("orientation_direction must be 1 or -1")
+    if not points:
+        raise ValidationError("at least one fixed point is required")
+    seen: set[str] = set()
+    for fp in points:
+        if not fp.name:
+            raise ValidationError("fixed point names must be nonempty")
+        if fp.name in seen:
+            raise ValidationError(f"duplicate fixed point name {fp.name!r}")
+        seen.add(fp.name)
+        if len(fp.weights) != n:
+            raise ValidationError(
+                f"fixed point {fp.name!r} has {len(fp.weights)} weights, expected {n}"
+            )
+        if any(w == 0 for w in fp.weights):
+            raise ValidationError(f"weights must be nonzero (fixed point {fp.name!r})")
+    if unknown:
+        raise ValidationError(unknown[0])
+    return assemble(name, n, orientation_direction, ordered, placed, validate_alpha=validate_alpha)
 
 
 def make_manifold(
@@ -202,55 +298,12 @@ def make_manifold(
     maximum, and finally -- unless validate_alpha is False -- checks the
     restriction tables and raises ValidationError on the first violation.
     """
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    if orientation_direction not in (1, -1):
-        raise ValidationError("orientation_direction must be 1 or -1")
-    if not fixed_points:
-        raise ValidationError("at least one fixed point is required")
-    seen: set[str] = set()
-    for fp in fixed_points:
-        if not fp.name:
-            raise ValidationError("fixed point names must be nonempty")
-        if fp.name in seen:
-            raise ValidationError(f"duplicate fixed point name {fp.name!r}")
-        seen.add(fp.name)
-        if len(fp.weights) != n:
-            raise ValidationError(
-                f"fixed point {fp.name!r} has {len(fp.weights)} weights, expected {n}"
-            )
-        if any(w == 0 for w in fp.weights):
-            raise ValidationError(f"weights must be nonzero (fixed point {fp.name!r})")
-    _check_alpha_names(alpha_minus, seen, "alpha_minus")
-    if alpha_plus is not None:
-        _check_alpha_names(alpha_plus, seen, "alpha_plus")
-
-    ordered = tuple(sorted(fixed_points, key=lambda fp: (fp.moment, fp.name)))
-    m = ManifoldData(
-        name=name,
-        n=n,
-        orientation_direction=orientation_direction,
-        fixed_points=ordered,
-        alpha_minus=_positional(alpha_minus, ordered),
-        alpha_plus=None if alpha_plus is None else _positional(alpha_plus, ordered),
+    tables = {"alpha_minus": alpha_minus, "alpha_plus": alpha_plus}
+    if alpha_plus is None:
+        del tables["alpha_plus"]
+    return _from_names(
+        name, n, orientation_direction, fixed_points, tables, lambda s, *_: rat(s), validate_alpha
     )
-
-    census = index_census(m)
-    if census.get(0, 0) < 1 or census.get(2 * n, 0) < 1:
-        warnings.warn(
-            f"index census of {name!r} has no "
-            + ("minimum" if census.get(0, 0) < 1 else "maximum")
-            + "; this is not a closed-manifold datum",
-            stacklevel=2,
-        )
-
-    if validate_alpha:
-        from .cohomology import validate_alpha_basis  # deferred: cohomology imports this module
-
-        report = validate_alpha_basis(m)
-        if not report.ok:
-            raise ValidationError(report.violations[0])
-    return m
 
 
 # --- JSON schema -------------------------------------------------------------
@@ -260,32 +313,22 @@ _TOP_OPTIONAL = {"alpha_plus"}
 _POINT_KEYS = {"name", "moment", "weights"}
 
 
-def _schema_rat(value: object, where: str) -> Fraction:
-    if not isinstance(value, str):
-        raise SchemaError(f'{where} must be a rational string like "p/q"')
-    try:
-        return rat(value)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+def _schema_rat(value: object, where: str, *keys: str) -> Fraction:
+    """A rational string as a Fraction, else SchemaError at where[key]..."""
+    if isinstance(value, str):
+        try:
+            return rat(value)
+        except ValueError as exc:
+            problem = f": {exc}"
+    else:
+        problem = ' must be a rational string like "p/q"'
+    raise SchemaError(where + "".join(f"[{k!r}]" for k in keys) + problem)
 
 
 def _schema_int(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where} must be an integer")
     return value
-
-
-def _schema_alpha(value: object, where: str) -> AlphaTable:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where} must be an object")
-    table: AlphaTable = {}
-    for f, row in value.items():
-        if not isinstance(row, dict):
-            raise SchemaError(f"{where}[{f!r}] must be an object")
-        table[f] = {
-            g: _schema_rat(s, f"{where}[{f!r}][{g!r}]") for g, s in row.items()
-        }
-    return table
 
 
 def load_manifold(
@@ -298,7 +341,8 @@ def load_manifold(
     integer literals too long to convert included), SchemaError for
     missing/extra/badly-typed fields, and ValidationError (naming the first
     violated invariant) for semantic problems, including restriction-table
-    violations unless validate_alpha is False.
+    violations unless validate_alpha is False.  Schema errors come first,
+    then the structural invariants, then unknown names in the tables.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -341,27 +385,16 @@ def load_manifold(
         if not isinstance(entry["name"], str):
             raise SchemaError(f"{where}.name must be a string")
         moment = _schema_rat(entry["moment"], f"{where}.moment")
-        if not isinstance(entry["weights"], list):
+        weights = entry["weights"]
+        if not isinstance(weights, list):
             raise SchemaError(f"{where}.weights must be a list of integers")
-        weights = tuple(
-            _schema_int(w, f"{where}.weights[{j}]")
-            for j, w in enumerate(entry["weights"])
-        )
-        points.append(FixedPoint(entry["name"], moment, weights))
+        if any(type(w) is not int for w in weights):
+            for j, w in enumerate(weights):
+                _schema_int(w, f"{where}.weights[{j}]")
+        points.append(FixedPoint(entry["name"], moment, tuple(weights)))
 
-    alpha_minus = _schema_alpha(obj["alpha_minus"], "alpha_minus")
-    alpha_plus = (
-        _schema_alpha(obj["alpha_plus"], "alpha_plus") if "alpha_plus" in obj else None
-    )
-    return make_manifold(
-        name=obj["name"],
-        n=n,
-        orientation_direction=orientation,
-        fixed_points=points,
-        alpha_minus=alpha_minus,
-        alpha_plus=alpha_plus,
-        validate_alpha=validate_alpha,
-    )
+    tables = {label: obj[label] for label in ("alpha_minus", "alpha_plus") if label in obj}
+    return _from_names(obj["name"], n, orientation, points, tables, _schema_rat, validate_alpha)
 
 
 def _alpha_to_dict(m: ManifoldData, table: Table) -> dict[str, dict[str, str]]:

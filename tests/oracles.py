@@ -14,6 +14,10 @@ hand-written `kirwan.cli` parser must read the same way.  `reference_cpn` and
 entry by entry in Fractions, `reference_support_violations` is the pairwise
 support check of table validation, and `localization_pairing` the weighted
 Gram entry of any two restriction vectors as a plain Fraction sum.
+`reference_rat` and `reference_int` read a document's rational strings and
+weights the way the loader first did, one value at a time, and
+`reference_integer_table` puts a Fraction table over its lcm denominator
+with a running lcm.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import sys
 from fractions import Fraction
 
 from kirwan.cohomology import EquivariantClass, degree_basis
+from kirwan.errors import SchemaError
 from kirwan.exactmath import MatrixQ, over_leading_entry, rat, rat_str
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index
 
@@ -195,6 +200,40 @@ def reference_support_violations(m, table_name, table, upward):
                     f"{table_name}[{f.name}][{g.name}] = {rat_str(s)} must vanish: "
                     f"{g.name} does not sit strictly {side} {f.name}"
                 )
+
+
+def reference_rat(value, where):
+    """A document's rational string as the loader first read it, through
+    its own type check and `exactmath.rat`, with ASCII digits only as
+    documented: the Fraction, or the SchemaError naming `where`."""
+    if not isinstance(value, str):
+        raise SchemaError(f'{where} must be a rational string like "p/q"')
+    if not re.match(r"-?[0-9]+(?:/[0-9]+)?\Z", value):
+        raise SchemaError(f"{where}: not a rational literal: {value!r}")
+    num, _, den = value.partition("/")
+    try:
+        if den and int(den) == 0:
+            raise SchemaError(f"{where}: zero denominator: {value!r}")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ValueError as exc:  # a literal longer than int() converts (4300 digits)
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def reference_int(value, where):
+    """A document's integer field as the loader first read it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{where} must be an integer")
+    return value
+
+
+def reference_integer_table(table):
+    """(rows, den) for a table of Fractions: den the lcm of every
+    denominator, accumulated one entry at a time, and each entry times den."""
+    den = 1
+    for row in table:
+        for s in row:
+            den = den * s.denominator // math.gcd(den, s.denominator)
+    return tuple(tuple(int(s * den) for s in row) for row in table), den
 
 
 def reference_rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:

@@ -142,13 +142,18 @@ def counted_gram_pairs(monkeypatch, argv):
     """Run the CLI and return every (f, g) Gram entry the pairing computed, as
     positions of downward classes, in the order computed."""
     computed = []
-    real = kernels.weighted_gram
+    real = kernels.gram_rows
 
-    def counting(m, rows, cols, points):
-        computed.extend((f, g) for f in rows for g in cols)
-        return real(m, rows, cols, points)
+    def counting(m, points):
+        row_entries = real(m, points)
 
-    monkeypatch.setattr(kernels, "weighted_gram", counting)
+        def counted(f, cols):
+            computed.extend((f, g) for g in cols)
+            return row_entries(f, cols)
+
+        return counted
+
+    monkeypatch.setattr(kernels, "gram_rows", counting)
     assert main(argv) == 0
     monkeypatch.undo()
     return computed

@@ -186,6 +186,23 @@ def test_negative_rational_cut_parses_bare(cp2_path, capsys):
     assert json.loads(text)["betti"] == {"0": 0, "2": 0}
 
 
+def test_non_ascii_digits_are_not_rational_literals(cp2_path, tmp_path, capsys):
+    # int() reads U+0661 ARABIC-INDIC DIGIT ONE as 1; -?digits[/digits] means ASCII digits
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--input", cp2_path, "--cut", "\u0661/2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 64 and out == ""
+    assert err.endswith("error: argument --cut: not a rational literal: '\u0661/2'\n")
+
+    doc = json.loads(manifold_to_json(gen_cpn([0, 1, 2])))
+    doc["alpha_minus"]["p0"]["p1"] = "\u0663"
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    code, text = run(capsys, "validate", "--input", str(path))
+    assert code == 2
+    assert "- alpha_minus['p0']['p1']: not a rational literal: '\u0663'" in text
+
+
 def test_bmatrix_report(cp2_path, capsys):
     code, text = run(
         capsys, "bmatrix", "--input", cp2_path, "--cut", "-1", "--degree", "0",

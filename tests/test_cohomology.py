@@ -67,6 +67,20 @@ def test_validator_catches_tampered_diagonal(cp2):
     assert any("alpha_minus[p1][p1]" in v for v in report.violations)
 
 
+def test_diagonal_check_reads_tables_over_a_denominator(cp2):
+    # a fractional entry puts the integer tables over den 6 and 5
+    for label in ("alpha_minus", "alpha_plus"):
+        other = "alpha_plus" if label == "alpha_minus" else "alpha_minus"
+        fractional = edited(cp2, (label, "p1", "p1", "-3/2"), (other, "p0", "p1", "1/5"))
+        diagonal = [v for v in validate_alpha_basis(fractional).violations if "product" in v]
+        sign, product = ("negative", "-1") if label == "alpha_minus" else ("positive", "1")
+        assert diagonal == [
+            f"{label}[p1][p1] = -3/2 but the {sign}-weight product is {product}"
+        ]
+        scaled = edited(cp2, (label, "p2", "p1", "1/6"))
+        assert not [v for v in validate_alpha_basis(scaled).violations if "product" in v]
+
+
 def test_validator_catches_support_violation(cp2):
     report = validate_alpha_basis(edited(cp2, ("alpha_minus", "p2", "p0", "5")))
     assert any(

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import pickle
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kirwan.errors import (
+    KirwanError,
     NotRegularValue,
     ParseError,
     SchemaError,
@@ -18,12 +23,15 @@ from kirwan.momentdata import (
     FixedPoint,
     index_census,
     load_manifold,
+    make_manifold,
+    manifold_to_dict,
     manifold_to_json,
     morse_index,
     negative_euler_scalar,
     positive_euler_scalar,
     split_fixed_points,
 )
+from oracles import reference_int, reference_integer_table, reference_rat
 
 CP1_DOC = {
     "name": "CP1[0,1]",
@@ -213,3 +221,205 @@ def test_unknown_fixed_point_lookup():
 def test_index_census_cpn():
     cp3 = gen_cpn([0, 2, 5, 9])
     assert index_census(cp3) == {0: 1, 2: 1, 4: 1, 6: 1}
+
+
+# --- error precedence ---------------------------------------------------------
+
+
+def _two_faults(*edits):
+    d = doc()
+    for edit in edits:
+        edit(d)
+    return d
+
+
+@pytest.mark.parametrize(
+    "document, error, message",
+    [
+        # every schema error in either table comes before any unknown name
+        (
+            _two_faults(
+                lambda d: d["alpha_plus"]["p1"].update(p0="x"),
+                lambda d: d["alpha_minus"].update(zz={"p0": "1"}),
+            ),
+            SchemaError,
+            "alpha_plus['p1']['p0']: not a rational literal: 'x'",
+        ),
+        (
+            _two_faults(
+                lambda d: d["alpha_plus"]["p1"].update(p0=1.5),
+                lambda d: d["alpha_minus"]["p0"].update(zz="1"),
+            ),
+            SchemaError,
+            "alpha_plus['p1']['p0'] must be a rational string like \"p/q\"",
+        ),
+        # a schema error in a table comes before a bad n
+        (
+            _two_faults(
+                lambda d: d.update(n=0),
+                lambda d: d["alpha_minus"]["p0"].update(p1="1/0"),
+            ),
+            SchemaError,
+            "alpha_minus['p0']['p1']: zero denominator: '1/0'",
+        ),
+        # a bad weight comes before a bad entry
+        (
+            _two_faults(
+                lambda d: d["fixed_points"][0].update(weights=[True]),
+                lambda d: d["alpha_minus"]["p0"].update(p1="0.5"),
+            ),
+            SchemaError,
+            "fixed_points[0].weights[0] must be an integer",
+        ),
+        # structural checks come before unknown names, alpha_minus before alpha_plus
+        (
+            _two_faults(
+                lambda d: d["fixed_points"][1].update(weights=[1, 1]),
+                lambda d: d["alpha_minus"]["p0"].update(zz="1"),
+            ),
+            ValidationError,
+            "fixed point 'p1' has 2 weights, expected 1",
+        ),
+        (
+            _two_faults(
+                lambda d: d["alpha_plus"].update(yy={}),
+                lambda d: d["alpha_minus"]["p0"].update(zz="1"),
+            ),
+            ValidationError,
+            "alpha_minus['p0'] references unknown fixed point 'zz'",
+        ),
+    ],
+)
+def test_load_reports_the_first_of_two_faults(document, error, message):
+    with pytest.raises(error) as exc:
+        load_manifold(document)
+    assert str(exc.value) == message
+
+
+# --- the one-pass parse against the reference -----------------------------------
+
+# rational-looking text, with the characters int() accepts beyond the
+# documented -?digits[/digits]: blanks, "+", "_" and a non-ASCII digit
+LITERALS = st.text(alphabet="-/0123456789 +_\u0661x", max_size=8)
+JSON_VALUES = st.one_of(
+    LITERALS,
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except KirwanError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES, st.sampled_from(["entry", "moment", "weight"]))
+@example("\u0663", "entry")
+@example("1/0", "moment")
+@example("-1" + "0" * 4400, "entry")
+@example("1" * 4400 + "/" + "7" * 4400, "entry")
+@example(True, "weight")
+@example(0, "weight")
+def test_load_reads_values_as_the_reference_does(value, spot):
+    d = doc()
+    if spot == "entry":
+        # twice in one table: the second read of a literal is the first one's
+        d["alpha_minus"]["p0"]["p1"] = d["alpha_minus"]["p1"]["p0"] = value
+        want = _outcome(lambda: reference_rat(value, "alpha_minus['p0']['p1']"))
+
+        def read(m):
+            assert m.alpha_minus_scalar("p1", "p0") == m.alpha_minus_scalar("p0", "p1")
+            return m.alpha_minus_scalar("p0", "p1")
+
+    elif spot == "moment":
+        d["fixed_points"][0]["moment"] = value
+        want = _outcome(lambda: reference_rat(value, "fixed_points[0].moment"))
+
+        def read(m):
+            return m.fixed_points[m.position("p0")].moment
+
+    else:
+        d["fixed_points"][0]["weights"] = [value]
+        want = _outcome(lambda: reference_int(value, "fixed_points[0].weights[0]"))
+        if want == 0:
+            want = "ValidationError", "weights must be nonzero (fixed point 'p0')"
+
+        def read(m):
+            return m.fixed_points[m.position("p0")].weights[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a flipped weight leaves no minimum
+        got = _outcome(lambda: read(load_manifold(d, validate_alpha=False)))
+    assert got == want
+    assert type(got) is type(want)
+
+
+# --- integer tables -------------------------------------------------------------
+
+
+def test_integer_tables_of_generated_data_match_the_reference():
+    for m in (
+        gen_cpn([0, 1]),
+        gen_cpn([-3, -1, 0, 2, 3, 7, 8]),
+        gen_cpn([-1000003, -977, 0, 17, 4099, 10**9 + 7]),
+        gen_sphere_product([1, 2, 3]),
+        gen_sphere_product([5, -2, 3, 1]),
+    ):
+        assert m.integer_alpha_minus == reference_integer_table(m.alpha_minus)
+        assert m.integer_alpha_plus == reference_integer_table(m.alpha_plus)
+        fresh = pickle.loads(pickle.dumps(m))  # derived again on first use
+        assert "integer_alpha_minus" not in fresh.__dict__
+        assert fresh.integer_alpha_minus == m.integer_alpha_minus
+        assert fresh.integer_alpha_plus == m.integer_alpha_plus
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"p0": "1/2", "p1": "-2/3"},  # non-unit, coprime
+        {"p0": "3/6", "p1": "10/15"},  # written unreduced
+        {"p0": "1/1000000007", "p1": "-7/998244353"},  # large primes
+        {"p0": "0/5", "p1": "4/2"},  # denominators that reduce to 1
+        {"p0": "-4/9", "p1": "5/12"},  # lcm 36, not the product
+    ],
+)
+def test_integer_tables_of_loaded_fractions_match_the_reference(entries):
+    d = doc()
+    d["alpha_minus"]["p0"].update(entries)
+    d["alpha_plus"]["p1"].update(entries)
+    m = load_manifold(d, validate_alpha=False)
+    assert m.integer_alpha_minus == reference_integer_table(m.alpha_minus)
+    assert m.integer_alpha_plus == reference_integer_table(m.alpha_plus)
+    rows, den = m.integer_alpha_minus
+    assert [Fraction(a, den) for a in rows[0]] == [Fraction(entries[g]) for g in ("p0", "p1")]
+
+
+def test_make_manifold_matches_the_loader():
+    for m in (gen_cpn([-1, 0, 2, 5]), gen_sphere_product([1, 2, 1])):
+        named = manifold_to_dict(m)
+        points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
+                  for p in reversed(named["fixed_points"])]
+        tables = {
+            label: {f: {g: Fraction(s) for g, s in row.items()} for f, row in named[label].items()}
+            for label in ("alpha_minus", "alpha_plus")
+        }
+        made = make_manifold(
+            name=m.name, n=m.n, orientation_direction=1, fixed_points=points, **tables
+        )
+        assert made == m
+        assert made.integer_alpha_minus == m.integer_alpha_minus
+        assert made.integer_alpha_plus == m.integer_alpha_plus
+        tables["alpha_minus"][points[0].name]["nowhere"] = Fraction(1)
+        with pytest.raises(ValidationError, match="references unknown fixed point 'nowhere'"):
+            make_manifold(
+                name=m.name, n=m.n, orientation_direction=1, fixed_points=points, **tables
+            )
+        with pytest.raises(ValidationError, match="n must be a positive integer"):
+            make_manifold(name=m.name, n=0, orientation_direction=1, fixed_points=points, **tables)
