@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -212,15 +212,15 @@ def assemble(
 
 
 def _place(
-    value: object, where: str, position: dict[str, int], size: int, unknown: list[str], read
+    value: object, where: str, position: dict[str, int], size: int, unknown: list[str],
+    read: Callable[..., Fraction],
 ) -> tuple[Table, IntegerTable]:
     """One pass over a name-keyed table: read each entry, once per distinct
     string, with read(entry, where, f, g) and place it by position in both
     forms.  A name without a position goes into unknown, unplaced."""
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be an object")
-    zero = Fraction(0)
-    fractions = [[zero] * size for _ in range(size)]
+    fractions = [[Fraction(0)] * size for _ in range(size)]
     integers = [[0] * size for _ in range(size)]
     parsed: dict[object, tuple[Fraction, int]] = {}
     for f, row in value.items():
@@ -246,7 +246,7 @@ def _place(
 
 def _from_names(
     name: str, n: int, orientation_direction: int, points: Sequence[FixedPoint],
-    tables: dict[str, object], read, validate_alpha: bool,
+    tables: dict[str, object], read: Callable[..., Fraction], validate_alpha: bool,
 ) -> ManifoldData:
     """Sort the points, place each table in tables with `_place`, run the
     structural checks, reject the first unknown name, and assemble."""
