@@ -13,7 +13,7 @@ sign vectors; moments are signed sums of |w_i| (so the minimum sits at the
 all-minus vertex) and the basis classes are products of per-factor classes.
 Both families build their tables over the integers in the sorted point order,
 make each nonzero entry a Fraction once and hand both forms to
-`momentdata.assemble`.
+`momentdata._assemble`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import SpecError
-from .momentdata import FixedPoint, IntegerTable, ManifoldData, Table, assemble
+from .momentdata import FixedPoint, IntegerTable, ManifoldData, Table, _assemble
 
 __all__ = ["gen_cpn", "gen_sphere_product"]
 
@@ -64,7 +64,7 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
         up.append([-u * (lk - ls[i]) for u, lk in zip(up[-1], ls)])
     up.reverse()
     name = f"CP{n}[{','.join(str(a) for a in ls)}]"
-    return assemble(name, n, 1, points, (_both_forms(down), _both_forms(up)))
+    return _assemble(name, n, 1, points, (_both_forms(down), _both_forms(up)))
 
 
 def _both_forms(rows: Sequence[Sequence[int]]) -> tuple[Table, IntegerTable]:
@@ -117,4 +117,4 @@ def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     alpha_minus = _both_forms([[down[f] if f & g == f else 0 for g in order] for f in order])
     alpha_plus = _both_forms([[up[f] if f & g == g else 0 for g in order] for f in order])
     name = f"S2x{k}[{','.join(str(w) for w in given)}]"
-    return assemble(name, k, 1, points, (alpha_minus, alpha_plus))
+    return _assemble(name, k, 1, points, (alpha_minus, alpha_plus))

@@ -13,8 +13,8 @@ alpha_minus[i][j] is the scalar of the downward class of point i at point j.
 Each table is also kept over the lcm of its denominators, as integers.  Names
 appear only at the boundary: `load_manifold` and `make_manifold` read
 name-keyed tables in one pass each, placing every entry by position in both
-forms, and end, like the generators, in one positional constructor,
-`assemble`; `manifold_to_dict` writes the names back.
+forms, and end, like the generators, in one positional constructor;
+`manifold_to_dict` writes the names back.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "split_fixed_points",
     "index_census",
     "make_manifold",
-    "assemble",
     "load_manifold",
     "manifold_to_dict",
     "manifold_to_json",
@@ -129,7 +128,7 @@ class ManifoldData(Frozen):
     @cached_property
     def integer_alpha_minus(self) -> IntegerTable:
         """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table
-        over the lcm of all its denominators, set by `assemble` (else derived
+        over the lcm of all its denominators, set when the datum is built (else derived
         on first use).  Rows enter the weighted Gram product and expand kernel
         bases; the entries of column j, sliced, are an evaluation constraint
         at point j."""
@@ -182,13 +181,14 @@ def split_fixed_points(
     return above, below
 
 
-def assemble(
+def _assemble(
     name: str, n: int, orientation_direction: int, points: tuple[FixedPoint, ...],
     tables: Sequence[tuple[Table, IntegerTable] | None], *, validate_alpha: bool = True,
 ) -> ManifoldData:
     """The positional constructor, taking its pieces as they are: points sorted by
     (moment, name), alpha_minus and alpha_plus (or None) as (Fraction rows, integer form) in
-    that order.  Warns when the census lacks a minimum or a maximum; validates as loading does."""
+    that order.  Warns when the census lacks a minimum or a maximum (never so for generated
+    data), naming the caller of load_manifold/make_manifold; validates as loading does."""
     (minus, integer_minus), plus = tables
     m = ManifoldData(name, n, orientation_direction, points, minus, plus and plus[0])
     m.__dict__.update(integer_alpha_minus=integer_minus, integer_alpha_plus=plus and plus[1])
@@ -214,15 +214,13 @@ def assemble(
 def _place(
     value: object, where: str, position: dict[str, int], size: int, unknown: list[str],
     read: Callable[..., Fraction],
-) -> tuple[Table, IntegerTable]:
-    """One pass over a name-keyed table: read each entry, once per distinct
-    string, with read(entry, where, f, g) and place it by position in both
-    forms.  A name without a position goes into unknown, unplaced."""
+) -> Table:
+    """One pass over a name-keyed table: read each entry with read(entry, where,
+    f, g) and place it by position.  A name without a position goes into
+    unknown, unplaced."""
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be an object")
-    fractions = [[Fraction(0)] * size for _ in range(size)]
-    integers = [[0] * size for _ in range(size)]
-    parsed: dict[object, tuple[Fraction, int]] = {}
+    rows = [[Fraction(0)] * size for _ in range(size)]
     for f, row in value.items():
         if not isinstance(row, dict):
             raise SchemaError(f"{where}[{f!r}] must be an object")
@@ -230,18 +228,13 @@ def _place(
         if i is None:
             unknown.append(f"{where} references unknown fixed point {f!r}")
         for g, s in row.items():
-            entry = parsed.get(s) if isinstance(s, str) else None
-            if entry is None:
-                q = read(s, where, f, g)
-                entry = parsed[s] = q, q.numerator
+            q = read(s, where, f, g)
             j = position.get(g)
             if j is None:
                 unknown.append(f"{where}[{f!r}] references unknown fixed point {g!r}")
             elif i is not None:
-                fractions[i][j], integers[i][j] = entry
-    table = tuple(map(tuple, fractions))
-    den = math.lcm(*(q.denominator for q, _ in parsed.values()))
-    return table, (tuple(map(tuple, integers)), 1) if den == 1 else _over_lcm(table)
+                rows[i][j] = q
+    return tuple(map(tuple, rows))
 
 
 def _from_names(
@@ -249,7 +242,8 @@ def _from_names(
     tables: dict[str, object], read: Callable[..., Fraction], validate_alpha: bool,
 ) -> ManifoldData:
     """Sort the points, place each table in tables with `_place`, run the
-    structural checks, reject the first unknown name, and assemble."""
+    structural checks, reject the first unknown name, and assemble with each
+    table over the lcm of its denominators."""
     ordered = tuple(sorted(points, key=lambda fp: (fp.moment, fp.name)))
     position, size = {fp.name: i for i, fp in enumerate(ordered)}, len(ordered)
     unknown: list[str] = []
@@ -278,7 +272,8 @@ def _from_names(
             raise ValidationError(f"weights must be nonzero (fixed point {fp.name!r})")
     if unknown:
         raise ValidationError(unknown[0])
-    return assemble(name, n, orientation_direction, ordered, placed, validate_alpha=validate_alpha)
+    both = [None if t is None else (t, _over_lcm(t)) for t in placed]
+    return _assemble(name, n, orientation_direction, ordered, both, validate_alpha=validate_alpha)
 
 
 def make_manifold(
@@ -293,16 +288,20 @@ def make_manifold(
 ) -> ManifoldData:
     """Assemble and validate a ManifoldData from already-typed pieces.
 
-    Runs every structural invariant, sorts the fixed points by (moment, name),
-    warns (without failing) when the index census is missing a minimum or a
+    Runs every structural invariant, then rejects names in the tables that
+    are not fixed points, sorts the fixed points by (moment, name), warns
+    (without failing) when the index census is missing a minimum or a
     maximum, and finally -- unless validate_alpha is False -- checks the
     restriction tables and raises ValidationError on the first violation.
+    Tables and rows may be any mappings; entries are stored as given.
     """
-    tables = {"alpha_minus": alpha_minus, "alpha_plus": alpha_plus}
-    if alpha_plus is None:
-        del tables["alpha_plus"]
+    tables = {
+        label: {f: dict(row) for f, row in table.items()}
+        for label, table in (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus))
+        if table is not None
+    }
     return _from_names(
-        name, n, orientation_direction, fixed_points, tables, lambda s, *_: rat(s), validate_alpha
+        name, n, orientation_direction, fixed_points, tables, lambda s, *_: s, validate_alpha
     )
 
 
@@ -325,9 +324,10 @@ def _schema_rat(value: object, where: str, *keys: str) -> Fraction:
     raise SchemaError(where + "".join(f"[{k!r}]" for k in keys) + problem)
 
 
-def _schema_int(value: object, where: str) -> int:
+def _schema_int(value: object, where: str, *keys: object) -> int:
+    """An int that is not a bool, else SchemaError at where[key]..."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where} must be an integer")
+        raise SchemaError(where + "".join(f"[{k!r}]" for k in keys) + " must be an integer")
     return value
 
 
@@ -388,10 +388,9 @@ def load_manifold(
         weights = entry["weights"]
         if not isinstance(weights, list):
             raise SchemaError(f"{where}.weights must be a list of integers")
-        if any(type(w) is not int for w in weights):
-            for j, w in enumerate(weights):
-                _schema_int(w, f"{where}.weights[{j}]")
-        points.append(FixedPoint(entry["name"], moment, tuple(weights)))
+        where += ".weights"
+        weights = tuple(_schema_int(w, where, j) for j, w in enumerate(weights))
+        points.append(FixedPoint(entry["name"], moment, weights))
 
     tables = {label: obj[label] for label in ("alpha_minus", "alpha_plus") if label in obj}
     return _from_names(obj["name"], n, orientation, points, tables, _schema_rat, validate_alpha)

@@ -4,6 +4,7 @@ import json
 import pickle
 import warnings
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,8 +141,15 @@ def test_census_warning_for_open_datum():
     ]
     d["alpha_minus"] = {}
     d.pop("alpha_plus")
-    with pytest.warns(UserWarning, match="no maximum"):
+    with pytest.warns(UserWarning, match="no maximum") as caught:
         load_manifold(d, validate_alpha=False)
+    points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
+              for p in d["fixed_points"]]
+    with pytest.warns(UserWarning, match="no maximum") as made:
+        make_manifold(name="open", n=1, orientation_direction=1, fixed_points=points,
+                      alpha_minus={}, validate_alpha=False)
+    # the warning names the line that loaded or made the datum
+    assert [w.filename for w in (*caught, *made)] == [__file__, __file__]
 
 
 # --- round trip ---------------------------------------------------------------
@@ -423,3 +431,25 @@ def test_make_manifold_matches_the_loader():
             )
         with pytest.raises(ValidationError, match="n must be a positive integer"):
             make_manifold(name=m.name, n=0, orientation_direction=1, fixed_points=points, **tables)
+
+
+def test_make_manifold_takes_mappings_and_checks_structure_first():
+    m = gen_cpn([0, 1, 3])
+    named = manifold_to_dict(m)
+    points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
+              for p in named["fixed_points"]]
+    tables = {
+        label: MappingProxyType({f: MappingProxyType({g: Fraction(s) for g, s in row.items()})
+                                 for f, row in named[label].items()})
+        for label in ("alpha_minus", "alpha_plus")
+    }
+    assert make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
+                         **tables) == m
+    # a bad entry and an unknown name come after the structural checks
+    bad = {"p0": {"p0": "not a rational", "nowhere": Fraction(1)}}
+    with pytest.raises(ValidationError, match="n must be a positive integer"):
+        make_manifold(name=m.name, n=0, orientation_direction=1, fixed_points=points,
+                      alpha_minus=bad)
+    with pytest.raises(ValidationError, match="unknown fixed point 'nowhere'"):
+        make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
+                      alpha_minus=bad)
