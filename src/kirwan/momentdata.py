@@ -187,8 +187,8 @@ def _assemble(
 ) -> ManifoldData:
     """The positional constructor, taking its pieces as they are: points sorted by
     (moment, name), alpha_minus and alpha_plus (or None) as (Fraction rows, integer form) in
-    that order.  Warns when the census lacks a minimum or a maximum (never so for generated
-    data), naming the caller of load_manifold/make_manifold; validates as loading does."""
+    that order.  Warns, naming the caller of load_manifold/make_manifold, when the census lacks
+    a minimum or a maximum (generated data never does); validates as loading does."""
     (minus, integer_minus), plus = tables
     m = ManifoldData(name, n, orientation_direction, points, minus, plus and plus[0])
     m.__dict__.update(integer_alpha_minus=integer_minus, integer_alpha_plus=plus and plus[1])
@@ -216,11 +216,12 @@ def _place(
     read: Callable[..., Fraction],
 ) -> Table:
     """One pass over a name-keyed table: read each entry with read(entry, where,
-    f, g) and place it by position.  A name without a position goes into
-    unknown, unplaced."""
+    f, g), a repeated string once, and place it by position.  A name without a
+    position goes into unknown, unplaced."""
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be an object")
     rows = [[Fraction(0)] * size for _ in range(size)]
+    parsed: dict[str, Fraction] = {}
     for f, row in value.items():
         if not isinstance(row, dict):
             raise SchemaError(f"{where}[{f!r}] must be an object")
@@ -228,7 +229,11 @@ def _place(
         if i is None:
             unknown.append(f"{where} references unknown fixed point {f!r}")
         for g, s in row.items():
-            q = read(s, where, f, g)
+            q = parsed.get(s) if isinstance(s, str) else None
+            if q is None:
+                q = read(s, where, f, g)
+                if isinstance(s, str):
+                    parsed[s] = q
             j = position.get(g)
             if j is None:
                 unknown.append(f"{where}[{f!r}] references unknown fixed point {g!r}")
@@ -295,11 +300,8 @@ def make_manifold(
     restriction tables and raises ValidationError on the first violation.
     Tables and rows may be any mappings; entries are stored as given.
     """
-    tables = {
-        label: {f: dict(row) for f, row in table.items()}
-        for label, table in (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus))
-        if table is not None
-    }
+    pairs = (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus))
+    tables = {label: {f: dict(row) for f, row in t.items()} for label, t in pairs if t is not None}
     return _from_names(
         name, n, orientation_direction, fixed_points, tables, lambda s, *_: s, validate_alpha
     )
@@ -325,7 +327,6 @@ def _schema_rat(value: object, where: str, *keys: str) -> Fraction:
 
 
 def _schema_int(value: object, where: str, *keys: object) -> int:
-    """An int that is not a bool, else SchemaError at where[key]..."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(where + "".join(f"[{k!r}]" for k in keys) + " must be an integer")
     return value
