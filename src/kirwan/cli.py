@@ -59,17 +59,25 @@ _REQUIRED, _ONE_OF = object(), object()
 _HELP = {"-h": None, "--help": None}
 # a word starting with "-" is a value only when it looks like a negative
 # rational or comma list (-1/2, -2,0,3), so cuts below zero need no "=" form
-_NEGATIVE = re.compile(r"^-\d+(?:/\d+)?(?:,-?\d+(?:/\d+)?)*\Z")
+_NEGATIVE = re.compile(r"^-[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*\Z")
+# int() also reads other scripts' digits, "_" between digits and blanks around them
+_INTEGER = re.compile(r"-?[0-9]+\Z")
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.match(text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    return [_integer(part) for part in text.split(",")]
 
 
 def _degree(text: str) -> int:
     if text == "all":
         raise ValueError("only kernel reads --degree all")
-    if (value := int(text)) < 0:
+    if (value := _integer(text)) < 0:
         raise ValueError(f"degree must be nonnegative: {text!r}")
     return value
 

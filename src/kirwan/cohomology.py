@@ -55,9 +55,6 @@ class EquivariantClass(Frozen):
 
     __slots__ = ("degree", "restrictions")
 
-    def __init__(self, degree: int, restrictions: Vector) -> None:
-        self._set(degree, restrictions)
-
     def is_zero(self) -> bool:
         return not any(self.restrictions)
 
@@ -171,22 +168,18 @@ class ValidationReport(Frozen):
 
     __slots__ = ("violations",)
 
-    def __init__(self, violations: list[str]) -> None:
-        self._set(violations)
-
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
 def _support_violations(
-    m: ManifoldData, label: str, table: Sequence[Vector], rows: Sequence[Sequence[int]],
-    upward: bool,
+    m: ManifoldData, label: str, table: Sequence[Vector], upward: bool
 ) -> Iterable[str]:
     """Nonzero entries of each downward (upward) row at another point of its
     moment level or a lower (higher) one, in table order: with the points
-    sorted by (moment, name), one slice per row of the integer table, up to
-    the end of its level (from its start)."""
+    sorted by (moment, name), one slice per row, up to the end of its level
+    (from its start)."""
     pts = m.fixed_points
     side = "below" if upward else "above"
     start = 0
@@ -194,11 +187,11 @@ def _support_violations(
         if end < len(pts) and pts[end].moment == pts[start].moment:
             continue
         for i in range(start, end):
-            row = rows[i]
+            row = table[i]
             lo, hi = (start, len(pts)) if upward else (0, end)
             if any(row[lo:i]) or any(row[i + 1:hi]):
                 yield from (
-                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(table[i][j])} "
+                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(row[j])} "
                     f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
                     for j in range(lo, hi)
                     if row[j] and j != i
@@ -218,16 +211,15 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     """
     pts = m.fixed_points
     violations: list[str] = []
-    tables = [("alpha_minus", m.alpha_minus, m.integer_alpha_minus, False, negative_euler_scalar)]
+    tables = [("alpha_minus", m.alpha_minus, False, negative_euler_scalar)]
     if m.alpha_plus is not None:
-        plus = ("alpha_plus", m.alpha_plus, m.integer_alpha_plus, True, positive_euler_scalar)
-        tables.append(plus)
-    for label, table, (rows, den), upward, product in tables:
-        violations.extend(_support_violations(m, label, table, rows, upward))
+        tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
+    for label, table, upward, product in tables:
+        violations.extend(_support_violations(m, label, table, upward))
         sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
             want = product(f)
-            if rows[i][i] != want * den:
+            if table[i][i] != want:
                 violations.append(
                     f"{label}[{f.name}][{f.name}] = {rat_str(table[i][i])} but the "
                     f"{sign}-weight product is {rat_str(want)}"
@@ -262,11 +254,6 @@ class Subspace(Frozen):
     values is equality of spans."""
 
     __slots__ = ("degree", "labels", "basis")
-
-    def __init__(
-        self, degree: int, labels: tuple[str, ...], basis: tuple[tuple[int, ...], ...]
-    ) -> None:
-        self._set(degree, labels, basis)
 
     @property
     def dim(self) -> int:

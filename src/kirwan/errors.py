@@ -79,8 +79,10 @@ class SpecError(KirwanError):
 
 class Frozen:
     """Immutable value: its fields are the names in a subclass's `__slots__`
-    (`__dict__`, where listed, holds derived members), set once by `__init__`
-    through `_set`.  Values are equal when of the same class with equal fields."""
+    (`__dict__`, where listed, holds derived members).  The constructor takes
+    each field once, in `__slots__` order by position and then by keyword;
+    a subclass that checks or derives more calls it from its own `__init__`.
+    Values are equal when of the same class with equal fields."""
 
     __slots__ = ()
 
@@ -89,7 +91,14 @@ class Frozen:
         # the slots' own setters, which bypass the __setattr__ below
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
-    def _set(self, *values: object) -> None:
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes each of the fields {', '.join(fields)} once"
+            )
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
 

@@ -92,7 +92,7 @@ class MatrixQ(Frozen):
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self._set(rows, cols, entries)
+        Frozen.__init__(self, rows, cols, entries)
 
     @classmethod
     def from_rows(

@@ -114,16 +114,6 @@ class PairingMatrix(Frozen):
 
     __slots__ = ("cut", "degree", "row_labels", "col_labels", "matrix")
 
-    def __init__(
-        self,
-        cut: CutLevel,
-        degree: int,
-        row_labels: tuple[str, ...],
-        col_labels: tuple[str, ...],
-        matrix: MatrixQ,
-    ) -> None:
-        self._set(cut, degree, row_labels, col_labels, matrix)
-
 
 def pairing_matrix(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
@@ -187,20 +177,6 @@ class KernelReport(Frozen):
         "witness",
     )
 
-    def __init__(
-        self,
-        cut: CutLevel,
-        degree: int,
-        residue_kernel: Subspace,
-        tw_plus: Subspace,
-        tw_minus: Subspace,
-        tw_sum: Subspace,
-        equal: bool,
-        betti: int,
-        witness: EquivariantClass | None = None,
-    ) -> None:
-        self._set(cut, degree, residue_kernel, tw_plus, tw_minus, tw_sum, equal, betti, witness)
-
 
 def _find_witness(
     m: ManifoldData, a: Subspace, b: Subspace
@@ -255,22 +231,6 @@ class BMatrixReport(Frozen):
         "diagonal_nonzero", "violations",
     )
 
-    def __init__(
-        self,
-        cut: CutLevel,
-        degree: int,
-        labels: tuple[str, ...],
-        matrix: MatrixQ,
-        m_exponents: tuple[int, ...],
-        upper_triangular: bool,
-        diagonal_nonzero: bool,
-        violations: tuple[str, ...],
-    ) -> None:
-        self._set(
-            cut, degree, labels, matrix, m_exponents, upper_triangular, diagonal_nonzero,
-            violations,
-        )
-
     @property
     def ok(self) -> bool:
         return self.upper_triangular and self.diagonal_nonzero
@@ -314,18 +274,6 @@ class DecompositionCertificate(Frozen):
     __slots__ = (
         "input", "cut", "coefficients", "corrections", "eta_plus", "eta_minus", "b_exhibit"
     )
-
-    def __init__(
-        self,
-        input: EquivariantClass,
-        cut: CutLevel,
-        coefficients: dict[str, Fraction],
-        corrections: dict[str, Fraction],
-        eta_plus: EquivariantClass,
-        eta_minus: EquivariantClass,
-        b_exhibit: BMatrixReport | None,
-    ) -> None:
-        self._set(input, cut, coefficients, corrections, eta_plus, eta_minus, b_exhibit)
 
 
 def _solve_basis_coefficients(

@@ -10,10 +10,10 @@ a cut level must avoid every moment value (the level set stays smooth).
 Storage is positional: fixed points are sorted by (moment, name), and a
 restriction table is a tuple of row tuples in that order, zeros included, so
 alpha_minus[i][j] is the scalar of the downward class of point i at point j.
-Each table is also kept over the lcm of its denominators, as integers.  Names
-appear only at the boundary: `load_manifold` and `make_manifold` read
-name-keyed tables in one pass each, placing every entry by position in both
-forms, and end, like the generators, in one positional constructor;
+The integer form of alpha_minus, over the lcm of its denominators, is derived
+from it on first use.  Names appear only at the boundary: `load_manifold` and
+`make_manifold` read name-keyed tables in one pass each, placing every entry
+by position, and end, like the generators, in one positional constructor;
 `manifold_to_dict` writes the names back.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -64,17 +64,11 @@ class FixedPoint(Frozen):
 
     __slots__ = ("name", "moment", "weights")
 
-    def __init__(self, name: str, moment: Fraction, weights: tuple[int, ...]) -> None:
-        self._set(name, moment, weights)
-
 
 class CutLevel(Frozen):
     """A reduction level; must differ from every fixed point's moment value."""
 
     __slots__ = ("c",)
-
-    def __init__(self, c: Fraction) -> None:
-        self._set(c)
 
 
 def morse_index(fp: FixedPoint) -> int:
@@ -118,7 +112,8 @@ class ManifoldData(Frozen):
         alpha_minus: Table,
         alpha_plus: Table | None = None,
     ) -> None:
-        self._set(name, n, orientation_direction, fixed_points, alpha_minus, alpha_plus)
+        fields = name, n, orientation_direction, fixed_points, alpha_minus, alpha_plus
+        Frozen.__init__(self, *fields)
         self.__dict__.update(
             _position={fp.name: i for i, fp in enumerate(fixed_points)},
             morse_indices=tuple(morse_index(fp) for fp in fixed_points),
@@ -128,16 +123,10 @@ class ManifoldData(Frozen):
     @cached_property
     def integer_alpha_minus(self) -> IntegerTable:
         """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table
-        over the lcm of all its denominators, set when the datum is built (else derived
-        on first use).  Rows enter the weighted Gram product and expand kernel
-        bases; the entries of column j, sliced, are an evaluation constraint
-        at point j."""
+        over the lcm of all its denominators, derived on first use.  Rows
+        enter the weighted Gram product and expand kernel bases; the entries
+        of column j, sliced, are an evaluation constraint at point j."""
         return _over_lcm(self.alpha_minus)
-
-    @cached_property
-    def integer_alpha_plus(self) -> IntegerTable | None:
-        """alpha_plus as `integer_alpha_minus` gives alpha_minus, or None."""
-        return None if self.alpha_plus is None else _over_lcm(self.alpha_plus)
 
     def position(self, name: str) -> int:
         """Index of the named fixed point in `fixed_points` and in every table."""
@@ -154,8 +143,9 @@ class ManifoldData(Frozen):
 
 
 def _over_lcm(table: Table) -> IntegerTable:
-    den = math.lcm(*(s.denominator for row in table for s in row))
-    return tuple(tuple(s.numerator * (den // s.denominator) for s in row) for row in table), den
+    ratios = [[s.as_integer_ratio() for s in row] for row in table]  # one call per entry
+    den = math.lcm(*{d for row in ratios for _, d in row})
+    return tuple(tuple(a * (den // d) for a, d in row) for row in ratios), den
 
 
 def index_census(m: ManifoldData) -> dict[int, int]:
@@ -183,23 +173,20 @@ def split_fixed_points(
 
 def _assemble(
     name: str, n: int, orientation_direction: int, points: tuple[FixedPoint, ...],
-    tables: Sequence[tuple[Table, IntegerTable] | None], *, validate_alpha: bool = True,
+    alpha_minus: Table, alpha_plus: Table | None, *, validate_alpha: bool = True,
 ) -> ManifoldData:
     """The positional constructor, taking its pieces as they are: points sorted by
-    (moment, name), alpha_minus and alpha_plus (or None) as (Fraction rows, integer form) in
-    that order.  Warns, naming the caller of load_manifold/make_manifold, when the census lacks
-    a minimum or a maximum (generated data never does); validates as loading does."""
-    (minus, integer_minus), plus = tables
-    m = ManifoldData(name, n, orientation_direction, points, minus, plus and plus[0])
-    m.__dict__.update(integer_alpha_minus=integer_minus, integer_alpha_plus=plus and plus[1])
-
+    (moment, name) and the tables as Fraction rows in that order.  Warns, naming the
+    caller of load_manifold/make_manifold, when the census lacks a minimum or a maximum
+    (generated data never does); validates as loading does."""
+    m = ManifoldData(name, n, orientation_direction, points, alpha_minus, alpha_plus)
     census = index_census(m)
     if census.get(0, 0) < 1 or census.get(2 * n, 0) < 1:
         warnings.warn(
             f"index census of {name!r} has no "
             + ("minimum" if census.get(0, 0) < 1 else "maximum")
             + "; this is not a closed-manifold datum",
-            stacklevel=4,
+            stacklevel=3,
         )
 
     if validate_alpha:
@@ -243,12 +230,11 @@ def _place(
 
 
 def _from_names(
-    name: str, n: int, orientation_direction: int, points: Sequence[FixedPoint],
-    tables: dict[str, object], read: Callable[..., Fraction], validate_alpha: bool,
-) -> ManifoldData:
-    """Sort the points, place each table in tables with `_place`, run the
-    structural checks, reject the first unknown name, and assemble with each
-    table over the lcm of its denominators."""
+    n: int, orientation_direction: int, points: Sequence[FixedPoint],
+    tables: dict[str, object], read: Callable[..., Fraction],
+) -> tuple[tuple[FixedPoint, ...], Table, Table | None]:
+    """The points sorted and alpha_minus and alpha_plus (or None) placed with
+    `_place`, once the structural checks pass and every name is known."""
     ordered = tuple(sorted(points, key=lambda fp: (fp.moment, fp.name)))
     position, size = {fp.name: i for i, fp in enumerate(ordered)}, len(ordered)
     unknown: list[str] = []
@@ -277,8 +263,7 @@ def _from_names(
             raise ValidationError(f"weights must be nonzero (fixed point {fp.name!r})")
     if unknown:
         raise ValidationError(unknown[0])
-    both = [None if t is None else (t, _over_lcm(t)) for t in placed]
-    return _assemble(name, n, orientation_direction, ordered, both, validate_alpha=validate_alpha)
+    return (ordered, *placed)
 
 
 def make_manifold(
@@ -298,12 +283,25 @@ def make_manifold(
     (without failing) when the index census is missing a minimum or a
     maximum, and finally -- unless validate_alpha is False -- checks the
     restriction tables and raises ValidationError on the first violation.
-    Tables and rows may be any mappings; entries are stored as given.
+    Tables and rows may be any mappings.  Entries must be Fractions or ints,
+    which are stored as Fractions; any other entry (a bool, a string, a
+    float) raises TypeError naming its place, after the checks on names.
     """
     pairs = (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus))
     tables = {label: {f: dict(row) for f, row in t.items()} for label, t in pairs if t is not None}
-    return _from_names(
-        name, n, orientation_direction, fixed_points, tables, lambda s, *_: s, validate_alpha
+    bad: list[str] = []
+
+    def read(s: object, where: str, f: str, g: str) -> Fraction:
+        if isinstance(s, (Fraction, int)) and not isinstance(s, bool):
+            return Fraction(s)
+        bad.append(f"{where}[{f!r}][{g!r}] must be a Fraction or an int, not {type(s).__name__}")
+        return s
+
+    ordered, *placed = _from_names(n, orientation_direction, fixed_points, tables, read)
+    if bad:
+        raise TypeError(bad[0])
+    return _assemble(
+        name, n, orientation_direction, ordered, *placed, validate_alpha=validate_alpha
     )
 
 
@@ -333,14 +331,14 @@ def _schema_int(value: object, where: str, *keys: object) -> int:
 
 
 def load_manifold(
-    document: str | bytes | Mapping[str, object], *, validate_alpha: bool = True
+    document: str | bytes | dict[str, object], *, validate_alpha: bool = True
 ) -> ManifoldData:
     """Parse, schema-check, and validate a manifold document.
 
-    Accepts JSON text or an already-parsed mapping.  Raises ParseError for
-    malformed JSON (bytes that are not UTF-8, nesting too deep to parse and
-    integer literals too long to convert included), SchemaError for
-    missing/extra/badly-typed fields, and ValidationError (naming the first
+    Accepts JSON text or an already-parsed JSON object (dict).  Raises
+    ParseError for malformed JSON (bytes that are not UTF-8, nesting too deep
+    to parse and integer literals too long to convert included), SchemaError
+    for missing/extra/badly-typed fields, and ValidationError (naming the first
     violated invariant) for semantic problems, including restriction-table
     violations unless validate_alpha is False.  Schema errors come first,
     then the structural invariants, then unknown names in the tables.
@@ -394,7 +392,8 @@ def load_manifold(
         points.append(FixedPoint(entry["name"], moment, weights))
 
     tables = {label: obj[label] for label in ("alpha_minus", "alpha_plus") if label in obj}
-    return _from_names(obj["name"], n, orientation, points, tables, _schema_rat, validate_alpha)
+    ordered, *placed = _from_names(n, orientation, points, tables, _schema_rat)
+    return _assemble(obj["name"], n, orientation, ordered, *placed, validate_alpha=validate_alpha)
 
 
 def _alpha_to_dict(m: ManifoldData, table: Table) -> dict[str, dict[str, str]]:

@@ -202,6 +202,23 @@ def test_non_ascii_digits_are_not_rational_literals(cp2_path, tmp_path, capsys):
     assert code == 2
     assert "- alpha_minus['p0']['p1']: not a rational literal: '\u0663'" in text
 
+    # nor integer literals, which take no "_" or blanks either; "-" and one
+    # of them is not a negative value but an unknown option
+    for argv, message in [
+        (["generate", "cpn", "--lambda", "\u0660,\u0661, 2"],
+         "--lambda: not an integer literal: '\u0660'"),
+        (["generate", "cpn", "--lambda", "0,1, 2"], "--lambda: not an integer literal: ' 2'"),
+        (["generate", "spheres", "--w", "1_0"], "--w: not an integer literal: '1_0'"),
+        (["generate", "spheres", "--w", "-\u0661"], "--w: expected one argument"),
+        (["pair", "--input", cp2_path, "--cut", "1/2", "--degree", "\u0662"],
+         "--degree: not an integer literal: '\u0662'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 64 and out == ""
+        assert err.endswith(f"error: argument {message}\n")
+
 
 def test_bmatrix_report(cp2_path, capsys):
     code, text = run(

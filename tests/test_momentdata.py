@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 import warnings
 from fractions import Fraction
 from types import MappingProxyType
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kirwan.cohomology import EquivariantClass, subspace_scalar_rows
 from kirwan.errors import (
     KirwanError,
     NotRegularValue,
@@ -19,6 +21,7 @@ from kirwan.errors import (
     ValidationError,
 )
 from kirwan.generators import gen_cpn, gen_sphere_product
+from kirwan.kernels import decompose, kernel_residue
 from kirwan.momentdata import (
     CutLevel,
     FixedPoint,
@@ -381,11 +384,9 @@ def test_integer_tables_of_generated_data_match_the_reference():
         gen_sphere_product([5, -2, 3, 1]),
     ):
         assert m.integer_alpha_minus == reference_integer_table(m.alpha_minus)
-        assert m.integer_alpha_plus == reference_integer_table(m.alpha_plus)
         fresh = pickle.loads(pickle.dumps(m))  # derived again on first use
         assert "integer_alpha_minus" not in fresh.__dict__
         assert fresh.integer_alpha_minus == m.integer_alpha_minus
-        assert fresh.integer_alpha_plus == m.integer_alpha_plus
 
 
 @pytest.mark.parametrize(
@@ -404,7 +405,6 @@ def test_integer_tables_of_loaded_fractions_match_the_reference(entries):
     d["alpha_plus"]["p1"].update(entries)
     m = load_manifold(d, validate_alpha=False)
     assert m.integer_alpha_minus == reference_integer_table(m.alpha_minus)
-    assert m.integer_alpha_plus == reference_integer_table(m.alpha_plus)
     rows, den = m.integer_alpha_minus
     assert [Fraction(a, den) for a in rows[0]] == [Fraction(entries[g]) for g in ("p0", "p1")]
 
@@ -423,7 +423,6 @@ def test_make_manifold_matches_the_loader():
         )
         assert made == m
         assert made.integer_alpha_minus == m.integer_alpha_minus
-        assert made.integer_alpha_plus == m.integer_alpha_plus
         tables["alpha_minus"][points[0].name]["nowhere"] = Fraction(1)
         with pytest.raises(ValidationError, match="references unknown fixed point 'nowhere'"):
             make_manifold(
@@ -453,3 +452,29 @@ def test_make_manifold_takes_mappings_and_checks_structure_first():
     with pytest.raises(ValidationError, match="unknown fixed point 'nowhere'"):
         make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
                       alpha_minus=bad)
+
+
+def test_make_manifold_stores_int_entries_as_fractions_and_rejects_other_types():
+    m = gen_cpn([0, 1, 2, 3])
+    named = manifold_to_dict(m)
+    points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
+              for p in named["fixed_points"]]
+    tables = {
+        label: {f: {g: int(s) for g, s in row.items()} for f, row in named[label].items()}
+        for label in ("alpha_minus", "alpha_plus")
+    }
+    made = make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
+                         **tables)
+    assert made == m
+    assert {type(s) for row in made.alpha_minus + made.alpha_plus for s in row} == {Fraction}
+    # int entries kept as ints made decompose divide int by int: corrections read '-0.0'
+    cut = CutLevel(Fraction(1, 2))
+    eta = EquivariantClass(2, subspace_scalar_rows(made, kernel_residue(made, cut, 2))[0])
+    assert [str(v) for v in decompose(made, eta, cut).corrections.values()] == ["0"]
+    for entry in (True, "1", 1.0):
+        tables["alpha_minus"]["p0"]["p1"] = entry
+        with pytest.raises(TypeError, match=re.escape(
+            f"alpha_minus['p0']['p1'] must be a Fraction or an int, not {type(entry).__name__}"
+        )):
+            make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
+                          validate_alpha=False, **tables)

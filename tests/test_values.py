@@ -13,13 +13,13 @@ from kirwan.cohomology import EquivariantClass, Subspace
 from kirwan.errors import Frozen
 from kirwan.exactmath import MatrixQ
 from kirwan.generators import gen_cpn
-from kirwan.kernels import KernelReport
+from kirwan.kernels import BMatrixReport, KernelReport, PairingMatrix
 from kirwan.momentdata import CutLevel, FixedPoint, ManifoldData
 
 
 def _kernel_report(degree):
     s = Subspace(degree, ("p0", "p1"), ((1, -2),))
-    return KernelReport(CutLevel(Fraction(1, 2)), degree, s, s, s, s, True, 1)
+    return KernelReport(CutLevel(Fraction(1, 2)), degree, s, s, s, s, True, 1, witness=None)
 
 
 def _manifold(name):
@@ -37,7 +37,35 @@ MAKERS = {
     "EquivariantClass": lambda x: EquivariantClass(2, (Fraction(x), Fraction(0))),
     "Subspace": lambda x: Subspace(x, ("p0", "p1"), ((1, -2),)),
     "KernelReport": _kernel_report,
+    "PairingMatrix": lambda x: PairingMatrix(
+        CutLevel(Fraction(1, 2)), x, ("p0",), ("p1",), MatrixQ(1, 1, (Fraction(x),))
+    ),
+    "BMatrixReport": lambda x: BMatrixReport(
+        CutLevel(Fraction(-1)), x, (), MatrixQ(0, 0, ()), (), True, True, ()
+    ),
 }
+
+
+@pytest.mark.parametrize("kind", MAKERS)
+def test_constructor_takes_each_field_once_by_position_or_keyword(kind):
+    value = MAKERS[kind](2)
+    cls, fields, values = type(value), value._fields, value._values()
+    named = dict(zip(fields, values))
+    for k in range(len(fields) + 1):  # the first k by position, the rest by keyword
+        assert cls(*values[:k], **dict(zip(fields[k:], values[k:]))) == value
+    assert cls(**dict(reversed(named.items()))) == value
+    calls = [
+        ((), {f: v for f, v in named.items() if f != fields[0]}),  # missing
+        ((*values, values[0]), {}),  # extra
+        (values, {"extra": values[0]}),
+        (values[:1], named),  # duplicate
+    ]
+    if cls.__init__ is Frozen.__init__:  # every field is required
+        calls += [(values[:-1], {})]
+        calls += [((), {f: v for f, v in named.items() if f != field}) for field in fields]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
 @pytest.mark.parametrize("kind", MAKERS)
