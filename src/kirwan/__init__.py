@@ -33,4 +33,4 @@ from .momentdata import (
     manifold_to_json,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

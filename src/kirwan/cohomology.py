@@ -112,26 +112,22 @@ def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
     return [m.alpha_minus[i] for i in basis_points(m, degree)]
 
 
-def gram_rows(m: ManifoldData, points: Sequence[int]) -> Callable[[int, Sequence[int]], list]:
-    """`weighted_gram` over points as row_entries(f, cols), row f at the positions in cols:
+def gram_rows(m: ManifoldData, points: Sequence[int]) -> tuple[Callable[..., list[int]], int]:
+    """`weighted_gram` over points as (row_entries, scale): row_entries(f, cols) is row f at
+    the positions in cols, each entry times the scale E * den^2, an integer dot product.
     E, the weights E / e_j and the scale are set up once for all the rows asked."""
     table, den = m.integer_alpha_minus
     euler = m.euler_classes
     common = math.lcm(*(euler[j] for j in points))
     weight = {j: common // euler[j] for j in points}
-    scale = common * den * den
 
-    def row_entries(f: int, cols: Sequence[int]) -> list[Fraction | int]:
+    def row_entries(f: int, cols: Sequence[int]) -> list[int]:
         row = table[f]
         support = [j for j in points if row[j]]
         terms = [row[j] * weight[j] for j in support]
-        line = []
-        for g in cols:
-            total = sum(map(mul, terms, map(table[g].__getitem__, support)))
-            line.append(Fraction(total, scale) if total else 0)
-        return line
+        return [sum(map(mul, terms, map(table[g].__getitem__, support))) for g in cols]
 
-    return row_entries
+    return row_entries, common * den * den
 
 
 def weighted_gram(
@@ -156,8 +152,8 @@ def weighted_gram(
     >>> weighted_gram(gen_cpn([0, 1]), [0, 1], [0, 1], [0, 1]) == [[0, 1], [1, -1]]
     True
     """
-    row_entries = gram_rows(m, points)
-    return [row_entries(f, cols) for f in rows]
+    row_entries, scale = gram_rows(m, points)
+    return [[Fraction(e, scale) if e else 0 for e in row_entries(f, cols)] for f in rows]
 
 
 # --- restriction-table validation ---------------------------------------------
@@ -229,18 +225,19 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     # whatever its entry, so only the lower-degree pairs are computed
     everywhere = range(len(pts))
     ind = m.morse_indices
-    row_entries = gram_rows(m, everywhere)
+    row_entries, scale = gram_rows(m, everywhere)
     for i, f in enumerate(pts):
         partners = [j for j in everywhere[i:] if ind[i] + ind[j] < 2 * m.n]
         for j, entry in zip(partners, row_entries(i, partners)):
             if entry:
                 g = pts[j]
                 power = (ind[i] + ind[j]) // 2 - m.n
+                tail = rat_str(Fraction(entry, scale))
                 violations.append(
                     f"localization sum of alpha_minus[{f.name}] * "
-                    f"alpha_minus[{g.name}] has residue tail {rat_str(entry)} * X^{power}"
+                    f"alpha_minus[{g.name}] has residue tail {tail} * X^{power}"
                 )
-    return ValidationReport(violations)
+    return ValidationReport(tuple(violations))
 
 
 # --- subspaces of a graded piece ----------------------------------------------

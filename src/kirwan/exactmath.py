@@ -118,10 +118,6 @@ class MatrixQ(Frozen):
     def to_rows(self) -> list[list[Fraction | int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "MatrixQ":
-        es, c = self.entries, self.cols
-        return MatrixQ(c, self.rows, tuple(e for j in range(c) for e in es[j::c]))
-
 
 def integer_entries(values: Iterable[Fraction | int]) -> list[int]:
     """The values times the lcm of their denominators.  The entries of a

@@ -12,10 +12,12 @@ sweep at one cut; `decompose` pairs a class through its basis coefficients
 with the same product.  A degree-d class is in the kernel exactly when it
 pairs to zero with the whole complementary degree 2n-2-d; restricting the
 test set to that one degree is exact, not an approximation, since
-homogeneous classes of any other degree pair to zero identically.  The second
-characterization is the direct sum of the classes vanishing above the cut and
-those vanishing below it; the two kernels agree on every valid datum, and
-`kernels_equal` treats any disagreement as a diagnosable data error.
+homogeneous classes of any other degree pair to zero identically; the integer
+block (the entries times their common scale) is eliminated as it stands.  The
+second characterization is the direct sum of the classes vanishing above the
+cut and those vanishing below it, the latter read off the basis by the source
+paper's triangularity argument.  The two kernels agree on every valid datum,
+and `kernels_equal` treats any disagreement as a diagnosable data error.
 
 Residues here are literal X^-1 coefficients; no global orientation constant
 is applied.  Kernels and Betti numbers are unaffected by that convention
@@ -36,6 +38,7 @@ from .cohomology import (
     degree_basis,
     gram_rows,
     subspace_contains,
+    subspace_from_rows,
     subspace_scalar_rows,
     subspace_sum,
     weighted_gram,
@@ -83,22 +86,21 @@ class Sweep:
     """What the degrees of a sweep at one cut share: the fixed points split at
     the cut, and the pairing Gram product over the points above it.
 
-    Entry (f, g) of the product is the weighted Gram entry of the downward
-    classes at positions f and g (`cohomology.gram_rows`, set up once per
-    sweep); it is symmetric, and each entry is computed the first time a
-    pairing matrix asks for it.  A sweep over all degrees therefore computes
-    each pair with ind f + ind g <= 2n - 2 once, and a single pairing matrix
-    no more than its own block.
+    Entry (f, g) is the weighted Gram entry of the downward classes at f and g
+    times `scale` (`cohomology.gram_rows`, set up once per sweep), an integer.
+    It is symmetric and computed the first time a block asks for it, so a sweep
+    over all degrees computes each pair with ind f + ind g <= 2n - 2 once, and
+    a single degree no more than its own block.
     """
 
     def __init__(self, m: ManifoldData, cut: CutLevel):
         self.m = m
         self.above, self.below = split_fixed_points(m, cut)
-        self._row_entries = gram_rows(m, self.above)
-        self._gram: dict[tuple[int, int], Fraction | int] = {}
+        self._row_entries, self.scale = gram_rows(m, self.above)
+        self._gram: dict[tuple[int, int], int] = {}
 
-    def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[Fraction | int]]:
-        """The entries (f, g) for the positions f in rows and g in cols."""
+    def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
+        """The integer entries (f, g) for the positions f in rows and g in cols."""
         gram = self._gram
         for f in rows:
             missing = [g for g in cols if (f, g) not in gram]
@@ -128,22 +130,28 @@ def pairing_matrix(
     if sweep is None:
         sweep = Sweep(m, cut)
     rows, cols = basis_points(m, degree), basis_points(m, 2 * m.n - 2 - degree)
+    scale, block = sweep.scale, sweep.gram_block(rows, cols)
     return PairingMatrix(
         cut=cut,
         degree=degree,
         row_labels=tuple(m.fixed_points[i].name for i in rows),
         col_labels=tuple(m.fixed_points[i].name for i in cols),
-        matrix=MatrixQ.from_rows(sweep.gram_block(rows, cols), cols=len(cols)),
+        matrix=MatrixQ.from_rows(
+            [[Fraction(e, scale) if e else 0 for e in line] for line in block], cols=len(cols)
+        ),
     )
 
 
 def kernel_residue(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> Subspace:
-    """Degree-d classes pairing to zero against the whole complementary basis:
-    the null space of the transposed pairing matrix."""
-    pm = pairing_matrix(m, cut, degree, sweep)
-    return Subspace(degree, pm.row_labels, nullspace(pm.matrix.transpose()))
+    """Degree-d classes pairing to zero against the whole complementary basis: the null
+    space of the transposed integer Gram block, whose scale changes no null space."""
+    if sweep is None:
+        sweep = Sweep(m, cut)
+    rows, cols = basis_points(m, degree), basis_points(m, 2 * m.n - 2 - degree)
+    block = MatrixQ.from_rows(sweep.gram_block(cols, rows), cols=len(rows))
+    return Subspace(degree, tuple(m.fixed_points[i].name for i in rows), nullspace(block))
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
@@ -160,11 +168,30 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
 def kernel_tw(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> tuple[Subspace, Subspace, Subspace]:
-    """(vanishing above the cut, vanishing below it, their sum)."""
+    """(vanishing above the cut, vanishing below it, their sum).
+
+    The first is eliminated.  Where the support axioms' triangular block holds
+    (checked on every call: the k below-cut basis points come first, their rows
+    there are triangular with a nonzero diagonal, and the above-cut basis rows
+    vanish below the cut), the second is the unit rows at columns k and up, and
+    the sum is those rows after the tw_plus basis cut to its first k columns.
+    Elsewhere (data loaded without validation) both are eliminated.
+    """
     if sweep is None:
         sweep = Sweep(m, cut)
     tw_plus = _evaluation_kernel(m, degree, sweep.above)
-    tw_minus = _evaluation_kernel(m, degree, sweep.below)
+    pts, below, labels = basis_points(m, degree), sweep.below, tw_plus.labels
+    low, (table, _) = set(below), m.integer_alpha_minus
+    k, w = sum(i in low for i in pts), len(pts)
+    if all(
+        f in low and table[f][f] and not any(table[f][g] for g in pts[:a])
+        for a, f in enumerate(pts[:k])
+    ) and not any(table[g][j] for g in pts[k:] for j in below):
+        units = tuple((0,) * c + (1,) + (0,) * (w - 1 - c) for c in range(k, w))
+        cut_plus = subspace_from_rows(degree, labels[:k], [row[:k] for row in tw_plus.basis])
+        padded = tuple(row + (0,) * (w - k) for row in cut_plus.basis)
+        return tw_plus, Subspace(degree, labels, units), Subspace(degree, labels, padded + units)
+    tw_minus = _evaluation_kernel(m, degree, below)
     return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
 
 

@@ -6,7 +6,9 @@ expansions are dict-based and verified by multiplying back, and fixed-point
 sums add up the expansion of every term separately, so a slip in the
 library's closed form (entry = sum of a_F b_F / e_F in one power of X) cannot
 hide here.  `reference_rref` is the plain Fraction Gauss-Jordan elimination
-the library's integer elimination must reproduce, `census_betti` reads
+the library's integer elimination must reproduce, `reference_tw_kernels`
+eliminates both vanishing-condition kernels and their sum with no use of the
+triangular block the support axioms give, `census_betti` reads
 Betti numbers off the index census alone, with no restriction table and no
 elimination, and `reference_parser` is the argparse command line the
 hand-written `kirwan.cli` parser must read the same way.  `reference_cpn` and
@@ -28,10 +30,16 @@ import re
 import sys
 from fractions import Fraction
 
-from kirwan.cohomology import EquivariantClass, degree_basis
+from kirwan.cohomology import (
+    EquivariantClass,
+    Subspace,
+    basis_points,
+    degree_basis,
+    subspace_sum,
+)
 from kirwan.errors import SchemaError
-from kirwan.exactmath import MatrixQ, over_leading_entry, rat, rat_str
-from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index
+from kirwan.exactmath import MatrixQ, nullspace, over_leading_entry, rat, rat_str
+from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index, split_fixed_points
 
 
 def combination(m, degree, coeffs):
@@ -278,6 +286,21 @@ def reference_nullspace(m: MatrixQ) -> MatrixQ:
     if not vecs:
         return MatrixQ(0, m.cols, ())
     return reference_rref(MatrixQ.from_rows(vecs, cols=m.cols))[0]
+
+
+def reference_tw_kernels(m, cut, degree):
+    """(vanishing above the cut, vanishing below it, their sum) by elimination
+    alone: the null spaces of the degree basis evaluated, in Fractions, at the
+    points on each side of the cut, and `subspace_sum` of the two."""
+    pts = basis_points(m, degree)
+    labels = tuple(m.fixed_points[i].name for i in pts)
+    plus, minus = (
+        Subspace(degree, labels, nullspace(MatrixQ.from_rows(
+            [[m.alpha_minus[i][j] for i in pts] for j in side], cols=len(pts)
+        )))
+        for side in split_fixed_points(m, cut)
+    )
+    return plus, minus, subspace_sum(plus, minus)
 
 
 def census_betti(m, cut):

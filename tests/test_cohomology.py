@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kirwan.cohomology import (
     EquivariantClass,
+    ValidationReport,
     combine_rows,
     degree_basis,
     basis_points,
@@ -65,6 +66,8 @@ def test_validator_passes_generator_output():
 def test_validator_catches_tampered_diagonal(cp2):
     report = validate_alpha_basis(edited(cp2, ("alpha_minus", "p1", "p1", "1")))
     assert any("alpha_minus[p1][p1]" in v for v in report.violations)
+    assert type(report.violations) is tuple
+    assert hash(report) == hash(ValidationReport(report.violations))
 
 
 def test_diagonal_check_reads_tables_over_a_denominator(cp2):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirwan.cohomology import (
     EquivariantClass,
@@ -23,6 +25,7 @@ from kirwan.errors import (
 from kirwan.exactmath import rat
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import (
+    Sweep,
     b_matrix,
     decompose,
     kernel_residue,
@@ -37,7 +40,17 @@ from kirwan.momentdata import (
     split_fixed_points,
 )
 
-from oracles import edited, localization_expansion, localization_pairing, rref_rows
+from oracles import (
+    edited,
+    localization_expansion,
+    localization_pairing,
+    reference_tw_kernels,
+    rref_rows,
+)
+from test_betti import mid_gap_cuts
+from test_golden import DATA, SWEEP_DATA, WIDE_DATA
+
+GOLDEN = DATA | SWEEP_DATA | WIDE_DATA
 
 EXPECTED = json.loads(
     (Path(__file__).parent / "fixtures" / "regression_expected.json").read_text()
@@ -215,6 +228,54 @@ def test_kernels_equal_detects_inconsistent_tables():
     rep = kernels_equal(m, cut("1/2"), 2)
     assert not rep.equal
     assert rep.witness is not None
+
+
+def assert_tw_matches_the_eliminations(m, cuts):
+    for c in cuts:
+        sweep = Sweep(m, c)
+        for d in range(0, 2 * m.n - 1, 2):
+            assert kernel_tw(m, c, d, sweep) == reference_tw_kernels(m, c, d), (str(c.c), d)
+
+
+@pytest.mark.parametrize("label", GOLDEN)
+def test_kernel_tw_matches_the_eliminations_on_the_golden_data(label):
+    gen, params = GOLDEN[label]
+    m = gen(params)
+    assert_tw_matches_the_eliminations(m, mid_gap_cuts(m))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-20, 20), min_size=2, max_size=7, unique=True)
+        .map(sorted)
+        .map(gen_cpn),
+        st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4).map(
+            gen_sphere_product
+        ),
+    )
+)
+def test_kernel_tw_matches_the_eliminations(m):
+    assert_tw_matches_the_eliminations(m, mid_gap_cuts(m))
+
+
+@pytest.mark.parametrize(
+    "edit, degree, tw_minus",
+    [
+        # an above-cut class that does not vanish below the cut
+        (("alpha_minus", "p2", "p0", "5"), 4, ((5, 5, -1),)),
+        # a zero diagonal entry below the cut
+        (("alpha_minus", "p1", "p1", "0"), 2, ((0, 1),)),
+        # a below-cut class that does not vanish at an earlier below-cut point
+        (("alpha_minus", "p1", "p0", "-1"), 2, ((1, 1),)),
+    ],
+)
+def test_kernel_tw_eliminates_when_the_triangular_block_fails(edit, degree, tw_minus):
+    """Each edit breaks one part of the triangular block, and the classes
+    vanishing below the cut are no longer the above-cut basis classes."""
+    m = edited(gen_cpn([0, 1, 2, 3]), edit)
+    assert_tw_matches_the_eliminations(m, [cut("3/2")])
+    assert kernel_tw(m, cut("3/2"), degree)[1].basis == tw_minus
 
 
 # --- decomposition ---------------------------------------------------------------

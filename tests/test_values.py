@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from kirwan.cohomology import EquivariantClass, Subspace
+from kirwan.cohomology import EquivariantClass, Subspace, ValidationReport
 from kirwan.errors import Frozen
 from kirwan.exactmath import MatrixQ
 from kirwan.generators import gen_cpn
@@ -43,6 +43,7 @@ MAKERS = {
     "BMatrixReport": lambda x: BMatrixReport(
         CutLevel(Fraction(-1)), x, (), MatrixQ(0, 0, ()), (), True, True, ()
     ),
+    "ValidationReport": lambda x: ValidationReport((f"alpha_minus[p{x}][p{x}] = 0",)),
 }
 
 
