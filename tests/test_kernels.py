@@ -17,6 +17,7 @@ from kirwan.cohomology import (
     subspace_scalar_rows,
 )
 from kirwan.errors import (
+    InternalContradiction,
     MissingAlphaPlus,
     NotInImage,
     NotInKernel,
@@ -311,6 +312,37 @@ def test_decompose_rejects_non_image_class():
     bad = make_class(m, 0, {"p0": 1})  # not a multiple of the unit
     with pytest.raises(NotInImage):
         decompose(m, bad, cut("3/2"))
+
+
+def test_decompose_not_in_kernel_text():
+    m = gen_cpn([0, 1, 2])
+    x_unit = make_class(m, 0, {"p0": 1, "p1": 1, "p2": 1})
+    with pytest.raises(NotInKernel) as err:
+        decompose(m, x_unit, cut("1/2"))
+    assert str(err.value) == "pairing against the basis class of p0 in degree 2 is -1/2, not zero"
+
+
+@pytest.mark.parametrize(
+    "m, entry, at, degree, text",
+    [
+        (
+            gen_cpn([0, 1, 2, 3]), ("alpha_minus", "p0", "p1", "5"), "1/2", 4,
+            "minus part still restricts to 13 at p3; the restriction tables are inconsistent",
+        ),
+        (
+            gen_sphere_product([1, 1, 5]), ("alpha_minus", "mmp", "ppm", "1"), "0", 2,
+            "plus part restricts to -1/5 at ppm; the restriction tables are inconsistent",
+        ),
+    ],
+)
+def test_decompose_inconsistent_table_texts(m, entry, at, degree, text):
+    # a residue-kernel class of an edited table passes the pairing check, so
+    # the side-vanishing checks are the ones that catch the edit
+    broken, c = edited(m, entry), cut(at)
+    row = subspace_scalar_rows(broken, kernel_residue(broken, c, degree))[0]
+    with pytest.raises(InternalContradiction) as err:
+        decompose(broken, EquivariantClass(degree, row), c)
+    assert str(err.value) == text
 
 
 def test_decompose_cp3_with_active_corrections():
