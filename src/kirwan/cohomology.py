@@ -38,7 +38,6 @@ __all__ = [
     "basis_points",
     "degree_basis",
     "gram_rows",
-    "weighted_gram",
     "validate_alpha_basis",
     "subspace_from_rows",
     "subspace_sum",
@@ -113,9 +112,22 @@ def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
 
 
 def gram_rows(m: ManifoldData, points: Sequence[int]) -> tuple[Callable[..., list[int]], int]:
-    """`weighted_gram` over points as (row_entries, scale): row_entries(f, cols) is row f at
-    the positions in cols, each entry times the scale E * den^2, an integer dot product.
-    E, the weights E / e_j and the scale are set up once for all the rows asked."""
+    """The weighted Gram product of downward classes over the positions in points: entry
+    (f, g) is the sum over j in points of alpha_minus[f][j] * alpha_minus[g][j] / e_j, with
+    e_j the weight product at j, the X^((ind f + ind g)/2 - n) coefficient of the
+    localization sum of the product class (the residue pairing when that power is -1).
+
+    Returned as (row_entries, scale): row_entries(f, cols) is row f at the positions in
+    cols times the scale E * den^2, with E the lcm of the e_j and a the integer table over
+    den (`ManifoldData.integer_alpha_minus`), each entry the integer dot product over the
+    support of row f of a_fj * (E / e_j) with a_gj.  E, the weights and the scale are set
+    up once for all the rows asked.
+
+    >>> from kirwan.generators import gen_cpn
+    >>> row_entries, scale = gram_rows(gen_cpn([0, 1]), [0, 1])
+    >>> [row_entries(f, [0, 1]) for f in (0, 1)], scale
+    ([[0, 1], [1, -1]], 1)
+    """
     table, den = m.integer_alpha_minus
     euler = m.euler_classes
     common = math.lcm(*(euler[j] for j in points))
@@ -128,32 +140,6 @@ def gram_rows(m: ManifoldData, points: Sequence[int]) -> tuple[Callable[..., lis
         return [sum(map(mul, terms, map(table[g].__getitem__, support))) for g in cols]
 
     return row_entries, common * den * den
-
-
-def weighted_gram(
-    m: ManifoldData, rows: Sequence[int], cols: Sequence[int], points: Sequence[int]
-) -> list[list[Fraction | int]]:
-    """Fixed-point sums of products of downward classes over Euler classes.
-
-    Entry (f, g), for positions f in rows and g in cols, is the sum over
-    positions j in points of alpha_minus[f][j] * alpha_minus[g][j] / e_j,
-    with e_j the product of the weights at point j: the coefficient of
-    X^((ind f + ind g)/2 - n) in the localization sum of the product class,
-    so the residue pairing when that power is -1, an obstruction when it is
-    negative and the entry nonzero.
-
-    With a the integer table over its denominator den
-    (`ManifoldData.integer_alpha_minus`) and E the lcm of the integer Euler
-    classes e_j over points, the entry is the integer dot product, over the
-    support of row f, of a_fj * (E / e_j) with a_gj, divided by E * den^2.
-    A zero sum stays the int 0; only a nonzero one becomes a Fraction.
-
-    >>> from kirwan.generators import gen_cpn
-    >>> weighted_gram(gen_cpn([0, 1]), [0, 1], [0, 1], [0, 1]) == [[0, 1], [1, -1]]
-    True
-    """
-    row_entries, scale = gram_rows(m, points)
-    return [[Fraction(e, scale) if e else 0 for e in row_entries(f, cols)] for f in rows]
 
 
 # --- restriction-table validation ---------------------------------------------

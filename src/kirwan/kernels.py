@@ -6,10 +6,10 @@ the X^-1 coefficient of (eta * zeta)|_F divided by the tangent Euler class
 e_F X^n at F.  Every class restricts to a monomial, so that coefficient is
 eta_F zeta_F / e_F when the degrees add to 2n-2 and zero otherwise; a whole
 pairing matrix is a block of one weighted Gram product of downward classes
-over the points above the cut (`cohomology.weighted_gram`, one integer dot
+over the points above the cut (`cohomology.gram_rows`, one integer dot
 product per entry), and a `Sweep` shares that product among the degrees of a
 sweep at one cut; `decompose` pairs a class through its basis coefficients
-with the same product.  A degree-d class is in the kernel exactly when it
+with the Sweep of its cut.  A degree-d class is in the kernel exactly when it
 pairs to zero with the whole complementary degree 2n-2-d; restricting the
 test set to that one degree is exact, not an approximation, since
 homogeneous classes of any other degree pair to zero identically; the integer
@@ -41,7 +41,6 @@ from .cohomology import (
     subspace_from_rows,
     subspace_scalar_rows,
     subspace_sum,
-    weighted_gram,
 )
 from .errors import (
     Frozen,
@@ -49,6 +48,7 @@ from .errors import (
     MissingAlphaPlus,
     NotInImage,
     NotInKernel,
+    ValidationError,
 )
 from .exactmath import (
     MatrixQ,
@@ -94,7 +94,6 @@ class Sweep:
     """
 
     def __init__(self, m: ManifoldData, cut: CutLevel):
-        self.m = m
         self.above, self.below = split_fixed_points(m, cut)
         self._row_entries, self.scale = gram_rows(m, self.above)
         self._gram: dict[tuple[int, int], int] = {}
@@ -305,8 +304,8 @@ class DecompositionCertificate(Frozen):
 
 def _solve_basis_coefficients(
     m: ManifoldData, eta: EquivariantClass
-) -> dict[str, Fraction]:
-    """Coefficients of eta over the degree basis, or NotInImage.
+) -> tuple[Fraction, ...]:
+    """Coefficients of eta over the degree basis, in basis order, or NotInImage.
 
     The restriction of the basis class of F at G vanishes unless G sits
     weakly above F, so in descending (moment, name) order the square system
@@ -314,18 +313,10 @@ def _solve_basis_coefficients(
     products on the diagonal.  Solving it and then checking the remaining
     fixed points decides membership exactly.
     """
-    pts = basis_points(m, eta.degree)
-    if not pts:
-        if eta.is_zero():
-            return {}
-        raise NotInImage(
-            f"degree {eta.degree} has an empty basis but the class is nonzero"
-        )
-    desc = pts[::-1]
+    desc = basis_points(m, eta.degree)[::-1]
     a = m.alpha_minus
     system = [[a[f][g] for f in desc] for g in desc]
-    solution = solve_upper_triangular(system, [eta.restrictions[g] for g in desc])
-    coeffs = solution[::-1]
+    coeffs = solve_upper_triangular(system, [eta.restrictions[g] for g in desc])[::-1]
     # the triangular solve pinned the basis points; membership needs the rest
     rebuilt = combine_rows(coeffs, degree_basis(m, eta.degree), len(m.fixed_points))
     for g, want, got in zip(m.fixed_points, eta.restrictions, rebuilt):
@@ -334,7 +325,7 @@ def _solve_basis_coefficients(
                 f"restriction at {g.name} is {rat_str(want)} "
                 f"but the basis span forces {rat_str(got)}"
             )
-    return {m.fixed_points[i].name: c for i, c in zip(pts, coeffs)}
+    return coeffs
 
 
 def decompose(
@@ -346,72 +337,69 @@ def decompose(
     Steps: (1) solve the triangular system for the basis coefficients of eta
     (NotInImage when it is not in the degree span); (2) verify the residue
     pairings against the complementary basis vanish (NotInKernel otherwise);
-    (3) group basis terms by side of the cut, then zero the low-index above-
-    cut restrictions of the minus part by induction up the moment values,
-    moving each correction term into the plus part; (4) the remaining above-
-    cut restrictions of the minus part vanish automatically for kernel
-    classes, and the plus part vanishes below the cut because downward
-    classes of above-cut points are supported above the cut.  Step 4 is
-    asserted and raises InternalContradiction on inconsistent data.
+    (3) start the minus part from the basis terms below the cut and zero its
+    low-index above-cut restrictions by induction up the moment values; the
+    plus part is eta minus the minus part; (4) the remaining above-cut
+    restrictions of the minus part vanish automatically for kernel classes,
+    and the plus part vanishes below the cut because it combines downward
+    classes of above-cut points, supported above the cut.  Step 4 is asserted
+    and raises InternalContradiction on inconsistent data.
     """
-    above, below = split_fixed_points(m, cut)
+    width = len(m.fixed_points)
+    if len(eta.restrictions) != width:
+        raise ValidationError(
+            f"the class has {len(eta.restrictions)} restrictions but "
+            f"{m.name!r} has {width} fixed points"
+        )
+    sweep = Sweep(m, cut)
     coeffs = _solve_basis_coefficients(m, eta)
     pts = basis_points(m, eta.degree)
 
     # eta is the combination of its basis classes with coeffs, so its pairing
     # with a complementary basis class is the same combination of Gram entries
     co_degree = 2 * m.n - 2 - eta.degree
-    terms = [(f, c) for f, c in zip(pts, coeffs.values()) if c]
+    terms = [(f, c) for f, c in zip(pts, coeffs) if c]
     co_pts = basis_points(m, co_degree)
-    gram = weighted_gram(m, [f for f, _ in terms], co_pts, above)
+    gram = sweep.gram_block([f for f, _ in terms], co_pts)
     for k, i in enumerate(co_pts):
         value = sum(c * line[k] for (_, c), line in zip(terms, gram) if line[k])
         if value:
             raise NotInKernel(
                 f"pairing against the basis class of {m.fixed_points[i].name} "
-                f"in degree {co_degree} is {rat_str(value)}, not zero"
+                f"in degree {co_degree} is {rat_str(value / sweep.scale)}, not zero"
             )
 
     rows = degree_basis(m, eta.degree)
-    width = len(m.fixed_points)
-    is_above = [m.fixed_points[i].moment > cut.c for i in pts]
-    eta_minus = combine_rows(
-        [0 if up else c for up, c in zip(is_above, coeffs.values())], rows, width
-    )
-    eta_plus = combine_rows(
-        [c if up else 0 for up, c in zip(is_above, coeffs.values())], rows, width
-    )
-
+    low = set(sweep.below)
+    eta_minus = combine_rows([c if f in low else 0 for f, c in zip(pts, coeffs)], rows, width)
     corrections: dict[str, Fraction] = {}
-    for i, row, up in zip(pts, rows, is_above):
+    for i, row in zip(pts, rows):
         # induction upward through the above-cut points of index <= degree
-        if not up:
+        if i in low:
             continue
         b = eta_minus[i] / row[i]
         corrections[m.fixed_points[i].name] = b
         if b != 0:
             eta_minus = combine_rows((1, -b), (eta_minus, row), width)
-            eta_plus = combine_rows((1, b), (eta_plus, row), width)
+    eta_plus = combine_rows((1, -1), (eta.restrictions, eta_minus), width)
 
-    for i in above:
+    for i in sweep.above:
         if eta_minus[i] != 0:
             raise InternalContradiction(
                 f"minus part still restricts to {rat_str(eta_minus[i])} at "
                 f"{m.fixed_points[i].name}; the restriction tables are inconsistent"
             )
-    for i in below:
+    for i in sweep.below:
         if eta_plus[i] != 0:
             raise InternalContradiction(
                 f"plus part restricts to {rat_str(eta_plus[i])} at "
                 f"{m.fixed_points[i].name}; the restriction tables are inconsistent"
             )
-    if combine_rows((1, 1), (eta_plus, eta_minus), width) != eta.restrictions:
-        raise InternalContradiction("decomposition does not reassemble the input")
 
     return DecompositionCertificate(
         input=eta,
         cut=cut,
-        coefficients=coeffs,
+        coefficients={m.fixed_points[i].name: c for i, c in zip(pts, coeffs)},
         corrections=corrections,
         eta_plus=EquivariantClass(eta.degree, eta_plus),
         eta_minus=EquivariantClass(eta.degree, eta_minus),

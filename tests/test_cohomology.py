@@ -15,12 +15,12 @@ from kirwan.cohomology import (
     combine_rows,
     degree_basis,
     basis_points,
+    gram_rows,
     make_class,
     subspace_contains,
     subspace_from_rows,
     subspace_sum,
     validate_alpha_basis,
-    weighted_gram,
 )
 from kirwan.errors import UnknownFixedPoint, ValidationError
 from kirwan.exactmath import MatrixQ
@@ -209,19 +209,37 @@ def test_degree_basis_census_consistency():
 # --- weighted Gram product ------------------------------------------------------
 
 
-def test_weighted_gram_cp1(cp1):
+def gram_block(m, rows, cols, points):
+    """The integer entries (f, g) of `gram_rows` over points, and their scale."""
+    row_entries, scale = gram_rows(m, points)
+    return [row_entries(f, cols) for f in rows], scale
+
+
+def assert_matches_localization_pairing(m, rows, cols, points):
+    block, scale = gram_block(m, rows, cols, points)
+    a = m.alpha_minus
+    assert block == [
+        [localization_pairing(m, a[f], a[g], points) * scale for g in cols] for f in rows
+    ]
+
+
+def test_gram_rows_cp1(cp1):
     # e_p0 = 1, e_p1 = -1; downward classes (1, 1) at p0 and (0, -1) at p1
     rows = [0, 1]
-    assert weighted_gram(cp1, rows, rows, [0, 1]) == [[0, 1], [1, -1]]
-    assert weighted_gram(cp1, rows, rows, [1]) == [[-1, 1], [1, -1]]
-    assert weighted_gram(cp1, rows, rows[:1], []) == [[0], [0]]
-    assert weighted_gram(cp1, [], rows, [0, 1]) == []
+    assert gram_block(cp1, rows, rows, [0, 1]) == ([[0, 1], [1, -1]], 1)
+    assert gram_block(cp1, rows, rows, [1]) == ([[-1, 1], [1, -1]], 1)
+    assert gram_block(cp1, rows, rows[:1], []) == ([[0], [0]], 1)
+    assert gram_block(cp1, rows, [], [0, 1]) == ([[], []], 1)
+    for points in ([0, 1], [1], [0], []):
+        assert_matches_localization_pairing(cp1, rows, rows, points)
 
 
-def test_weighted_gram_is_symmetric():
+def test_gram_rows_is_symmetric():
     m = gen_sphere_product([2, -3, 1])
-    gram = weighted_gram(m, range(8), range(8), range(3, 8))
+    gram, scale = gram_block(m, range(8), range(8), range(3, 8))
+    assert scale == 6  # the lcm of the Euler classes, the table being integral
     assert gram == [list(col) for col in zip(*gram)]
+    assert_matches_localization_pairing(m, range(8), range(8), range(3, 8))
 
 
 # --- localization ----------------------------------------------------------------
@@ -239,15 +257,21 @@ def everywhere(m):
     return range(len(m.fixed_points))
 
 
+def localization_entry(m, f, g):
+    """The weighted Gram entry (f, g) over all fixed points, as a Fraction."""
+    row_entries, scale = gram_rows(m, everywhere(m))
+    return Fraction(row_entries(f, [g])[0], scale)
+
+
 def test_localization_sum_unit_classes(cp1, cp2):
     for m in (cp1, cp2):
         one = unit_position(m)
-        assert weighted_gram(m, [one], [one], everywhere(m)) == [[0]]
+        assert localization_entry(m, one, one) == 0
 
 
 def test_localization_obstruction(cp1):
     broken = edited(cp1, ("alpha_minus", "p0", "p1", "0"))  # the class {p0: 1} in degree 0
-    assert weighted_gram(broken, [0], [0], everywhere(broken)) == [[1]]
+    assert localization_entry(broken, 0, 0) == 1
     assert validate_alpha_basis(broken).violations[-1] == (
         "localization sum of alpha_minus[p0] * alpha_minus[p0] has residue tail 1 * X^-1"
     )
@@ -255,7 +279,7 @@ def test_localization_obstruction(cp1):
 
 def test_localization_polynomial_range(cp2):
     # alpha_minus[p2] = {p2: 2} times the unit: degree 4 over X^2 leaves a constant
-    assert weighted_gram(cp2, [2], [unit_position(cp2)], everywhere(cp2)) == [[1]]
+    assert localization_entry(cp2, 2, unit_position(cp2)) == 1
     assert validate_alpha_basis(cp2).ok
 
 
@@ -267,7 +291,7 @@ def test_localization_fuzz_combos():
         euler = [math.prod(fp.weights) for fp in m.fixed_points]
         for d in range(0, 2 * m.n, 2):
             e = rng.choice(range(0, 2 * m.n - d, 2))
-            gram = weighted_gram(m, basis_points(m, d), basis_points(m, e), everywhere(m))
+            gram, scale = gram_block(m, basis_points(m, d), basis_points(m, e), everywhere(m))
             for _ in range(20):
                 a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gram]
                 b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in gram[0]]
@@ -277,7 +301,7 @@ def test_localization_fuzz_combos():
                     s * t / w for s, t, w in zip(eta.restrictions, zeta.restrictions, euler)
                 )
                 via_gram = sum(x * g * y for x, row in zip(a, gram) for g, y in zip(row, b))
-                assert direct == via_gram == 0
+                assert direct == via_gram / scale == 0
 
 
 def test_degree_bound_property():

@@ -22,6 +22,7 @@ from kirwan.errors import (
     NotInImage,
     NotInKernel,
     NotRegularValue,
+    ValidationError,
 )
 from kirwan.exactmath import rat
 from kirwan.generators import gen_cpn, gen_sphere_product
@@ -312,6 +313,19 @@ def test_decompose_rejects_non_image_class():
     bad = make_class(m, 0, {"p0": 1})  # not a multiple of the unit
     with pytest.raises(NotInImage):
         decompose(m, bad, cut("3/2"))
+    odd = EquivariantClass(1, bad.restrictions)  # the degree-1 basis is empty
+    with pytest.raises(NotInImage):
+        decompose(m, odd, cut("3/2"))
+    assert decompose(m, EquivariantClass(1, (0, 0, 0)), cut("3/2")).coefficients == {}
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_decompose_rejects_a_class_of_the_wrong_length(length):
+    m = gen_cpn([0, 1, 2])
+    eta = EquivariantClass(0, (Fraction(1),) * length)
+    with pytest.raises(ValidationError) as err:
+        decompose(m, eta, cut("5/2"))
+    assert str(err.value) == f"the class has {length} restrictions but 'CP2[0,1,2]' has 3 fixed points"
 
 
 def test_decompose_not_in_kernel_text():
