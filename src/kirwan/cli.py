@@ -41,7 +41,7 @@ from .kernels import (
     pairing_to_dict,
     report_to_dict,
 )
-from .momentdata import CutLevel, _schema_int, load_manifold, manifold_to_json
+from .momentdata import CutLevel, _schema_int, load_manifold, manifold_to_json, to_json
 
 USAGE_EXIT = 64
 
@@ -208,7 +208,7 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def _emit(report: dict, fmt: str, md_lines: list[str]) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(to_json(report))
     else:
         print("\n".join(md_lines))
 

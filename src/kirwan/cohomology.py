@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import Frozen, ValidationError
-from .exactmath import MatrixQ, RationalLike, over_leading_entry, rat, rat_str, rref
+from .exactmath import MatrixQ, RationalLike, rat, rat_str, rref
 from .momentdata import (
     ManifoldData,
     negative_euler_scalar,
@@ -42,6 +42,7 @@ __all__ = [
     "subspace_from_rows",
     "subspace_sum",
     "subspace_contains",
+    "subspace_integer_rows",
     "subspace_scalar_rows",
 ]
 
@@ -53,9 +54,6 @@ class EquivariantClass(Frozen):
     fixed-point order."""
 
     __slots__ = ("degree", "restrictions")
-
-    def is_zero(self) -> bool:
-        return not any(self.restrictions)
 
 
 def make_class(
@@ -269,22 +267,41 @@ def subspace_contains(s: Subspace, coeffs: Sequence[Fraction | int]) -> bool:
     return subspace_from_rows(s.degree, s.labels, (*s.basis, coeffs)) == s
 
 
-def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
+def subspace_integer_rows(m: ManifoldData, s: Subspace) -> list[tuple[list[int], int]]:
     """Reduced-row-echelon basis rows expanded to restriction scalars, in
-    point order: the coefficient rows times the degree-basis rows.
+    point order, as integers over a scale: (ints, scale) per basis row, the
+    scalar at point j being ints[j] / scale.
 
-    The expansion runs over the integer rows of the table
-    (`ManifoldData.integer_alpha_minus`); each entry becomes a Fraction only
-    once, divided by the table's denominator and the row's leading entry
-    (`exactmath.over_leading_entry`).
+    A primitive basis row times the integer rows of the degree basis
+    (`ManifoldData.integer_alpha_minus`, over den) is ints, and scale is den
+    times the row's leading entry.  Each nonzero coefficient adds its table
+    row over that row's support only; a row with one nonzero coefficient
+    (a tw_minus basis row is one) gives its table row over den.
     """
     pts = basis_points(m, s.degree)
     if tuple(m.fixed_points[i].name for i in pts) != s.labels:
         raise ValidationError("subspace labels do not match the degree basis")
     table, den = m.integer_alpha_minus
-    ambient = [table[i] for i in pts]
-    width = len(m.fixed_points)
+    sparse: dict[int, list[tuple[int, int]]] = {}
+    out = []
+    for row in s.basis:
+        terms = [(c, i) for c, i in zip(row, pts) if c]
+        if len(terms) == 1:
+            out.append((list(table[terms[0][1]]), den))
+            continue
+        acc = [0] * len(table)
+        for c, i in terms:
+            if i not in sparse:
+                sparse[i] = [(j, e) for j, e in enumerate(table[i]) if e]
+            for j, e in sparse[i]:
+                acc[j] += c * e
+        out.append((acc, den * terms[0][0]))
+    return out
+
+
+def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
+    """`subspace_integer_rows` as Fractions: the reduced-row-echelon basis
+    rows as restriction vectors."""
     return [
-        tuple(over_leading_entry(row, combine_rows(row, ambient, width), den))
-        for row in s.basis
+        tuple(Fraction(e, scale) for e in ints) for ints, scale in subspace_integer_rows(m, s)
     ]

@@ -6,8 +6,9 @@ positive denominator) and serialize as "p/q" strings, so no float ever enters
 the pipeline.  Elimination runs on integer rows: a rational row spans the same
 line as its integer multiples, so `rref` and `nullspace` give canonical bases
 of row spans and null spaces as primitive integer rows (each divided by the
-gcd of its entries, with positive leading entry).  `over_leading_entry` turns
-such a row into its reduced-row-echelon row of Fractions.
+gcd of its entries, with positive leading entry).  Divided by its leading
+entry, such a row is its reduced-row-echelon row; `ratio_str` writes each
+entry of that quotient from the two integers, with no Fraction made.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .errors import Frozen, NotTriangular, SingularDiagonal
 __all__ = [
     "rat",
     "rat_str",
+    "ratio_str",
     "MatrixQ",
     "integer_entries",
-    "over_leading_entry",
     "rref",
     "nullspace",
     "solve_upper_triangular",
@@ -63,18 +64,35 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Canonical string form: "p/q", or just "p" when the denominator is 1.
+    """Canonical string form: "p/q", or just "p" when the denominator is 1."""
+    return _lowest_terms_str(value.numerator, value.denominator)
 
-    Written in full even past the 4300 digits to which str() limits an int:
-    products of long input integers (Euler classes, Gram entries) get there.
+
+def ratio_str(num: int, den: int) -> str:
+    """`rat_str` of num/den for a nonzero den, with no Fraction made: reduced
+    by one gcd, the denominator made positive, "0" for zero.
+
+    >>> ratio_str(6, -4), ratio_str(0, -4), ratio_str(-8, 4)
+    ('-3/2', '0', '-2')
     """
+    if not num:
+        return "0"
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return _lowest_terms_str(num // g, den // g)
+
+
+def _lowest_terms_str(num: int, den: int) -> str:
+    """num/den in lowest terms with den > 0, written in full even past the
+    4300 digits to which str() limits an int: products of long input
+    integers (Euler classes, Gram entries) get there."""
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         from decimal import Decimal  # exact for ints, with no digit limit
 
-        num, den = str(Decimal(value.numerator)), str(Decimal(value.denominator))
-        return num if value.denominator == 1 else f"{num}/{den}"
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 class MatrixQ(Frozen):
@@ -130,21 +148,6 @@ def integer_entries(values: Iterable[Fraction | int]) -> list[int]:
     if den == 1:
         return [e.numerator for e in values]
     return [e.numerator * (den // e.denominator) for e in values]
-
-
-def over_leading_entry(
-    row: Sequence[int], values: Sequence[int] | None = None, den: int = 1
-) -> list[Fraction]:
-    """`values` (by default the row itself) divided by den times the row's
-    leading (first nonzero) entry.
-
-    A basis row of `rref` or `nullspace` becomes its reduced-row-echelon row.
-    """
-    scale = den * next(e for e in row if e)
-    zero = Fraction(0)
-    if values is None:
-        values = row
-    return [Fraction(e, scale) if e else zero for e in values]
 
 
 def rref(m: MatrixQ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -39,6 +39,7 @@ from .cohomology import (
     gram_rows,
     subspace_contains,
     subspace_from_rows,
+    subspace_integer_rows,
     subspace_scalar_rows,
     subspace_sum,
 )
@@ -53,8 +54,8 @@ from .errors import (
 from .exactmath import (
     MatrixQ,
     nullspace,
-    over_leading_entry,
     rat_str,
+    ratio_str,
     solve_upper_triangular,
 )
 from .momentdata import CutLevel, ManifoldData, split_fixed_points
@@ -411,27 +412,35 @@ def decompose(
 
 
 def _subspace_to_dict(m: ManifoldData, s: Subspace) -> dict:
+    """Basis rows written from their integers: each coefficient row over its
+    leading entry, each restriction row over its scale."""
+    leads = [next(e for e in row if e) for row in s.basis]
     return {
         "degree": s.degree,
         "labels": list(s.labels),
         "dimension": s.dim,
         "coefficient_rows": [
-            [rat_str(e) for e in over_leading_entry(row)] for row in s.basis
+            [ratio_str(e, lead) for e in row] for row, lead in zip(s.basis, leads)
         ],
         "restriction_rows": [
-            [rat_str(e) for e in row] for row in subspace_scalar_rows(m, s)
+            [ratio_str(e, scale) for e in ints] for ints, scale in subspace_integer_rows(m, s)
         ],
     }
 
 
 def report_to_dict(m: ManifoldData, report: KernelReport) -> dict:
+    residue = _subspace_to_dict(m, report.residue_kernel)
     out = {
         "cut": rat_str(report.cut.c),
         "degree": report.degree,
-        "residue_kernel": _subspace_to_dict(m, report.residue_kernel),
+        "residue_kernel": residue,
         "tw_plus": _subspace_to_dict(m, report.tw_plus),
         "tw_minus": _subspace_to_dict(m, report.tw_minus),
-        "tw_sum": _subspace_to_dict(m, report.tw_sum),
+        # the agreed kernel, as on every valid datum, is written once
+        "tw_sum": (
+            residue if report.tw_sum == report.residue_kernel
+            else _subspace_to_dict(m, report.tw_sum)
+        ),
         "equal": report.equal,
         "betti": report.betti,
     }

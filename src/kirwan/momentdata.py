@@ -25,6 +25,7 @@ import warnings
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     Frozen,
@@ -49,6 +50,7 @@ __all__ = [
     "load_manifold",
     "manifold_to_dict",
     "manifold_to_json",
+    "to_json",
 ]
 
 # name-keyed table as documents and generators write it; zero entries may be omitted
@@ -427,4 +429,54 @@ def manifold_to_dict(m: ManifoldData) -> dict[str, object]:
 
 def manifold_to_json(m: ManifoldData) -> str:
     """Canonical JSON text; loading and re-emitting reproduces it byte for byte."""
-    return json.dumps(manifold_to_dict(m), indent=2) + "\n"
+    return to_json(manifold_to_dict(m)) + "\n"
+
+
+def to_json(value: object) -> str:
+    """The text `json.dumps` writes at indent=2 for the values documents and
+    reports are made of: dicts with str keys, lists, tuples, str, int, bool
+    and None.  Any other type or key raises TypeError.
+    """
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value: object, newline: str, parts: list[str]) -> None:
+    """Append the text of value, indented as at the line break newline."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        parts.append(_JSON_CONSTANTS[value])
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings, such as a row of rationals, in one join
+            parts.append("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)))
+        except TypeError:
+            parts.append("[")
+            for k, item in enumerate(value):
+                parts.append("," + inner if k else inner)
+                _write_json(item, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{")
+        for k, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(("," + inner if k else inner) + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, parts)
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

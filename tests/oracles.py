@@ -38,7 +38,7 @@ from kirwan.cohomology import (
     subspace_sum,
 )
 from kirwan.errors import SchemaError
-from kirwan.exactmath import MatrixQ, nullspace, over_leading_entry, rat, rat_str
+from kirwan.exactmath import MatrixQ, nullspace, rat, rat_str
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index, split_fixed_points
 
 
@@ -54,10 +54,16 @@ def combination(m, degree, coeffs):
     )
 
 
+def reduced_row(row):
+    """A primitive integer row of `rref` or `nullspace` divided by its leading
+    entry: its reduced-row-echelon row, as Fractions."""
+    lead = next(e for e in row if e)
+    return [Fraction(e, lead) for e in row]
+
+
 def rref_rows(subspace):
-    """The subspace's reduced-row-echelon rows as Fractions: each primitive
-    integer basis row divided by its leading entry."""
-    return [over_leading_entry(row) for row in subspace.basis]
+    """The subspace's reduced-row-echelon rows as Fractions."""
+    return [reduced_row(row) for row in subspace.basis]
 
 
 def edited(m, *entries):

@@ -118,7 +118,8 @@ def test_kernel_single_degree(cp2_path, capsys):
 
 
 def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):
-    # md prints only dimensions, so it must not build the restriction rows
+    # md prints only dimensions, so it must not build the restriction rows;
+    # every expansion, Fraction rows included, goes through subspace_integer_rows
     args = ("kernel", "--input", cp2_path, "--cut", "3/2", "--degree", "all")
     _, want = run(capsys, *args)
 
@@ -126,7 +127,7 @@ def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):
         raise RuntimeError("restriction rows expanded")
 
     for module in (cohomology, kernels):
-        monkeypatch.setattr(module, "subspace_scalar_rows", boom)
+        monkeypatch.setattr(module, "subspace_integer_rows", boom)
     assert run(capsys, *args, "--format", "md") == (0, want)
     with pytest.raises(RuntimeError):
         main([*args, "--format", "json"])

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirwan.cohomology import (
-    EquivariantClass,
     ValidationReport,
     combine_rows,
     degree_basis,
@@ -408,10 +407,3 @@ def test_combine_rows_matches_pointwise_sum():
                       for _ in degree_basis(m, d)]
             expanded = combine_rows(coeffs, degree_basis(m, d), len(m.fixed_points))
             assert expanded == combination(m, d, coeffs).restrictions
-
-
-def test_zero_scalars_is_zero_class(cp2):
-    # restriction vectors are the representation: all zeros means the zero class
-    eta = make_class(cp2, 2, {})
-    assert eta.is_zero()
-    assert eta == EquivariantClass(2, (Fraction(0),) * 3)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kirwan.cohomology import basis_points
@@ -12,9 +12,9 @@ from kirwan.errors import NotTriangular, SingularDiagonal
 from kirwan.exactmath import (
     MatrixQ,
     nullspace,
-    over_leading_entry,
     rat,
     rat_str,
+    ratio_str,
     rref,
     solve_upper_triangular,
 )
@@ -22,7 +22,13 @@ from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import kernel_residue, kernel_tw, pairing_matrix
 from kirwan.momentdata import CutLevel, split_fixed_points
 
-from oracles import laurent_residue, reference_nullspace, reference_rref, rref_rows
+from oracles import (
+    laurent_residue,
+    reduced_row,
+    reference_nullspace,
+    reference_rref,
+    rref_rows,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -76,6 +82,22 @@ def test_rat_str_writes_numbers_past_the_int_digit_limit():
     assert rat_str(Fraction(3, big)) == "3/7" + "0" * 4999 + "1"
 
 
+# integers up to 10^4500, past the 4300 digits str() writes
+LONG_INTEGERS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 4500).map(lambda k: 10**k).flatmap(lambda b: st.integers(-b, b)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LONG_INTEGERS, LONG_INTEGERS.filter(bool))
+@example(7 * 10**5000 + 1, -3)
+@example(0, -(10**4400))
+@example(6 * 10**4400, -4 * 10**4400)
+def test_ratio_str_is_rat_str_of_the_fraction(num, den):
+    assert ratio_str(num, den) == rat_str(Fraction(num, den))
+
+
 # --- the residue oracle ------------------------------------------------------
 
 
@@ -117,7 +139,7 @@ def test_rref_idempotent(m):
     gives them back."""
     red, pivots = rref(m)
     assert rref(MatrixQ.from_rows(red, cols=m.cols)) == (red, pivots)
-    fractions = [over_leading_entry(row) for row in red]
+    fractions = [reduced_row(row) for row in red]
     assert rref(MatrixQ.from_rows(fractions, cols=m.cols)) == (red, pivots)
 
 
@@ -130,7 +152,7 @@ def test_rref_pivots_are_one_and_no_zero_rows(m):
     assert len(red) == len(pivots)
     for i, c in enumerate(pivots):
         assert next(j for j, e in enumerate(red[i]) if e) == c
-        assert over_leading_entry(red[i])[c] == 1
+        assert reduced_row(red[i])[c] == 1
         for r, row in enumerate(red):
             if r != i:
                 assert row[c] == 0
@@ -200,8 +222,8 @@ def test_rref_and_nullspace_match_fraction_elimination(m):
     rows, pivots = rref(m)
     reduced, reference_pivots = reference_rref(m)
     assert pivots == reference_pivots
-    assert [over_leading_entry(row) for row in rows] == nonzero_rows(reduced)
-    assert [over_leading_entry(v) for v in nullspace(m)] == nonzero_rows(
+    assert [reduced_row(row) for row in rows] == nonzero_rows(reduced)
+    assert [reduced_row(v) for v in nullspace(m)] == nonzero_rows(
         reference_nullspace(m)
     )
 
@@ -255,7 +277,7 @@ def test_nullspace_matches_fraction_elimination_on_kernel_matrices(m):
             computed = [*kernel_tw(m, cut, d)[:2], kernel_residue(m, cut, d)]
             for matrix, kernel in zip([*evaluations, pairing], computed):
                 expected = reference_nullspace(matrix).to_rows()
-                assert [over_leading_entry(v) for v in nullspace(matrix)] == expected
+                assert [reduced_row(v) for v in nullspace(matrix)] == expected
                 assert rref_rows(kernel) == expected
                 checked += 1
     assert checked >= 3 * len(mid_gap_cuts(m))
@@ -267,7 +289,7 @@ def test_nullspace_spec_examples():
     # span{(2, 1)} in canonical form has leading coefficient 1
     ns = nullspace(MatrixQ.from_rows([[Fraction(1, 2), -1]]))
     assert ns == ((2, 1),)
-    assert over_leading_entry(ns[0]) == [1, Fraction(1, 2)]
+    assert reduced_row(ns[0]) == [1, Fraction(1, 2)]
     canonical, _ = rref(MatrixQ.from_rows([[2, 1]]))
     assert ns == canonical
 

@@ -34,6 +34,7 @@ from kirwan.momentdata import (
     negative_euler_scalar,
     positive_euler_scalar,
     split_fixed_points,
+    to_json,
 )
 from oracles import reference_int, reference_integer_table, reference_rat
 
@@ -171,6 +172,40 @@ def test_round_trip_generator_output():
     for m in (gen_cpn([0, 1, 2]), gen_sphere_product([1, 1])):
         text = manifold_to_json(m)
         assert manifold_to_json(load_manifold(text)) == text
+
+
+# report-shaped values: rows of rational strings in nested dicts and lists, with
+# the characters JSON escapes (quote, backslash, controls, non-ASCII) in keys
+# and strings
+JSON_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+    max_size=6,
+)
+REPORT_VALUES = st.recursive(
+    st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+@example({"rows": [["1", "-3/2"], []], "empty": {}, "t": ("x", 1, None, False)})
+@example([-(10**30), "\u00e9\"\\\n", [True]])
+def test_to_json_writes_what_json_dumps_writes(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, Fraction(1, 2), {1: "a"}, {"a": [{(1,): 2}]}, ["1", 2.0], {"1"}]
+)
+def test_to_json_rejects_other_types_and_keys(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 # --- pointwise operations -----------------------------------------------------
