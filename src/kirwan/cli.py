@@ -266,10 +266,7 @@ def _cmd_pair(args) -> int:
     pm = pairing_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "pair", "manifold": m.name} | pairing_to_dict(pm)
     headers = ["pairing"] + [f"{name} (deg {2 * m.n - 2 - args.degree})" for name in pm.col_labels]
-    rows = [
-        [pm.row_labels[i]] + [rat_str(e) for e in pm.matrix.row(i)]
-        for i in range(pm.matrix.rows)
-    ]
+    rows = [[name] + [rat_str(e) for e in row] for name, row in zip(pm.row_labels, pm.matrix)]
     md = [
         f"pairing matrix of {m.name} at cut {args.cut}, degree {args.degree}",
         _md_table(headers, rows) if rows else "(empty row basis)",
@@ -415,10 +412,7 @@ def _cmd_bmatrix(args) -> int:
     m = _load(args.input)
     rep = b_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "bmatrix", "manifold": m.name} | bmatrix_to_dict(rep)
-    rows = [
-        [rep.labels[i]] + [rat_str(e) for e in rep.matrix.row(i)]
-        for i in range(rep.matrix.rows)
-    ]
+    rows = [[name] + [rat_str(e) for e in row] for name, row in zip(rep.labels, rep.matrix)]
     md = [
         f"upward-restriction matrix of {m.name} at cut {args.cut}, degree {args.degree}",
         _md_table(["point"] + list(rep.labels), rows) if rows else "(empty index set)",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import Frozen, ValidationError
-from .exactmath import MatrixQ, RationalLike, rat, rat_str, rref
+from .exactmath import RationalLike, rat, rat_str, rref
 from .momentdata import (
     ManifoldData,
     negative_euler_scalar,
@@ -245,7 +245,7 @@ def subspace_from_rows(
     degree: int, labels: Sequence[str], rows: Sequence[Sequence[Fraction | int]]
 ) -> Subspace:
     """Canonicalize spanning rows (coefficient coordinates) into a Subspace."""
-    basis, _ = rref(MatrixQ.from_rows(rows, cols=len(labels)))
+    basis, _ = rref(rows, len(labels))
     return Subspace(degree, tuple(labels), basis)
 
 

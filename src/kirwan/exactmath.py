@@ -3,29 +3,29 @@ over Q.
 
 Scalars are fractions.Fraction (arbitrary precision, always in lowest terms,
 positive denominator) and serialize as "p/q" strings, so no float ever enters
-the pipeline.  Elimination runs on integer rows: a rational row spans the same
-line as its integer multiples, so `rref` and `nullspace` give canonical bases
-of row spans and null spaces as primitive integer rows (each divided by the
-gcd of its entries, with positive leading entry).  Divided by its leading
-entry, such a row is its reduced-row-echelon row; `ratio_str` writes each
-entry of that quotient from the two integers, with no Fraction made.
+the pipeline.  A matrix is a sequence of rows of ints and Fractions, with its
+width given alongside, so that a matrix with no rows still has one.
+Elimination runs on integer rows: a rational row spans the same line as its
+integer multiples, so `rref` and `nullspace` give canonical bases of row spans
+and null spaces as primitive integer rows (each divided by the gcd of its
+entries, with positive leading entry).  Divided by its leading entry, such a
+row is its reduced-row-echelon row; `ratio_str` writes each entry of that
+quotient from the two integers, with no Fraction made.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import Frozen, NotTriangular, SingularDiagonal
+from .errors import NotTriangular, SingularDiagonal
 
 __all__ = [
     "rat",
     "rat_str",
     "ratio_str",
-    "MatrixQ",
-    "integer_entries",
     "rref",
     "nullspace",
     "solve_upper_triangular",
@@ -95,83 +95,45 @@ def _lowest_terms_str(num: int, den: int) -> str:
         return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
-class MatrixQ(Frozen):
-    """Immutable row-major matrix of exact numbers: the input of `rref` and
-    `nullspace`, and the matrix of a pairing or upward-restriction report.
-
-    Entries must be ints or Fractions.  The constructor does not check them,
-    as it builds every pairing matrix; `rat` turns parsed text into Fractions.
-    """
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple[Fraction | int, ...]) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        Frozen.__init__(self, rows, cols, entries)
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None
-    ) -> "MatrixQ":
-        if not rows:
-            if cols is None:
-                raise ValueError("cols is required for an empty row list")
-            return cls(0, cols, ())
-        width = len(rows[0])
-        if cols is not None and cols != width:
-            raise ValueError("cols disagrees with row width")
-        flat: list[Fraction | int] = []
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(len(rows), width, tuple(flat))
-
-    def row(self, i: int) -> tuple[Fraction | int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction | int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
+    """The row times the lcm of its denominators: the same line, in integers."""
+    if {*map(type, row)} <= {int}:
+        return row
+    den = math.lcm(*[e.denominator for e in row])
+    return [e.numerator * (den // e.denominator) for e in row]
 
 
-def integer_entries(values: Iterable[Fraction | int]) -> list[int]:
-    """The values times the lcm of their denominators.  The entries of a
-    matrix so scaled span the same rows; `rref` divides each row by its
-    gcd."""
-    values = tuple(values)
-    if {*map(type, values)} <= {int}:
-        return list(values)
-    den = math.lcm(*[e.denominator for e in values])
-    if den == 1:
-        return [e.numerator for e in values]
-    return [e.numerator * (den // e.denominator) for e in values]
+def rref(
+    rows: Sequence[Sequence[Fraction | int]], width: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The nonzero rows of the reduced row echelon form of the rows, each of
+    length width, in integers, and the pivot columns.
 
-
-def rref(m: MatrixQ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The nonzero rows of the reduced row echelon form, in integers, and the
-    pivot columns.
-
-    Gauss-Jordan elimination over the integers: each row is first divided by
-    the gcd of its entries, and an update a*row - b*pivot_row is divided by
+    Gauss-Jordan elimination over the integers: each row is first scaled to
+    a primitive integer row, and an update a*row - b*pivot_row is divided by
     the gcd of its entries too, so every returned row is primitive.  Its
     pivot entry is made positive, and it is zero in every other pivot column.
     Such a row is the unique primitive integer multiple with positive pivot
     of the corresponding row of the reduced row echelon form over the
     rationals, so two row spaces are equal exactly when their rows are.
+    A row of another length raises ValueError.
+
+    >>> rref([[2, 4], [1, Fraction(3, 2)]], 2)
+    (((1, 0), (0, 1)), (0, 1))
+    >>> rref((), 3)
+    ((), ())
     """
-    ints, w = integer_entries(m.entries), m.cols
     work = []
-    for i in range(m.rows):
-        row = ints[i * w : (i + 1) * w]
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"row of length {len(row)} in a matrix of width {width}")
+        row = _integer_row(row)
         g = math.gcd(*row)
         if g:
             work.append(row if g == 1 else [e // g for e in row])
     pivots: list[int] = []
     r = 0
-    for c in range(w):
+    for c in range(width):
         if r == len(work):
             break
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -190,38 +152,45 @@ def rref(m: MatrixQ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
                 work[i] = row if g <= 1 else [e // g for e in row]
         pivots.append(c)
         r += 1
-    rows = tuple(
+    reduced = tuple(
         tuple(row) if row[c] > 0 else tuple(-e for e in row)
         for row, c in zip(work, pivots)
     )
-    return rows, tuple(pivots)
+    return reduced, tuple(pivots)
 
 
-def nullspace(m: MatrixQ) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of {v : m @ v = 0}, scaled as the rows of `rref`.
+def nullspace(
+    rows: Sequence[Sequence[Fraction | int]], width: int
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of {v : rows @ v = 0} for rows of length width, scaled
+    as the rows of `rref`.
 
-    The dimension is cols - rank; a full-rank square matrix yields no rows.
+    The dimension is width - rank; a full-rank square matrix yields no rows,
+    and no rows at all yield the unit rows.
 
-    One elimination: `rref` of m with its columns in reverse order.  Read in
-    the original order, each pivot row is then nonzero only at its pivot p
-    and at free columns left of p.  So the kernel vector of a free column f
-    (nonzero at f, zero at the other free columns) is zero left of f: these
-    vectors, in order of f, already are the reduced row echelon form of the
-    kernel.
+    One elimination: `rref` of the rows with their columns in reverse order.
+    Read in the original order, each pivot row is then nonzero only at its
+    pivot p and at free columns left of p.  So the kernel vector of a free
+    column f (nonzero at f, zero at the other free columns) is zero left of
+    f: these vectors, in order of f, already are the reduced row echelon
+    form of the kernel.
+
+    >>> nullspace([[1, -1]], 2)
+    ((1, 1),)
+    >>> nullspace((), 2)
+    ((1, 0), (0, 1))
     """
-    w = m.cols
-    flipped = MatrixQ.from_rows([m.row(i)[::-1] for i in range(m.rows)], cols=w)
-    red, flipped_pivots = rref(flipped)
+    red, flipped_pivots = rref([row[::-1] for row in rows], width)
     reduced = [row[::-1] for row in red]
-    pivots = [w - 1 - p for p in flipped_pivots]
+    pivots = [width - 1 - p for p in flipped_pivots]
     pivot_set = set(pivots)
     basis = []
-    for f in range(w):
+    for f in range(width):
         if f in pivot_set:
             continue
         terms = [(row, p) for row, p in zip(reduced, pivots) if row[f]]
         scale = math.lcm(*(row[p] for row, p in terms))
-        v = [0] * w
+        v = [0] * width
         v[f] = scale
         for row, p in terms:
             v[p] = -row[f] * (scale // row[p])

@@ -52,7 +52,6 @@ from .errors import (
     ValidationError,
 )
 from .exactmath import (
-    MatrixQ,
     nullspace,
     rat_str,
     ratio_str,
@@ -112,7 +111,8 @@ class Sweep:
 
 class PairingMatrix(Frozen):
     """Pairing values between the degree-d basis (rows) and the complementary
-    degree-(2n-2-d) basis (columns)."""
+    degree-(2n-2-d) basis (columns): `matrix` is a tuple of row tuples, one
+    per row label, each as wide as the column labels."""
 
     __slots__ = ("cut", "degree", "row_labels", "col_labels", "matrix")
 
@@ -136,9 +136,7 @@ def pairing_matrix(
         degree=degree,
         row_labels=tuple(m.fixed_points[i].name for i in rows),
         col_labels=tuple(m.fixed_points[i].name for i in cols),
-        matrix=MatrixQ.from_rows(
-            [[Fraction(e, scale) if e else 0 for e in line] for line in block], cols=len(cols)
-        ),
+        matrix=tuple(tuple(Fraction(e, scale) if e else 0 for e in line) for line in block),
     )
 
 
@@ -150,8 +148,8 @@ def kernel_residue(
     if sweep is None:
         sweep = Sweep(m, cut)
     rows, cols = basis_points(m, degree), basis_points(m, 2 * m.n - 2 - degree)
-    block = MatrixQ.from_rows(sweep.gram_block(cols, rows), cols=len(rows))
-    return Subspace(degree, tuple(m.fixed_points[i].name for i in rows), nullspace(block))
+    basis = nullspace(sweep.gram_block(cols, rows), len(rows))
+    return Subspace(degree, tuple(m.fixed_points[i].name for i in rows), basis)
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
@@ -162,7 +160,7 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
     table, _ = m.integer_alpha_minus
     constraints = [[table[i][j] for i in pts] for j in points]
     labels = tuple(m.fixed_points[i].name for i in pts)
-    return Subspace(degree, labels, nullspace(MatrixQ.from_rows(constraints, cols=len(pts))))
+    return Subspace(degree, labels, nullspace(constraints, len(pts)))
 
 
 def kernel_tw(
@@ -249,7 +247,8 @@ class BMatrixReport(Frozen):
 
     Rows and columns are ordered by DESCENDING (moment, name): the support
     condition kills entries at strictly higher moments, which in this order
-    is exactly the strict lower triangle.  `m_exponents` records, per row
+    is exactly the strict lower triangle.  `matrix` is a tuple of row tuples,
+    one per label and as wide as the labels.  `m_exponents` records, per row
     point, the X power that makes the test class land in degree 2n - 2.
     """
 
@@ -273,7 +272,7 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
     order = [i for i in above if ind[i] >= degree + 2]
     order.sort(key=lambda i: (-pts[i].moment, pts[i].name))
     labels = tuple(pts[i].name for i in order)
-    entries = [[m.alpha_plus[i][j] for j in order] for i in order]
+    entries = tuple(tuple(m.alpha_plus[i][j] for j in order) for i in order)
     k = len(order)
     below = [(i, j) for i in range(k) for j in range(i) if entries[i][j] != 0]
     zero_diagonal = [i for i in range(k) if entries[i][i] == 0]
@@ -286,7 +285,7 @@ def b_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> BMatrixReport:
         cut=cut,
         degree=degree,
         labels=labels,
-        matrix=MatrixQ.from_rows(entries, cols=k),
+        matrix=entries,
         m_exponents=tuple((ind[i] - degree - 2) // 2 for i in order),
         upper_triangular=not below,
         diagonal_nonzero=not zero_diagonal,
@@ -454,10 +453,7 @@ def bmatrix_to_dict(report: BMatrixReport) -> dict:
         "cut": rat_str(report.cut.c),
         "degree": report.degree,
         "labels": list(report.labels),
-        "rows": [
-            [rat_str(e) for e in report.matrix.row(i)]
-            for i in range(report.matrix.rows)
-        ],
+        "rows": [[rat_str(e) for e in row] for row in report.matrix],
         "m_exponents": list(report.m_exponents),
         "upper_triangular": report.upper_triangular,
         "diagonal_nonzero": report.diagonal_nonzero,
@@ -483,8 +479,6 @@ def pairing_to_dict(pm: PairingMatrix) -> dict:
         "degree": pm.degree,
         "row_labels": list(pm.row_labels),
         "col_labels": list(pm.col_labels),
-        "entries": [
-            [rat_str(e) for e in pm.matrix.row(i)] for i in range(pm.matrix.rows)
-        ],
+        "entries": [[rat_str(e) for e in row] for row in pm.matrix],
         "convention": SIGN_CONVENTION,
     }

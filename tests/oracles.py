@@ -38,7 +38,7 @@ from kirwan.cohomology import (
     subspace_sum,
 )
 from kirwan.errors import SchemaError
-from kirwan.exactmath import MatrixQ, nullspace, rat, rat_str
+from kirwan.exactmath import nullspace, rat, rat_str
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index, split_fixed_points
 
 
@@ -250,48 +250,49 @@ def reference_integer_table(table):
     return tuple(tuple(int(s * den) for s in row) for row in table), den
 
 
-def reference_rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns.
+def reference_rref(matrix, width):
+    """Reduced row echelon form of the rows, each of length width, and the
+    pivot columns.
 
     Pivot entries are 1, pivot columns are cleared above and below, zero rows
     sink to the bottom, and the result is idempotent, so two row spaces are
     equal exactly when their reduced forms are identical.
     """
-    rows = m.to_rows()
+    rows = [list(row) for row in matrix]
+    assert all(len(row) == width for row in rows)
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        if r == m.rows:
+    for c in range(width):
+        if r == len(rows):
             break
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
         if pv != 1:
             rows[r] = [e / pv for e in rows[r]]
-        for i in range(m.rows):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return MatrixQ.from_rows(rows, cols=m.cols), tuple(pivots)
+    return rows, tuple(pivots)
 
 
-def reference_nullspace(m: MatrixQ) -> MatrixQ:
-    """Canonical basis of {v : m @ v = 0} read off reference_rref."""
-    red, pivots = reference_rref(m)
+def reference_nullspace(matrix, width):
+    """Canonical basis of {v : matrix @ v = 0}, as rows, read off
+    reference_rref."""
+    red, pivots = reference_rref(matrix, width)
     vecs = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        v = [Fraction(0)] * m.cols
+    for f in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -red.row(i)[f]
+            v[p] = -red[i][f]
         vecs.append(v)
-    if not vecs:
-        return MatrixQ(0, m.cols, ())
-    return reference_rref(MatrixQ.from_rows(vecs, cols=m.cols))[0]
+    return reference_rref(vecs, width)[0]
 
 
 def reference_tw_kernels(m, cut, degree):
@@ -301,9 +302,9 @@ def reference_tw_kernels(m, cut, degree):
     pts = basis_points(m, degree)
     labels = tuple(m.fixed_points[i].name for i in pts)
     plus, minus = (
-        Subspace(degree, labels, nullspace(MatrixQ.from_rows(
-            [[m.alpha_minus[i][j] for i in pts] for j in side], cols=len(pts)
-        )))
+        Subspace(degree, labels, nullspace(
+            [[m.alpha_minus[i][j] for i in pts] for j in side], len(pts)
+        ))
         for side in split_fixed_points(m, cut)
     )
     return plus, minus, subspace_sum(plus, minus)

@@ -180,8 +180,8 @@ def test_criterion_3_regression_fixtures():
     assert degree_basis(m, 2) == [x_unit.restrictions, alpha1.restrictions]
     assert degree_basis(m, 0) == [(1, 1, 1)]
     pm = pairing_matrix(m, c, 2)
-    assert pm.matrix.row(1)[0] == rat(exp["pairing_alpha_p1_vs_unit"])
-    assert pm.matrix.row(0)[0] == rat(exp["pairing_x_vs_unit"])
+    assert pm.matrix[1][0] == rat(exp["pairing_alpha_p1_vs_unit"])
+    assert pm.matrix[0][0] == rat(exp["pairing_x_vs_unit"])
     k2 = kernel_residue(m, c, 2)
     assert computed_scalar_span(m, k2) == scalar_span(
         m, exp["kernel_degree_2_scalar_span"]
@@ -338,7 +338,7 @@ def test_criterion_7_b_matrix_diagnostics():
                     d,
                     rep.violations,
                 )
-                if rep.matrix.rows:
+                if rep.matrix:
                     checked += 1
     print(
         f"\n[criterion 7] PASS - {checked} nonempty upward-restriction matrices, "

@@ -22,7 +22,6 @@ from kirwan.cohomology import (
     validate_alpha_basis,
 )
 from kirwan.errors import UnknownFixedPoint, ValidationError
-from kirwan.exactmath import MatrixQ
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.momentdata import index_census, morse_index
 
@@ -342,6 +341,16 @@ def test_subspace_basis_is_reduced_primitive_and_positive():
     assert c.basis == ((2, -3, 0), (0, 0, 1))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0, 0], [0, 1]], [[1, 0]], [[1, 0, 0, 0]], [[1, 0, 0], [Fraction(1, 2), 0, 0, 1]]],
+    ids=["ragged", "narrower", "wider", "wider second row"],
+)
+def test_subspace_from_rows_rejects_rows_not_as_wide_as_the_labels(rows):
+    with pytest.raises(ValueError, match="width 3"):
+        subspace_from_rows(2, ("p0", "p1", "p2"), rows)
+
+
 def test_subspace_sum_and_intersection():
     labels = ("p0", "p1", "p2")
     a = subspace_from_rows(2, labels, [[1, 0, 0]])
@@ -390,8 +399,8 @@ def test_subspace_contains_matches_the_rank_oracle(data):
     rows, v = data
     width = len(v)
     s = subspace_from_rows(2, tuple(f"p{j}" for j in range(width)), rows)
-    rank = len(reference_rref(MatrixQ.from_rows(rows, cols=width))[1])
-    rank_with_v = len(reference_rref(MatrixQ.from_rows([*rows, v], cols=width))[1])
+    rank = len(reference_rref(rows, width)[1])
+    rank_with_v = len(reference_rref([*rows, v], width)[1])
     assert subspace_contains(s, v) == (rank_with_v == rank)
     with pytest.raises(ValidationError):
         subspace_contains(s, [*v, 0])

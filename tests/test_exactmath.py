@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kirwan.cohomology import basis_points
 from kirwan.errors import NotTriangular, SingularDiagonal
 from kirwan.exactmath import (
-    MatrixQ,
     nullspace,
     rat,
     rat_str,
@@ -35,10 +34,6 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 def eye_rows(k):
     return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-
-
-def eye(k):
-    return MatrixQ.from_rows(eye_rows(k), cols=k)
 
 
 def times(rows, v):
@@ -111,25 +106,25 @@ def test_residue_examples_match_oracle():
 
 
 def test_rref_rank_one():
-    red, pivots = rref(MatrixQ.from_rows([[2, 4], [1, 2]]))
+    red, pivots = rref([[2, 4], [1, 2]], 2)
     assert red == ((1, 2),)
     assert pivots == (0,)
 
 
 def test_rref_identity_fixed():
-    red, pivots = rref(eye(3))
+    red, pivots = rref(eye_rows(3), 3)
     assert red == eye_rows(3)
     assert pivots == (0, 1, 2)
 
 
 def test_rref_zero_matrix():
-    assert rref(MatrixQ.from_rows([[0, 0], [0, 0]])) == ((), ())
+    assert rref([[0, 0], [0, 0]], 2) == ((), ())
 
 
 matrix_strategy = st.integers(min_value=1, max_value=4).flatmap(
     lambda c: st.lists(
         st.lists(rationals, min_size=c, max_size=c), min_size=1, max_size=4
-    ).map(lambda rows: MatrixQ.from_rows(rows, cols=c))
+    ).map(lambda rows: (rows, c))
 )
 
 
@@ -137,10 +132,11 @@ matrix_strategy = st.integers(min_value=1, max_value=4).flatmap(
 def test_rref_idempotent(m):
     """Eliminating the integer rows, or the reduced rows they stand for,
     gives them back."""
-    red, pivots = rref(m)
-    assert rref(MatrixQ.from_rows(red, cols=m.cols)) == (red, pivots)
+    rows, width = m
+    red, pivots = rref(rows, width)
+    assert rref(red, width) == (red, pivots)
     fractions = [reduced_row(row) for row in red]
-    assert rref(MatrixQ.from_rows(fractions, cols=m.cols)) == (red, pivots)
+    assert rref(fractions, width) == (red, pivots)
 
 
 @given(matrix_strategy)
@@ -148,7 +144,7 @@ def test_rref_pivots_are_one_and_no_zero_rows(m):
     """Each returned row leads with its pivot, which is 1 once the row is
     divided by it; the other rows are zero in its column, and zero rows are
     not returned."""
-    red, pivots = rref(m)
+    red, pivots = rref(*m)
     assert len(red) == len(pivots)
     for i, c in enumerate(pivots):
         assert next(j for j, e in enumerate(red[i]) if e) == c
@@ -185,7 +181,7 @@ def wide_matrices(draw):
     if rows:
         for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=3)):
             rows[i] = [Fraction(0)] * cols
-    return MatrixQ.from_rows(rows, cols=cols)
+    return rows, cols
 
 
 @st.composite
@@ -207,11 +203,11 @@ def sparse_matrices(draw):
     for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
         for row in rows:
             row[j] = Fraction(0)
-    return MatrixQ.from_rows(rows, cols=cols)
+    return rows, cols
 
 
-def nonzero_rows(m):
-    return [row for row in m.to_rows() if any(row)]
+def nonzero_rows(rows):
+    return [row for row in rows if any(row)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,12 +215,12 @@ def nonzero_rows(m):
 def test_rref_and_nullspace_match_fraction_elimination(m):
     """Divided by their leading entry, the rows of `rref` and `nullspace` are
     the nonzero rows of the Fraction elimination, with the same pivots."""
-    rows, pivots = rref(m)
-    reduced, reference_pivots = reference_rref(m)
+    rows, pivots = rref(*m)
+    reduced, reference_pivots = reference_rref(*m)
     assert pivots == reference_pivots
     assert [reduced_row(row) for row in rows] == nonzero_rows(reduced)
-    assert [reduced_row(v) for v in nullspace(m)] == nonzero_rows(
-        reference_nullspace(m)
+    assert [reduced_row(v) for v in nullspace(*m)] == nonzero_rows(
+        reference_nullspace(*m)
     )
 
 
@@ -234,9 +230,9 @@ def test_primitive_rows_are_the_reduced_rows_scaled(m):
     """`rref` and `nullspace` give primitive integer rows with positive
     leading entry, each a positive multiple of the matching nonzero row of
     the Fraction elimination."""
-    rows, _ = rref(m)
-    basis = nullspace(m)
-    expected = nonzero_rows(reference_rref(m)[0]) + nonzero_rows(reference_nullspace(m))
+    rows, _ = rref(*m)
+    basis = nullspace(*m)
+    expected = nonzero_rows(reference_rref(*m)[0]) + nonzero_rows(reference_nullspace(*m))
     assert len(rows) + len(basis) == len(expected)
     for row, reduced in zip((*rows, *basis), expected):
         assert all(type(e) is int for e in row)
@@ -269,42 +265,49 @@ def test_nullspace_matches_fraction_elimination_on_kernel_matrices(m):
         for d in range(0, 2 * m.n - 1, 2):
             pts = basis_points(m, d)
             evaluations = [
-                MatrixQ.from_rows([[m.alpha_minus[i][j] for i in pts] for j in side], cols=len(pts))
+                ([[m.alpha_minus[i][j] for i in pts] for j in side], len(pts))
                 for side in (above, below)
             ]
-            matrix = pairing_matrix(m, cut, d).matrix
-            pairing = MatrixQ.from_rows([*zip(*matrix.to_rows())], cols=matrix.rows)
+            pm = pairing_matrix(m, cut, d)
+            pairing = ([*zip(*pm.matrix)], len(pm.row_labels))
             computed = [*kernel_tw(m, cut, d)[:2], kernel_residue(m, cut, d)]
             for matrix, kernel in zip([*evaluations, pairing], computed):
-                expected = reference_nullspace(matrix).to_rows()
-                assert [reduced_row(v) for v in nullspace(matrix)] == expected
+                expected = reference_nullspace(*matrix)
+                assert [reduced_row(v) for v in nullspace(*matrix)] == expected
                 assert rref_rows(kernel) == expected
                 checked += 1
     assert checked >= 3 * len(mid_gap_cuts(m))
 
 
 def test_nullspace_spec_examples():
-    assert nullspace(MatrixQ.from_rows([[1, -1]])) == ((1, 1),)
-    assert nullspace(eye(2)) == ()
+    assert nullspace([[1, -1]], 2) == ((1, 1),)
+    assert nullspace(eye_rows(2), 2) == ()
     # span{(2, 1)} in canonical form has leading coefficient 1
-    ns = nullspace(MatrixQ.from_rows([[Fraction(1, 2), -1]]))
+    ns = nullspace([[Fraction(1, 2), -1]], 2)
     assert ns == ((2, 1),)
     assert reduced_row(ns[0]) == [1, Fraction(1, 2)]
-    canonical, _ = rref(MatrixQ.from_rows([[2, 1]]))
+    canonical, _ = rref([[2, 1]], 2)
     assert ns == canonical
 
 
 @given(matrix_strategy)
 def test_nullspace_vectors_annihilate_and_rank_nullity(m):
-    ns = nullspace(m)
-    _, pivots = rref(m)
-    assert len(pivots) + len(ns) == m.cols
+    rows, width = m
+    ns = nullspace(rows, width)
+    _, pivots = rref(rows, width)
+    assert len(pivots) + len(ns) == width
     for v in ns:
-        assert all(x == 0 for x in times(m.to_rows(), v))
+        assert all(x == 0 for x in times(rows, v))
 
 
 def test_nullspace_of_empty_constraint_matrix():
-    assert nullspace(MatrixQ(0, 3, ())) == eye_rows(3)
+    assert nullspace((), 3) == eye_rows(3)
+
+
+@pytest.mark.parametrize("eliminate", [rref, nullspace])
+def test_a_row_of_another_width_raises(eliminate):
+    with pytest.raises(ValueError, match="row of length 1 in a matrix of width 2"):
+        eliminate([[1, 2], [3]], 2)
 
 
 def test_solve_upper_triangular_examples():

@@ -86,7 +86,7 @@ def test_pairing_matrix_entries_match_oracle():
                 pm = pairing_matrix(m, cut, d)
                 for i, f in enumerate(pm.row_labels):
                     for j, g in enumerate(pm.col_labels):
-                        assert pm.matrix.row(i)[j] == oracle_pairing(m, plus, f, g), (
+                        assert pm.matrix[i][j] == oracle_pairing(m, plus, f, g), (
                             m.name, str(cut.c), d, f, g,
                         )
                         checked += 1

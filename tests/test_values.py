@@ -11,7 +11,6 @@ import pytest
 
 from kirwan.cohomology import EquivariantClass, Subspace, ValidationReport
 from kirwan.errors import Frozen
-from kirwan.exactmath import MatrixQ
 from kirwan.generators import gen_cpn
 from kirwan.kernels import BMatrixReport, KernelReport, PairingMatrix
 from kirwan.momentdata import CutLevel, FixedPoint, ManifoldData
@@ -33,15 +32,14 @@ MAKERS = {
     "FixedPoint": lambda x: FixedPoint(f"p{x}", Fraction(x, 3), (1, -2)),
     "CutLevel": lambda x: CutLevel(Fraction(x, 3)),
     "ManifoldData": lambda x: _manifold(f"CP2-{x}"),
-    "MatrixQ": lambda x: MatrixQ(2, 2, (Fraction(x), 0, 0, 1)),
     "EquivariantClass": lambda x: EquivariantClass(2, (Fraction(x), Fraction(0))),
     "Subspace": lambda x: Subspace(x, ("p0", "p1"), ((1, -2),)),
     "KernelReport": _kernel_report,
     "PairingMatrix": lambda x: PairingMatrix(
-        CutLevel(Fraction(1, 2)), x, ("p0",), ("p1",), MatrixQ(1, 1, (Fraction(x),))
+        CutLevel(Fraction(1, 2)), x, ("p0",), ("p1",), ((Fraction(x),),)
     ),
     "BMatrixReport": lambda x: BMatrixReport(
-        CutLevel(Fraction(-1)), x, (), MatrixQ(0, 0, ()), (), True, True, ()
+        CutLevel(Fraction(-1)), x, (), (), (), True, True, ()
     ),
     "ValidationReport": lambda x: ValidationReport((f"alpha_minus[p{x}][p{x}] = 0",)),
 }
@@ -124,17 +122,3 @@ def test_manifold_equality_ignores_derived_members():
     )
     assert _manifold("CP2").morse_indices == (0, 2, 4)
     assert _manifold("CP2").position("p2") == 2
-
-
-@pytest.mark.parametrize(
-    "rows, cols, entries, message",
-    [
-        (-1, 0, (), "nonnegative"),
-        (0, -2, (), "nonnegative"),
-        (2, 2, (1, 2, 3), "expected 4 entries, got 3"),
-        (1, 2, (1, 2, 3), "expected 2 entries, got 3"),
-    ],
-)
-def test_matrix_rejects_bad_dimensions(rows, cols, entries, message):
-    with pytest.raises(ValueError, match=message):
-        MatrixQ(rows, cols, entries)
