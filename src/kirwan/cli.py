@@ -233,8 +233,11 @@ _DISAGREEMENT = [
 ]
 
 
-def _even_degrees(n: int) -> list[int]:
-    return list(range(0, 2 * n - 1, 2))
+def _degrees_down(n: int) -> list[int]:
+    """The even degrees 2n-2, ..., 0: a sweep visits them from the top down, so
+    a kernel that is zero spares every lower degree its elimination (`Sweep`);
+    reports list them upward."""
+    return list(range(2 * n - 2, -1, -2))
 
 
 def _cmd_validate(args) -> int:
@@ -280,7 +283,7 @@ def _cmd_kernel(args) -> int:
     """kernel subspaces per degree ('all' by default)"""
     m = _load(args.input)
     cut = CutLevel(args.cut)
-    degrees = _even_degrees(m.n) if args.degree is None else [args.degree]
+    degrees = _degrees_down(m.n) if args.degree is None else [args.degree]
     sweep = Sweep(m, cut)
     entries = []
     reports = []
@@ -295,6 +298,8 @@ def _cmd_kernel(args) -> int:
                             "kernel_dim": tw_sum.dim, "betti": len(tw_sum.labels) - tw_sum.dim})
         else:
             reports.append(kernels_equal(m, cut, d, sweep))
+    entries.reverse()
+    reports.reverse()
     if args.format == "json":
         # only the JSON report expands the subspaces to restriction rows
         entries.extend(report_to_dict(m, rep) for rep in reports)
@@ -337,7 +342,7 @@ def _cmd_betti(args) -> int:
     m = _load(args.input)
     cut = CutLevel(args.cut)
     sweep = Sweep(m, cut)
-    reports = [kernels_equal(m, cut, d, sweep) for d in _even_degrees(m.n)]
+    reports = [kernels_equal(m, cut, d, sweep) for d in _degrees_down(m.n)][::-1]
     table = [(rep.degree, rep.betti) for rep in reports]
     disagreement = not all(rep.equal for rep in reports)
     dual = all(b == dict(table)[2 * m.n - 2 - d] for d, b in table)

@@ -154,12 +154,17 @@ class ValidationReport(Frozen):
 
 
 def _support_violations(
-    m: ManifoldData, label: str, table: Sequence[Vector], upward: bool
+    m: ManifoldData,
+    label: str,
+    table: Sequence[Vector],
+    scan: Sequence[Sequence[Fraction | int]],
+    upward: bool,
 ) -> Iterable[str]:
     """Nonzero entries of each downward (upward) row at another point of its
     moment level or a lower (higher) one, in table order: with the points
-    sorted by (moment, name), one slice per row, up to the end of its level
-    (from its start)."""
+    sorted by (moment, name), one slice per row of scan, up to the end of its
+    level (from its start).  scan has the zero pattern of table (its integer
+    form, whose zeros `any` tests in C); the messages quote table."""
     pts = m.fixed_points
     side = "below" if upward else "above"
     start = 0
@@ -167,11 +172,11 @@ def _support_violations(
         if end < len(pts) and pts[end].moment == pts[start].moment:
             continue
         for i in range(start, end):
-            row = table[i]
+            row = scan[i]
             lo, hi = (start, len(pts)) if upward else (0, end)
             if any(row[lo:i]) or any(row[i + 1:hi]):
                 yield from (
-                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(row[j])} "
+                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(table[i][j])} "
                     f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
                     for j in range(lo, hi)
                     if row[j] and j != i
@@ -191,11 +196,15 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     """
     pts = m.fixed_points
     violations: list[str] = []
-    tables = [("alpha_minus", m.alpha_minus, False, negative_euler_scalar)]
+    # the support of alpha_minus is scanned on its integer rows, which check
+    # (d) reads too; alpha_plus has no integer form
+    tables = [
+        ("alpha_minus", m.alpha_minus, m.integer_alpha_minus[0], False, negative_euler_scalar)
+    ]
     if m.alpha_plus is not None:
-        tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
-    for label, table, upward, product in tables:
-        violations.extend(_support_violations(m, label, table, upward))
+        tables.append(("alpha_plus", m.alpha_plus, m.alpha_plus, True, positive_euler_scalar))
+    for label, table, scan, upward, product in tables:
+        violations.extend(_support_violations(m, label, table, scan, upward))
         sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
             want = product(f)

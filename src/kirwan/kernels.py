@@ -84,19 +84,33 @@ SIGN_CONVENTION = (
 
 class Sweep:
     """What the degrees of a sweep at one cut share: the fixed points split at
-    the cut, and the pairing Gram product over the points above it.
+    the cut, the pairing Gram product over the points above it, and the degrees
+    below which a kernel is known to be zero.
 
     Entry (f, g) is the weighted Gram entry of the downward classes at f and g
     times `scale` (`cohomology.gram_rows`, set up once per sweep), an integer.
     It is symmetric and computed the first time a block asks for it, so a sweep
     over all degrees computes each pair with ind f + ind g <= 2n - 2 once, and
     a single degree no more than its own block.
+
+    `residue_zero` and `tw_plus_zero` are the highest even degree at which the
+    residue kernel or tw_plus came out zero (-1 before any did).  For even
+    d' <= d, basis_points(m, d') is a subset of basis_points(m, d), so the
+    degree-d' matrix of either kernel keeps a subset of the degree-d columns:
+    the tw_plus rows are the points above the cut in every degree, and the
+    residue rows, the complementary basis, only grow as the degree falls.  Full
+    column rank passes down, so a zero kernel at d is zero at every lower
+    degree, on any data, and `kernel_residue` and `kernel_tw` return it there
+    without an elimination.  A sweep that visits its degrees from the top down
+    (`kirwan betti`, `kirwan kernel`) runs one elimination per side for the
+    zero kernels; one visiting them upward gets the same results.
     """
 
     def __init__(self, m: ManifoldData, cut: CutLevel):
         self.above, self.below = split_fixed_points(m, cut)
         self._row_entries, self.scale = gram_rows(m, self.above)
         self._gram: dict[tuple[int, int], int] = {}
+        self.residue_zero = self.tw_plus_zero = -1
 
     def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
         """The integer entries (f, g) for the positions f in rows and g in cols."""
@@ -144,12 +158,19 @@ def kernel_residue(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> Subspace:
     """Degree-d classes pairing to zero against the whole complementary basis: the null
-    space of the transposed integer Gram block, whose scale changes no null space."""
+    space of the transposed integer Gram block, whose scale changes no null space.
+    Zero with no elimination at or below the sweep's `residue_zero`."""
     if sweep is None:
         sweep = Sweep(m, cut)
-    rows, cols = basis_points(m, degree), basis_points(m, 2 * m.n - 2 - degree)
+    rows = basis_points(m, degree)
+    labels = tuple(m.fixed_points[i].name for i in rows)
+    if degree <= sweep.residue_zero:
+        return Subspace(degree, labels, ())
+    cols = basis_points(m, 2 * m.n - 2 - degree)
     basis = nullspace(sweep.gram_block(cols, rows), len(rows))
-    return Subspace(degree, tuple(m.fixed_points[i].name for i in rows), basis)
+    if not basis and degree % 2 == 0:
+        sweep.residue_zero = degree
+    return Subspace(degree, labels, basis)
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
@@ -163,12 +184,25 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
     return Subspace(degree, labels, nullspace(constraints, len(pts)))
 
 
+def _tw_plus(m: ManifoldData, degree: int, sweep: Sweep) -> Subspace:
+    """Degree-d classes vanishing above the cut, zero with no elimination at or
+    below the sweep's `tw_plus_zero`."""
+    if degree <= sweep.tw_plus_zero:
+        labels = tuple(m.fixed_points[i].name for i in basis_points(m, degree))
+        return Subspace(degree, labels, ())
+    tw_plus = _evaluation_kernel(m, degree, sweep.above)
+    if not tw_plus.basis and degree % 2 == 0:
+        sweep.tw_plus_zero = degree
+    return tw_plus
+
+
 def kernel_tw(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> tuple[Subspace, Subspace, Subspace]:
     """(vanishing above the cut, vanishing below it, their sum).
 
-    The first is eliminated.  Where the support axioms' triangular block holds
+    The first is eliminated, except at or below the sweep's `tw_plus_zero`,
+    where it is zero.  Where the support axioms' triangular block holds
     (checked on every call: the k below-cut basis points come first, their rows
     there are triangular with a nonzero diagonal, and the above-cut basis rows
     vanish below the cut), the second is the unit rows at columns k and up, and
@@ -177,7 +211,7 @@ def kernel_tw(
     """
     if sweep is None:
         sweep = Sweep(m, cut)
-    tw_plus = _evaluation_kernel(m, degree, sweep.above)
+    tw_plus = _tw_plus(m, degree, sweep)
     pts, below, labels = basis_points(m, degree), sweep.below, tw_plus.labels
     low, (table, _) = set(below), m.integer_alpha_minus
     k, w = sum(i in low for i in pts), len(pts)

@@ -7,6 +7,8 @@
   translated moment map.
 - The sharing guard counts the Gram entries a degree sweep computes, and
   the elimination guard the eliminations it runs.
+- The order guard: a sweep's kernels do not depend on the order it visits
+  its degrees in, although a zero kernel spares the lower degrees theirs.
 - Cup products: the residue kernel is closed under multiplication by basis
   classes, a check that relates one degree to another.
 """
@@ -29,16 +31,24 @@ from kirwan.cohomology import (
 )
 from kirwan.exactmath import nullspace
 from kirwan.generators import gen_cpn, gen_sphere_product
-from kirwan.kernels import Sweep, _solve_basis_coefficients, kernel_residue, kernels_equal
+from kirwan.kernels import (
+    Sweep,
+    _solve_basis_coefficients,
+    kernel_residue,
+    kernel_tw,
+    kernels_equal,
+    pairing_matrix,
+)
 from kirwan.momentdata import (
     CutLevel,
     load_manifold,
     manifold_to_dict,
     manifold_to_json,
     morse_index,
+    split_fixed_points,
 )
 
-from oracles import census_betti
+from oracles import census_betti, edited, reference_nullspace, rref_rows
 
 
 def betti_table(m, cut):
@@ -233,6 +243,88 @@ def test_betti_sweep_runs_at_most_three_eliminations_per_degree(monkeypatch):
             before = len(calls)
             kernels_equal(m, cut, d, sweep)
             assert 2 <= len(calls) - before <= 3, (str(cut.c), d)
+
+
+def test_a_descending_betti_sweep_eliminates_each_zero_kernel_once(tmp_path, monkeypatch, capsys):
+    """A kernel that is zero at degree d is zero below it, so `kirwan betti`,
+    which visits the degrees from the top down, eliminates each side once per
+    degree with a nonzero kernel and once more for the first zero one: 9 and
+    10 eliminations on CP^8 at these cuts, where one per degree and side
+    would be 16."""
+    m = gen_cpn(range(9))
+    path = tmp_path / "m.json"
+    path.write_text(manifold_to_json(m))
+    real = kernels.nullspace
+    for c, want in (("1/2", 9), ("9/2", 10)):
+        calls = []
+
+        def counting(rows, width):
+            calls.append(1)
+            return real(rows, width)
+
+        monkeypatch.setattr(kernels, "nullspace", counting)
+        assert main(["betti", "--input", str(path), "--cut", c]) == 0
+        monkeypatch.undo()
+        cut = CutLevel(Fraction(c))
+        reports = [kernels_equal(m, cut, d) for d in range(0, 2 * m.n - 1, 2)]
+        nonzero_residue = sum(bool(r.residue_kernel.basis) for r in reports)
+        nonzero_tw_plus = sum(bool(r.tw_plus.basis) for r in reports)
+        assert len(calls) <= (nonzero_residue + 1) + (nonzero_tw_plus + 1), c
+        assert len(calls) == want, c
+    capsys.readouterr()
+
+
+# --- order guard --------------------------------------------------------------------
+
+# each edit breaks kernel_tw's triangular block at cut 3/2, so tw_minus and
+# tw_sum are eliminated there (tests/test_kernels.py pins which degree)
+fallback_edits = (
+    ("alpha_minus", "p2", "p0", "5"),
+    ("alpha_minus", "p1", "p1", "0"),
+    ("alpha_minus", "p1", "p0", "-1"),
+)
+order_data = st.one_of(
+    cpn_weights.map(gen_cpn),
+    sphere_speeds.map(gen_sphere_product),
+    st.sampled_from(fallback_edits).map(lambda edit: edited(gen_cpn([0, 1, 2, 3]), edit)),
+)
+
+
+def all_cuts(m):
+    """Every gap cut, and one below all moments and one above them."""
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    return [CutLevel(levels[0] - 1), *mid_gap_cuts(m), CutLevel(levels[-1] + 1)]
+
+
+def sweep_kernels(m, cut, order):
+    """(residue kernel, tw_plus, tw_minus, tw_sum) per degree, from one Sweep
+    visiting the degrees in the given order."""
+    sweep = Sweep(m, cut)
+    return {d: (kernel_residue(m, cut, d, sweep), *kernel_tw(m, cut, d, sweep)) for d in order}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(order_data, st.randoms(use_true_random=False))
+def test_kernels_do_not_depend_on_the_order_of_the_sweep(m, rng):
+    """Descending, ascending and shuffled sweeps give each degree the kernels
+    of a fresh Sweep.  The degrees run past 2n - 2 and include the odd ones,
+    whose empty bases must not pass a zero kernel down to the even degrees
+    below them.  The residue kernel and tw_plus are also checked against the
+    Fraction elimination of their matrices."""
+    degrees = list(range(2 * m.n + 1))
+    shuffled = degrees[:]
+    rng.shuffle(shuffled)
+    for cut in all_cuts(m):
+        fresh = {d: (kernel_residue(m, cut, d), *kernel_tw(m, cut, d)) for d in degrees}
+        for order in (degrees[::-1], degrees, shuffled):
+            assert sweep_kernels(m, cut, order) == fresh, (m.name, str(cut.c), order)
+        above, _ = split_fixed_points(m, cut)
+        for d, (residue, tw_plus, _, _) in fresh.items():
+            pts = basis_points(m, d)
+            pairing = pairing_matrix(m, cut, d).matrix
+            assert rref_rows(residue) == reference_nullspace([*zip(*pairing)], len(pts))
+            evaluation = [[m.alpha_minus[i][j] for i in pts] for j in above]
+            assert rref_rows(tw_plus) == reference_nullspace(evaluation, len(pts))
 
 
 # --- cup products -----------------------------------------------------------------

@@ -117,6 +117,28 @@ def test_kernel_single_degree(cp2_path, capsys):
     assert entry["residue_kernel"]["restriction_rows"] == [["1", "1/2", "0"]]
 
 
+@pytest.mark.parametrize("method", ["both", "residue", "tw"])
+@pytest.mark.parametrize("m", [gen_cpn([0, 1, 2, 3]), gen_sphere_product([1, 2, 3])],
+                         ids=["CP3", "S2^3"])
+def test_kernel_all_lists_the_single_degree_entries_upward(tmp_path, capsys, m, method):
+    """--degree all sweeps from the top degree down, yet its entries are those
+    of --degree d for each d, in ascending order."""
+    path = tmp_path / "m.json"
+    path.write_text(manifold_to_json(m))
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    for lo, hi in zip(levels, levels[1:]):
+        args = ("kernel", "--input", str(path), "--cut", str((lo + hi) / 2),
+                "--method", method, "--format", "json")
+        code, text = run(capsys, *args)
+        assert code == 0
+        single = []
+        for d in range(0, 2 * m.n - 1, 2):
+            code, one = run(capsys, *args, "--degree", str(d))
+            assert code == 0
+            single.extend(json.loads(one)["degrees"])
+        assert json.loads(text)["degrees"] == single, (lo + hi) / 2
+
+
 def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):
     # md prints only dimensions, so it must not build the restriction rows;
     # every expansion, Fraction rows included, goes through subspace_integer_rows
