@@ -10,7 +10,8 @@ integer multiples, so `rref` and `nullspace` give canonical bases of row spans
 and null spaces as primitive integer rows (each divided by the gcd of its
 entries, with positive leading entry).  Divided by its leading entry, such a
 row is its reduced-row-echelon row; `ratio_str` writes each entry of that
-quotient from the two integers, with no Fraction made.
+quotient from the two integers, with no Fraction made.  `meet` cuts such a
+basis down by one linear condition, with no elimination.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "ratio_str",
     "rref",
     "nullspace",
+    "meet",
     "solve_upper_triangular",
 ]
 
@@ -197,6 +199,36 @@ def nullspace(
         g = math.gcd(*v)
         basis.append(tuple(v) if g == 1 else tuple(e // g for e in v))
     return tuple(basis)
+
+
+def meet(rows: Sequence[tuple[int, ...]], values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rows of `rref` of the part of the span of rows, given as `rref` gives
+    them, where a linear functional of integer values t_i on them is zero.
+
+    With s the last row where t_s != 0, each earlier row with t_i != 0 becomes
+    a*row_i - b*row_s (a = t_s/g > 0, b = t_i/g, g = +-gcd(t_s, t_i)) over the
+    gcd of its entries, and row s is dropped.  Row s is zero left of its pivot
+    and at the other pivot columns, so each new row keeps the pivot, sign and
+    pivot-column zeros of row i: the result is canonical with no pivot search.
+    The vectors zero at column c are meet(rows, [row[c] for row in rows]).
+
+    >>> meet(((1, 0, 1), (0, 1, 1)), (1, 1))
+    ((1, -1, 0),)
+    """
+    s = next((i for i in reversed(range(len(rows))) if values[i]), None)
+    if s is None:
+        return tuple(rows)
+    ts, last = values[s], rows[s]
+    out = []
+    for row, t in zip(rows[:s], values):
+        if t:
+            g = math.gcd(ts, t) if ts > 0 else -math.gcd(ts, t)
+            a, b = ts // g, t // g
+            row = [a * e - b * x for e, x in zip(row, last)]
+            g = math.gcd(*row)
+            row = tuple(row) if g == 1 else tuple(e // g for e in row)
+        out.append(row)
+    return (*out, *rows[s + 1 :])
 
 
 def solve_upper_triangular(

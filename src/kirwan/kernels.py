@@ -26,8 +26,10 @@ is applied.  Kernels and Betti numbers are unaffected by that convention
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .cohomology import (
     EquivariantClass,
@@ -38,7 +40,6 @@ from .cohomology import (
     degree_basis,
     gram_rows,
     subspace_contains,
-    subspace_from_rows,
     subspace_integer_rows,
     subspace_scalar_rows,
     subspace_sum,
@@ -52,6 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .exactmath import (
+    meet,
     nullspace,
     rat_str,
     ratio_str,
@@ -84,8 +86,8 @@ SIGN_CONVENTION = (
 
 class Sweep:
     """What the degrees of a sweep at one cut share: the fixed points split at
-    the cut, the pairing Gram product over the points above it, and the degrees
-    below which a kernel is known to be zero.
+    the cut, the pairing Gram product over the points above it, and the last
+    kernel computed on each side.
 
     Entry (f, g) is the weighted Gram entry of the downward classes at f and g
     times `scale` (`cohomology.gram_rows`, set up once per sweep), an integer.
@@ -93,24 +95,27 @@ class Sweep:
     over all degrees computes each pair with ind f + ind g <= 2n - 2 once, and
     a single degree no more than its own block.
 
-    `residue_zero` and `tw_plus_zero` are the highest even degree at which the
-    residue kernel or tw_plus came out zero (-1 before any did).  For even
-    d' <= d, basis_points(m, d') is a subset of basis_points(m, d), so the
-    degree-d' matrix of either kernel keeps a subset of the degree-d columns:
-    the tw_plus rows are the points above the cut in every degree, and the
-    residue rows, the complementary basis, only grow as the degree falls.  Full
-    column rank passes down, so a zero kernel at d is zero at every lower
-    degree, on any data, and `kernel_residue` and `kernel_tw` return it there
-    without an elimination.  A sweep that visits its degrees from the top down
-    (`kirwan betti`, `kirwan kernel`) runs one elimination per side for the
-    zero kernels; one visiting them upward gets the same results.
+    `residue` and `tw_plus` are the last even-degree residue kernel and tw_plus
+    (None before any).  For even d' <= d, basis_points(m, d') is a subset of
+    basis_points(m, d), so the degree-d' matrix of either kernel keeps a subset
+    of the degree-d columns: the tw_plus rows are the points above the cut in
+    every degree, and the residue rows, the complementary basis, only grow as
+    the degree falls.  So, on any data, tw_plus at d' is the part of tw_plus at
+    d that is zero at each dropped basis point, and the residue kernel at d' is
+    that narrowing of the residue kernel at d, met with the Gram rows of the new
+    complementary points; `exactmath.meet` takes each condition with no
+    elimination, and a zero kernel narrows to zero with no work.  A sweep that
+    visits its degrees from the top down (`kirwan betti`, `kirwan kernel`) runs
+    one elimination per side, at its top degree; one visiting them upward gets
+    the same results with one elimination per degree and side.
     """
 
     def __init__(self, m: ManifoldData, cut: CutLevel):
         self.above, self.below = split_fixed_points(m, cut)
         self._row_entries, self.scale = gram_rows(m, self.above)
         self._gram: dict[tuple[int, int], int] = {}
-        self.residue_zero = self.tw_plus_zero = -1
+        self.residue: Subspace | None = None
+        self.tw_plus: Subspace | None = None
 
     def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
         """The integer entries (f, g) for the positions f in rows and g in cols."""
@@ -154,23 +159,44 @@ def pairing_matrix(
     )
 
 
+def _narrow(m: ManifoldData, kept: Subspace, points: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The vectors of the kept kernel that are zero at each of its basis points
+    not in points (a subset of them), as canonical rows over points."""
+    basis, keep, cols = kept.basis, set(points), []
+    for c, f in enumerate(basis_points(m, kept.degree)):
+        if f in keep:
+            cols.append(c)
+        elif basis:
+            basis = meet(basis, [row[c] for row in basis])
+    return tuple(tuple(map(row.__getitem__, cols)) for row in basis)
+
+
 def kernel_residue(
     m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
 ) -> Subspace:
     """Degree-d classes pairing to zero against the whole complementary basis: the null
     space of the transposed integer Gram block, whose scale changes no null space.
-    Zero with no elimination at or below the sweep's `residue_zero`."""
+    At or below the degree of the sweep's kept `residue`, that kernel narrowed to the
+    degree-d basis and met with the Gram rows of the new complementary points."""
     if sweep is None:
         sweep = Sweep(m, cut)
     rows = basis_points(m, degree)
     labels = tuple(m.fixed_points[i].name for i in rows)
-    if degree <= sweep.residue_zero:
-        return Subspace(degree, labels, ())
     cols = basis_points(m, 2 * m.n - 2 - degree)
-    basis = nullspace(sweep.gram_block(cols, rows), len(rows))
-    if not basis and degree % 2 == 0:
-        sweep.residue_zero = degree
-    return Subspace(degree, labels, basis)
+    kept = sweep.residue
+    if kept is not None and degree <= kept.degree:
+        basis = _narrow(m, kept, rows)
+        known = set(basis_points(m, 2 * m.n - 2 - kept.degree))
+        for g in cols:
+            if basis and g not in known:
+                (line,) = sweep.gram_block([g], rows)
+                basis = meet(basis, [sum(map(mul, line, row)) for row in basis])
+    else:
+        basis = nullspace(sweep.gram_block(cols, rows), len(rows))
+    residue = Subspace(degree, labels, basis)
+    if degree % 2 == 0:
+        sweep.residue = residue
+    return residue
 
 
 def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> Subspace:
@@ -185,14 +211,17 @@ def _evaluation_kernel(m: ManifoldData, degree: int, points: Sequence[int]) -> S
 
 
 def _tw_plus(m: ManifoldData, degree: int, sweep: Sweep) -> Subspace:
-    """Degree-d classes vanishing above the cut, zero with no elimination at or
-    below the sweep's `tw_plus_zero`."""
-    if degree <= sweep.tw_plus_zero:
-        labels = tuple(m.fixed_points[i].name for i in basis_points(m, degree))
-        return Subspace(degree, labels, ())
-    tw_plus = _evaluation_kernel(m, degree, sweep.above)
-    if not tw_plus.basis and degree % 2 == 0:
-        sweep.tw_plus_zero = degree
+    """Degree-d classes vanishing above the cut: at or below the degree of the
+    sweep's kept `tw_plus`, that kernel narrowed to the degree-d basis."""
+    kept = sweep.tw_plus
+    if kept is not None and degree <= kept.degree:
+        pts = basis_points(m, degree)
+        labels = tuple(m.fixed_points[i].name for i in pts)
+        tw_plus = Subspace(degree, labels, _narrow(m, kept, pts))
+    else:
+        tw_plus = _evaluation_kernel(m, degree, sweep.above)
+    if degree % 2 == 0:
+        sweep.tw_plus = tw_plus
     return tw_plus
 
 
@@ -201,13 +230,16 @@ def kernel_tw(
 ) -> tuple[Subspace, Subspace, Subspace]:
     """(vanishing above the cut, vanishing below it, their sum).
 
-    The first is eliminated, except at or below the sweep's `tw_plus_zero`,
-    where it is zero.  Where the support axioms' triangular block holds
-    (checked on every call: the k below-cut basis points come first, their rows
-    there are triangular with a nonzero diagonal, and the above-cut basis rows
-    vanish below the cut), the second is the unit rows at columns k and up, and
-    the sum is those rows after the tw_plus basis cut to its first k columns.
-    Elsewhere (data loaded without validation) both are eliminated.
+    The first is eliminated, except at or below the degree of the sweep's kept
+    `tw_plus`, which it narrows.  Where the support axioms' triangular block
+    holds (checked on every call: the k below-cut basis points come first,
+    their rows there are triangular with a nonzero diagonal, and the above-cut
+    basis rows vanish below the cut), the second is the unit rows at columns k
+    and up, and the sum is those rows after the tw_plus basis cut to its first
+    k columns.  tw_plus is canonical, so that cut is read off with no
+    elimination: its rows are the tw_plus rows with leading entry left of k,
+    each cut at k and divided by the gcd of what is left.  Elsewhere (data
+    loaded without validation) both are eliminated.
     """
     if sweep is None:
         sweep = Sweep(m, cut)
@@ -220,8 +252,11 @@ def kernel_tw(
         for a, f in enumerate(pts[:k])
     ) and not any(table[g][j] for g in pts[k:] for j in below):
         units = tuple((0,) * c + (1,) + (0,) * (w - 1 - c) for c in range(k, w))
-        cut_plus = subspace_from_rows(degree, labels[:k], [row[:k] for row in tw_plus.basis])
-        padded = tuple(row + (0,) * (w - k) for row in cut_plus.basis)
+        padded = tuple(
+            tuple(e // g for e in row[:k]) + (0,) * (w - k)
+            for row in tw_plus.basis
+            if (g := math.gcd(*row[:k]))
+        )
         return tw_plus, Subspace(degree, labels, units), Subspace(degree, labels, padded + units)
     tw_minus = _evaluation_kernel(m, degree, below)
     return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)

@@ -8,7 +8,7 @@
 - The sharing guard counts the Gram entries a degree sweep computes, and
   the elimination guard the eliminations it runs.
 - The order guard: a sweep's kernels do not depend on the order it visits
-  its degrees in, although a zero kernel spares the lower degrees theirs.
+  its degrees in, although a lower degree narrows the kernel above it.
 - Cup products: the residue kernel is closed under multiplication by basis
   classes, a check that relates one degree to another.
 """
@@ -245,32 +245,32 @@ def test_betti_sweep_runs_at_most_three_eliminations_per_degree(monkeypatch):
             assert 2 <= len(calls) - before <= 3, (str(cut.c), d)
 
 
-def test_a_descending_betti_sweep_eliminates_each_zero_kernel_once(tmp_path, monkeypatch, capsys):
-    """A kernel that is zero at degree d is zero below it, so `kirwan betti`,
-    which visits the degrees from the top down, eliminates each side once per
-    degree with a nonzero kernel and once more for the first zero one: 9 and
-    10 eliminations on CP^8 at these cuts, where one per degree and side
-    would be 16."""
+def test_a_descending_sweep_eliminates_once_per_side(tmp_path, monkeypatch, capsys):
+    """Each lower degree's kernel is the one above narrowed by `exactmath.meet`,
+    so a command that visits the degrees from the top down eliminates each
+    side once, at 2n-2: `kirwan betti` runs 2 eliminations on CP^8 at these
+    cuts, and `kirwan kernel --degree all` 1 per side it computes, where one
+    per degree and side would be 16 for betti."""
     m = gen_cpn(range(9))
     path = tmp_path / "m.json"
     path.write_text(manifold_to_json(m))
     real = kernels.nullspace
-    for c, want in (("1/2", 9), ("9/2", 10)):
-        calls = []
+    for c in ("1/2", "9/2"):
+        for argv, want in (
+            (["betti"], 2),
+            (["kernel", "--degree", "all", "--method", "residue"], 1),
+            (["kernel", "--degree", "all", "--method", "tw"], 1),
+        ):
+            calls = []
 
-        def counting(rows, width):
-            calls.append(1)
-            return real(rows, width)
+            def counting(rows, width):
+                calls.append(1)
+                return real(rows, width)
 
-        monkeypatch.setattr(kernels, "nullspace", counting)
-        assert main(["betti", "--input", str(path), "--cut", c]) == 0
-        monkeypatch.undo()
-        cut = CutLevel(Fraction(c))
-        reports = [kernels_equal(m, cut, d) for d in range(0, 2 * m.n - 1, 2)]
-        nonzero_residue = sum(bool(r.residue_kernel.basis) for r in reports)
-        nonzero_tw_plus = sum(bool(r.tw_plus.basis) for r in reports)
-        assert len(calls) <= (nonzero_residue + 1) + (nonzero_tw_plus + 1), c
-        assert len(calls) == want, c
+            monkeypatch.setattr(kernels, "nullspace", counting)
+            assert main([*argv, "--input", str(path), "--cut", c]) == 0
+            monkeypatch.undo()
+            assert len(calls) == want, (c, argv)
     capsys.readouterr()
 
 

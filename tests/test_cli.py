@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from kirwan import cli, cohomology, kernels
 from kirwan.cli import main
-from kirwan.cohomology import degree_basis
+from kirwan.cohomology import basis_points, degree_basis
+from kirwan.exactmath import rat
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import KernelReport, kernels_equal
-from kirwan.momentdata import manifold_to_json
-from oracles import reference_parser
+from kirwan.momentdata import CutLevel, manifold_to_json, split_fixed_points
+from oracles import census_betti, localization_pairing, reference_nullspace, reference_parser
 
 
 @pytest.fixture
@@ -137,6 +138,58 @@ def test_kernel_all_lists_the_single_degree_entries_upward(tmp_path, capsys, m, 
             assert code == 0
             single.extend(json.loads(one)["degrees"])
         assert json.loads(text)["degrees"] == single, (lo + hi) / 2
+
+
+def gap_cuts(m):
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    return [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [gen_cpn(range(n + 1)) for n in range(2, 7)]
+    + [gen_sphere_product(range(1, k + 1)) for k in range(2, 5)],
+    ids=lambda m: m.name,
+)
+def test_kernel_rows_match_fraction_elimination(tmp_path, capsys, m):
+    """The rows `kernel --degree all` writes, derived degree by degree from the
+    one above, are the Fraction elimination of each degree's own matrix: the
+    localization pairings against the complementary basis for the residue
+    kernel, the basis evaluated above the cut for tw_plus."""
+    path = tmp_path / "m.json"
+    path.write_text(manifold_to_json(m))
+    a = m.alpha_minus
+    for c in gap_cuts(m):
+        code, text = run(capsys, "kernel", "--input", str(path), "--cut", str(c),
+                         "--degree", "all", "--format", "json")
+        assert code == 0
+        above, _ = split_fixed_points(m, CutLevel(c))
+        for entry in json.loads(text)["degrees"]:
+            d = entry["degree"]
+            pts, cols = basis_points(m, d), basis_points(m, 2 * m.n - 2 - d)
+            pairings = [[localization_pairing(m, a[g], a[f], above) for f in pts] for g in cols]
+            evaluations = [[a[f][j] for f in pts] for j in above]
+            for side, matrix in (("residue_kernel", pairings), ("tw_plus", evaluations)):
+                rows = [[rat(e) for e in row] for row in entry[side]["coefficient_rows"]]
+                assert rows == reference_nullspace(matrix, len(pts)), (str(c), d, side)
+
+
+@pytest.mark.parametrize("m", [gen_sphere_product([1] * 6), gen_cpn(range(25))],
+                         ids=lambda m: m.name)
+def test_long_narrowing_chains_agree_with_the_census(tmp_path, capsys, m):
+    """Every degree of a long top-down sweep narrows the kernels above it; the
+    Betti numbers still match the index census and the two kernels agree."""
+    path = tmp_path / "m.json"
+    path.write_text(manifold_to_json(m))
+    for c in gap_cuts(m):
+        args = ("--input", str(path), "--cut", str(c), "--format", "json")
+        want = {str(d): b for d, b in census_betti(m, CutLevel(c)).items()}
+        code, text = run(capsys, "betti", *args)
+        assert code == 0 and json.loads(text)["betti"] == want, str(c)
+        code, text = run(capsys, "kernel", *args, "--degree", "all")
+        entries = json.loads(text)["degrees"]
+        assert code == 0 and all(e["equal"] for e in entries), str(c)
+        assert {str(e["degree"]): e["betti"] for e in entries} == want, str(c)
 
 
 def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):

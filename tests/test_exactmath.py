@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kirwan.cohomology import basis_points
 from kirwan.errors import NotTriangular, SingularDiagonal
 from kirwan.exactmath import (
+    meet,
     nullspace,
     rat,
     rat_str,
@@ -239,6 +240,53 @@ def test_primitive_rows_are_the_reduced_rows_scaled(m):
         assert math.gcd(*row) == 1 and next(e for e in row if e) > 0
         lead = next(e for e in row if e)
         assert [Fraction(e) for e in row] == [lead * e for e in reduced]
+
+
+def primitive(row):
+    """A nonzero Fraction row as its primitive integer multiple of the same sign."""
+    den = math.lcm(*(e.denominator for e in row))
+    ints = [int(e * den) for e in row]
+    g = math.gcd(*ints)
+    return tuple(e // g for e in ints)
+
+
+@st.composite
+def canonical_rows_and_values(draw):
+    """Canonical rows (the Fraction elimination of a random matrix, as
+    primitive rows), their width, and a functional's values on them: all
+    zero, a unit column, or random integers."""
+    rows, width = draw(st.one_of(wide_matrices(), sparse_matrices()))
+    basis = [primitive(row) for row in nonzero_rows(reference_rref(rows, width)[0])]
+    r = len(basis)
+    values = draw(
+        st.one_of(
+            st.just([0] * r),
+            st.integers(0, width - 1).map(lambda c: [row[c] for row in basis]),
+            st.lists(
+                st.integers(-50, 50) | st.integers(-(10**30), 10**30), min_size=r, max_size=r
+            ),
+        )
+    )
+    return basis, width, values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(canonical_rows_and_values())
+def test_meet_matches_fraction_elimination(case):
+    """`meet` gives the primitive rows of the Fraction elimination of the rows
+    combined by the null space of the values: the span where the functional
+    is zero, in canonical form."""
+    basis, width, values = case
+    combos = reference_nullspace([[Fraction(t) for t in values]], len(basis))
+    spanning = [
+        [sum((c * row[j] for c, row in zip(v, basis)), Fraction(0)) for j in range(width)]
+        for v in combos
+    ]
+    got = meet(basis, values)
+    assert [reduced_row(row) for row in got] == nonzero_rows(reference_rref(spanning, width)[0])
+    for row in got:
+        assert all(type(e) is int for e in row)
+        assert math.gcd(*row) == 1 and next(e for e in row if e) > 0
 
 
 def mid_gap_cuts(m):
