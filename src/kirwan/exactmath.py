@@ -210,6 +210,7 @@ def meet(rows: Sequence[tuple[int, ...]], values: Sequence[int]) -> tuple[tuple[
     gcd of its entries, and row s is dropped.  Row s is zero left of its pivot
     and at the other pivot columns, so each new row keeps the pivot, sign and
     pivot-column zeros of row i: the result is canonical with no pivot search.
+    Past the scaling by a, only the entries where row s is nonzero change.
     The vectors zero at column c are meet(rows, [row[c] for row in rows]).
 
     >>> meet(((1, 0, 1), (0, 1, 1)), (1, 1))
@@ -219,14 +220,17 @@ def meet(rows: Sequence[tuple[int, ...]], values: Sequence[int]) -> tuple[tuple[
     if s is None:
         return tuple(rows)
     ts, last = values[s], rows[s]
+    support = [(j, x) for j, x in enumerate(last) if x]
     out = []
     for row, t in zip(rows[:s], values):
         if t:
             g = math.gcd(ts, t) if ts > 0 else -math.gcd(ts, t)
             a, b = ts // g, t // g
-            row = [a * e - b * x for e, x in zip(row, last)]
-            g = math.gcd(*row)
-            row = tuple(row) if g == 1 else tuple(e // g for e in row)
+            new = list(row) if a == 1 else [a * e for e in row]
+            for j, x in support:
+                new[j] -= b * x
+            g = math.gcd(*new)
+            row = tuple(new) if g == 1 else tuple(e // g for e in new)
         out.append(row)
     return (*out, *rows[s + 1 :])
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .cohomology import (
@@ -190,7 +191,8 @@ def kernel_residue(
         for g in cols:
             if basis and g not in known:
                 (line,) = sweep.gram_block([g], rows)
-                basis = meet(basis, [sum(map(mul, line, row)) for row in basis])
+                entries = [x for x in line if x]  # kernel rows are sparse; skip zeros
+                basis = meet(basis, [sum(map(mul, entries, compress(row, line))) for row in basis])
     else:
         basis = nullspace(sweep.gram_block(cols, rows), len(rows))
     residue = Subspace(degree, labels, basis)

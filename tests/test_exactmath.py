@@ -272,6 +272,7 @@ def canonical_rows_and_values(draw):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(canonical_rows_and_values())
+@example(case=([(2, 0, 1), (0, 2, 1)], 3, [1, 1]))  # the combination (2, -2, 0) needs its gcd
 def test_meet_matches_fraction_elimination(case):
     """`meet` gives the primitive rows of the Fraction elimination of the rows
     combined by the null space of the values: the span where the functional
