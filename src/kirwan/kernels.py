@@ -191,7 +191,7 @@ def kernel_residue(
         for g in cols:
             if basis and g not in known:
                 (line,) = sweep.gram_block([g], rows)
-                entries = [x for x in line if x]  # kernel rows are sparse; skip zeros
+                entries = [x for x in line if x]  # dot products over its nonzero entries
                 basis = meet(basis, [sum(map(mul, entries, compress(row, line))) for row in basis])
     else:
         basis = nullspace(sweep.gram_block(cols, rows), len(rows))
