@@ -29,8 +29,7 @@ from .momentdata import (
     FixedPoint,
     ManifoldData,
     load_manifold,
-    make_manifold,
     manifold_to_json,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

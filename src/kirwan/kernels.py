@@ -86,9 +86,9 @@ SIGN_CONVENTION = (
 
 
 class Sweep:
-    """What the degrees of a sweep at one cut share: the fixed points split at
-    the cut, the pairing Gram product over the points above it, and the last
-    kernel computed on each side.
+    """What the degrees of a sweep at one cut share: the datum `m` and the
+    `cut`, the fixed points split at the cut, the pairing Gram product over the
+    points above it, and the last kernel computed on each side.
 
     Entry (f, g) is the weighted Gram entry of the downward classes at f and g
     times `scale` (`cohomology.gram_rows`, set up once per sweep), an integer.
@@ -109,9 +109,13 @@ class Sweep:
     visits its degrees from the top down (`kirwan betti`, `kirwan kernel`) runs
     one elimination per side, at its top degree; one visiting them upward gets
     the same results with one elimination per degree and side.
+
+    `kernel_residue`, `kernel_tw` and `kernels_equal` take the Sweep of their
+    own (m, cut), or make one; a Sweep of another datum or cut is a ValueError.
     """
 
     def __init__(self, m: ManifoldData, cut: CutLevel):
+        self.m, self.cut = m, cut
         self.above, self.below = split_fixed_points(m, cut)
         self._row_entries, self.scale = gram_rows(m, self.above)
         self._gram: dict[tuple[int, int], int] = {}
@@ -129,6 +133,16 @@ class Sweep:
         return [[gram[f, g] for g in cols] for f in rows]
 
 
+def _sweep_of(m: ManifoldData, cut: CutLevel, sweep: Sweep | None) -> Sweep:
+    """The given Sweep, or a new one of (m, cut) when it is None.  A Sweep of
+    another datum or cut raises ValueError."""
+    if sweep is None:
+        return Sweep(m, cut)
+    if (sweep.m is m or sweep.m == m) and (sweep.cut is cut or sweep.cut == cut):
+        return sweep
+    raise ValueError(f"the Sweep is not of {m.name!r} at cut {rat_str(cut.c)}")
+
+
 class PairingMatrix(Frozen):
     """Pairing values between the degree-d basis (rows) and the complementary
     degree-(2n-2-d) basis (columns): `matrix` is a tuple of row tuples, one
@@ -137,18 +151,14 @@ class PairingMatrix(Frozen):
     __slots__ = ("cut", "degree", "row_labels", "col_labels", "matrix")
 
 
-def pairing_matrix(
-    m: ManifoldData, cut: CutLevel, degree: int, sweep: Sweep | None = None
-) -> PairingMatrix:
+def pairing_matrix(m: ManifoldData, cut: CutLevel, degree: int) -> PairingMatrix:
     """All pairings between the degree basis and its complementary basis: the
     block of the Gram product over the points above the cut with rows of index
-    <= d and columns of index <= 2n - 2 - d.  Pass the Sweep of (m, cut) to
-    reuse the entries earlier degrees computed.
+    <= d and columns of index <= 2n - 2 - d, and no other entry.
 
     The column set is empty when 2n - 2 - d is negative.
     """
-    if sweep is None:
-        sweep = Sweep(m, cut)
+    sweep = Sweep(m, cut)
     rows, cols = basis_points(m, degree), basis_points(m, 2 * m.n - 2 - degree)
     scale, block = sweep.scale, sweep.gram_block(rows, cols)
     return PairingMatrix(
@@ -179,8 +189,7 @@ def kernel_residue(
     space of the transposed integer Gram block, whose scale changes no null space.
     At or below the degree of the sweep's kept `residue`, that kernel narrowed to the
     degree-d basis and met with the Gram rows of the new complementary points."""
-    if sweep is None:
-        sweep = Sweep(m, cut)
+    sweep = _sweep_of(m, cut, sweep)
     rows = basis_points(m, degree)
     labels = tuple(m.fixed_points[i].name for i in rows)
     cols = basis_points(m, 2 * m.n - 2 - degree)
@@ -243,8 +252,7 @@ def kernel_tw(
     each cut at k and divided by the gcd of what is left.  Elsewhere (data
     loaded without validation) both are eliminated.
     """
-    if sweep is None:
-        sweep = Sweep(m, cut)
+    sweep = _sweep_of(m, cut, sweep)
     tw_plus = _tw_plus(m, degree, sweep)
     pts, below, labels = basis_points(m, degree), sweep.below, tw_plus.labels
     low, (table, _) = set(below), m.integer_alpha_minus
@@ -294,8 +302,7 @@ def kernels_equal(
     class and means the restriction tables are inconsistent (or the library
     has a bug), never a mathematical possibility.
     """
-    if sweep is None:
-        sweep = Sweep(m, cut)
+    sweep = _sweep_of(m, cut, sweep)
     residue = kernel_residue(m, cut, degree, sweep)
     tw_plus, tw_minus, tw_sum = kernel_tw(m, cut, degree, sweep)
     equal = residue == tw_sum

@@ -11,9 +11,9 @@ Storage is positional: fixed points are sorted by (moment, name), and a
 restriction table is a tuple of row tuples in that order, zeros included, so
 alpha_minus[i][j] is the scalar of the downward class of point i at point j.
 The integer form of alpha_minus, over the lcm of its denominators, is derived
-from it on first use.  Names appear only at the boundary: `load_manifold` and
-`make_manifold` read name-keyed tables in one pass each, placing every entry
-by position, and end, like the generators, in one positional constructor;
+from it on first use.  Names appear only at the boundary: `load_manifold`
+reads the name-keyed tables in one pass each, placing every entry by position,
+and ends, like the generators, in one positional constructor;
 `manifold_to_dict` writes the names back.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -46,15 +45,12 @@ __all__ = [
     "positive_euler_scalar",
     "split_fixed_points",
     "index_census",
-    "make_manifold",
     "load_manifold",
     "manifold_to_dict",
     "manifold_to_json",
     "to_json",
 ]
 
-# name-keyed table as documents and generators write it; zero entries may be omitted
-AlphaTable = dict[str, dict[str, Fraction]]
 # positional table: one row per fixed point, one entry per fixed point
 Table = tuple[tuple[Fraction, ...], ...]
 # the same over a common denominator: (integer rows, den)
@@ -177,10 +173,11 @@ def _assemble(
     name: str, n: int, orientation_direction: int, points: tuple[FixedPoint, ...],
     alpha_minus: Table, alpha_plus: Table | None, *, validate_alpha: bool = True,
 ) -> ManifoldData:
-    """The positional constructor, taking its pieces as they are: points sorted by
-    (moment, name) and the tables as Fraction rows in that order.  Warns, naming the
-    caller of load_manifold/make_manifold, when the census lacks a minimum or a maximum
-    (generated data never does); validates as loading does."""
+    """The one constructor behind `load_manifold` and the generators, taking its
+    pieces as they are: points sorted by (moment, name) and the tables as Fraction
+    rows in that order.  Warns, naming the caller of load_manifold, when the census
+    lacks a minimum or a maximum (generated data never does); then, unless
+    validate_alpha is False, raises ValidationError on the first table violation."""
     m = ManifoldData(name, n, orientation_direction, points, alpha_minus, alpha_plus)
     census = index_census(m)
     if census.get(0, 0) < 1 or census.get(2 * n, 0) < 1:
@@ -198,113 +195,6 @@ def _assemble(
         if not report.ok:
             raise ValidationError(report.violations[0])
     return m
-
-
-def _place(
-    value: object, where: str, position: dict[str, int], size: int, unknown: list[str],
-    read: Callable[..., Fraction],
-) -> Table:
-    """One pass over a name-keyed table: read each entry with read(entry, where,
-    f, g), a repeated string once, and place it by position.  A name without a
-    position goes into unknown, unplaced."""
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where} must be an object")
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    parsed: dict[str, Fraction] = {}
-    for f, row in value.items():
-        if not isinstance(row, dict):
-            raise SchemaError(f"{where}[{f!r}] must be an object")
-        i = position.get(f)
-        if i is None:
-            unknown.append(f"{where} references unknown fixed point {f!r}")
-        for g, s in row.items():
-            q = parsed.get(s) if isinstance(s, str) else None
-            if q is None:
-                q = read(s, where, f, g)
-                if isinstance(s, str):
-                    parsed[s] = q
-            j = position.get(g)
-            if j is None:
-                unknown.append(f"{where}[{f!r}] references unknown fixed point {g!r}")
-            elif i is not None:
-                rows[i][j] = q
-    return tuple(map(tuple, rows))
-
-
-def _from_names(
-    n: int, orientation_direction: int, points: Sequence[FixedPoint],
-    tables: dict[str, object], read: Callable[..., Fraction],
-) -> tuple[tuple[FixedPoint, ...], Table, Table | None]:
-    """The points sorted and alpha_minus and alpha_plus (or None) placed with
-    `_place`, once the structural checks pass and every name is known."""
-    ordered = tuple(sorted(points, key=lambda fp: (fp.moment, fp.name)))
-    position, size = {fp.name: i for i, fp in enumerate(ordered)}, len(ordered)
-    unknown: list[str] = []
-    placed = [
-        _place(tables[label], label, position, size, unknown, read) if label in tables else None
-        for label in ("alpha_minus", "alpha_plus")
-    ]
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    if orientation_direction not in (1, -1):
-        raise ValidationError("orientation_direction must be 1 or -1")
-    if not points:
-        raise ValidationError("at least one fixed point is required")
-    seen: set[str] = set()
-    for fp in points:
-        if not fp.name:
-            raise ValidationError("fixed point names must be nonempty")
-        if fp.name in seen:
-            raise ValidationError(f"duplicate fixed point name {fp.name!r}")
-        seen.add(fp.name)
-        if len(fp.weights) != n:
-            raise ValidationError(
-                f"fixed point {fp.name!r} has {len(fp.weights)} weights, expected {n}"
-            )
-        if any(w == 0 for w in fp.weights):
-            raise ValidationError(f"weights must be nonzero (fixed point {fp.name!r})")
-    if unknown:
-        raise ValidationError(unknown[0])
-    return (ordered, *placed)
-
-
-def make_manifold(
-    *,
-    name: str,
-    n: int,
-    orientation_direction: int,
-    fixed_points: Sequence[FixedPoint],
-    alpha_minus: AlphaTable,
-    alpha_plus: AlphaTable | None = None,
-    validate_alpha: bool = True,
-) -> ManifoldData:
-    """Assemble and validate a ManifoldData from already-typed pieces.
-
-    Runs every structural invariant, then rejects names in the tables that
-    are not fixed points, sorts the fixed points by (moment, name), warns
-    (without failing) when the index census is missing a minimum or a
-    maximum, and finally -- unless validate_alpha is False -- checks the
-    restriction tables and raises ValidationError on the first violation.
-    Tables and rows may be any mappings.  Entries must be Fractions or ints,
-    which are stored as Fractions; any other entry (a bool, a string, a
-    float) raises TypeError naming its place, after the checks on names.
-    """
-    pairs = (("alpha_minus", alpha_minus), ("alpha_plus", alpha_plus))
-    tables = {label: {f: dict(row) for f, row in t.items()} for label, t in pairs if t is not None}
-    bad: list[str] = []
-
-    def read(s: object, where: str, f: str, g: str) -> Fraction:
-        if isinstance(s, (Fraction, int)) and not isinstance(s, bool):
-            return Fraction(s)
-        bad.append(f"{where}[{f!r}][{g!r}] must be a Fraction or an int, not {type(s).__name__}")
-        return s
-
-    ordered, *placed = _from_names(n, orientation_direction, fixed_points, tables, read)
-    if bad:
-        raise TypeError(bad[0])
-    return _assemble(
-        name, n, orientation_direction, ordered, *placed, validate_alpha=validate_alpha
-    )
 
 
 # --- JSON schema -------------------------------------------------------------
@@ -330,6 +220,34 @@ def _schema_int(value: object, where: str, *keys: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(where + "".join(f"[{k!r}]" for k in keys) + " must be an integer")
     return value
+
+
+def _place(
+    value: object, where: str, position: dict[str, int], size: int, unknown: list[str]
+) -> Table:
+    """One pass over a name-keyed table: read each entry with `_schema_rat`, a
+    repeated string once, and place it by position.  A name without a position
+    goes into unknown, unplaced."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    parsed: dict[str, Fraction] = {}
+    for f, row in value.items():
+        if not isinstance(row, dict):
+            raise SchemaError(f"{where}[{f!r}] must be an object")
+        i = position.get(f)
+        if i is None:
+            unknown.append(f"{where} references unknown fixed point {f!r}")
+        for g, s in row.items():
+            q = parsed.get(s) if isinstance(s, str) else None
+            if q is None:
+                q = parsed[s] = _schema_rat(s, where, f, g)
+            j = position.get(g)
+            if j is None:
+                unknown.append(f"{where}[{f!r}] references unknown fixed point {g!r}")
+            elif i is not None:
+                rows[i][j] = q
+    return tuple(map(tuple, rows))
 
 
 def load_manifold(
@@ -393,8 +311,34 @@ def load_manifold(
         weights = tuple(_schema_int(w, where, j) for j, w in enumerate(weights))
         points.append(FixedPoint(entry["name"], moment, weights))
 
-    tables = {label: obj[label] for label in ("alpha_minus", "alpha_plus") if label in obj}
-    ordered, *placed = _from_names(n, orientation, points, tables, _schema_rat)
+    ordered = tuple(sorted(points, key=lambda fp: (fp.moment, fp.name)))
+    position, size = {fp.name: i for i, fp in enumerate(ordered)}, len(ordered)
+    unknown: list[str] = []
+    placed = [
+        _place(obj[label], label, position, size, unknown) if label in obj else None
+        for label in ("alpha_minus", "alpha_plus")
+    ]
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    if orientation not in (1, -1):
+        raise ValidationError("orientation_direction must be 1 or -1")
+    if not points:
+        raise ValidationError("at least one fixed point is required")
+    seen: set[str] = set()
+    for fp in points:
+        if not fp.name:
+            raise ValidationError("fixed point names must be nonempty")
+        if fp.name in seen:
+            raise ValidationError(f"duplicate fixed point name {fp.name!r}")
+        seen.add(fp.name)
+        if len(fp.weights) != n:
+            raise ValidationError(
+                f"fixed point {fp.name!r} has {len(fp.weights)} weights, expected {n}"
+            )
+        if any(w == 0 for w in fp.weights):
+            raise ValidationError(f"weights must be nonzero (fixed point {fp.name!r})")
+    if unknown:
+        raise ValidationError(unknown[0])
     return _assemble(obj["name"], n, orientation, ordered, *placed, validate_alpha=validate_alpha)
 
 

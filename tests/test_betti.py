@@ -232,9 +232,9 @@ def test_one_nullspace_call_runs_one_elimination(monkeypatch):
     assert len(calls) == 1
 
 
-def test_betti_sweep_runs_at_most_three_eliminations_per_degree(monkeypatch):
-    """The residue kernel and tw_plus are one elimination each, and the
-    closed form of tw_minus and tw_sum at most one more."""
+def test_betti_sweep_runs_two_eliminations_per_degree(monkeypatch):
+    """Visited upward, every degree runs one elimination for the residue kernel
+    and one for tw_plus; tw_minus and tw_sum are read off with none."""
     calls = counted_eliminations(monkeypatch)
     m = gen_cpn([-3, -1, 0, 2, 3, 7, 8])
     for cut in mid_gap_cuts(m):
@@ -242,7 +242,7 @@ def test_betti_sweep_runs_at_most_three_eliminations_per_degree(monkeypatch):
         for d in range(0, 2 * m.n - 1, 2):
             before = len(calls)
             kernels_equal(m, cut, d, sweep)
-            assert 2 <= len(calls) - before <= 3, (str(cut.c), d)
+            assert len(calls) - before == 2, (str(cut.c), d)
 
 
 def test_a_descending_sweep_eliminates_once_per_side(tmp_path, monkeypatch, capsys):

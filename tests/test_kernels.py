@@ -232,6 +232,20 @@ def test_kernels_equal_detects_inconsistent_tables():
     assert rep.witness is not None
 
 
+def test_a_sweep_of_another_cut_or_datum_is_refused():
+    m, low, high = gen_cpn([0, 1, 2, 3]), cut("1/2"), cut("5/2")
+    # the residue kernel at 5/2; the one kept by a Sweep at 1/2 is ((0, 1),)
+    assert kernels_equal(m, high, 2).residue_kernel.basis == ((3, 1),)
+    for compute in (kernel_residue, kernel_tw, kernels_equal):
+        with pytest.raises(ValueError, match=r"not of 'CP3\[0,1,2,3\]' at cut 5/2"):
+            compute(m, high, 2, Sweep(m, low))
+        with pytest.raises(ValueError, match=r"not of 'CP2\[0,1,2\]' at cut 1/2"):
+            compute(gen_cpn([0, 1, 2]), low, 2, Sweep(m, low))
+    # a Sweep of an equal datum and cut, built apart, is accepted
+    rep = kernels_equal(gen_cpn([0, 1, 2, 3]), cut("5/2"), 2, Sweep(m, high))
+    assert rep.residue_kernel.basis == ((3, 1),)
+
+
 def assert_tw_matches_the_eliminations(m, cuts):
     for c in cuts:
         sweep = Sweep(m, c)

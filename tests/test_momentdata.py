@@ -2,16 +2,13 @@ from __future__ import annotations
 
 import json
 import pickle
-import re
 import warnings
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kirwan.cohomology import EquivariantClass, subspace_scalar_rows
 from kirwan.errors import (
     KirwanError,
     NotRegularValue,
@@ -21,14 +18,11 @@ from kirwan.errors import (
     ValidationError,
 )
 from kirwan.generators import gen_cpn, gen_sphere_product
-from kirwan.kernels import decompose, kernel_residue
 from kirwan.momentdata import (
     CutLevel,
     FixedPoint,
     index_census,
     load_manifold,
-    make_manifold,
-    manifold_to_dict,
     manifold_to_json,
     morse_index,
     negative_euler_scalar,
@@ -147,13 +141,8 @@ def test_census_warning_for_open_datum():
     d.pop("alpha_plus")
     with pytest.warns(UserWarning, match="no maximum") as caught:
         load_manifold(d, validate_alpha=False)
-    points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
-              for p in d["fixed_points"]]
-    with pytest.warns(UserWarning, match="no maximum") as made:
-        make_manifold(name="open", n=1, orientation_direction=1, fixed_points=points,
-                      alpha_minus={}, validate_alpha=False)
-    # the warning names the line that loaded or made the datum
-    assert [w.filename for w in (*caught, *made)] == [__file__, __file__]
+    # the warning names the line that loaded the datum
+    assert [w.filename for w in caught] == [__file__]
 
 
 # --- round trip ---------------------------------------------------------------
@@ -320,6 +309,14 @@ def _two_faults(*edits):
         # structural checks come before unknown names, alpha_minus before alpha_plus
         (
             _two_faults(
+                lambda d: d.update(n=0),
+                lambda d: d["alpha_minus"]["p0"].update(zz="1"),
+            ),
+            ValidationError,
+            "n must be a positive integer",
+        ),
+        (
+            _two_faults(
                 lambda d: d["fixed_points"][1].update(weights=[1, 1]),
                 lambda d: d["alpha_minus"]["p0"].update(zz="1"),
             ),
@@ -442,74 +439,3 @@ def test_integer_tables_of_loaded_fractions_match_the_reference(entries):
     assert m.integer_alpha_minus == reference_integer_table(m.alpha_minus)
     rows, den = m.integer_alpha_minus
     assert [Fraction(a, den) for a in rows[0]] == [Fraction(entries[g]) for g in ("p0", "p1")]
-
-
-def test_make_manifold_matches_the_loader():
-    for m in (gen_cpn([-1, 0, 2, 5]), gen_sphere_product([1, 2, 1])):
-        named = manifold_to_dict(m)
-        points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
-                  for p in reversed(named["fixed_points"])]
-        tables = {
-            label: {f: {g: Fraction(s) for g, s in row.items()} for f, row in named[label].items()}
-            for label in ("alpha_minus", "alpha_plus")
-        }
-        made = make_manifold(
-            name=m.name, n=m.n, orientation_direction=1, fixed_points=points, **tables
-        )
-        assert made == m
-        assert made.integer_alpha_minus == m.integer_alpha_minus
-        tables["alpha_minus"][points[0].name]["nowhere"] = Fraction(1)
-        with pytest.raises(ValidationError, match="references unknown fixed point 'nowhere'"):
-            make_manifold(
-                name=m.name, n=m.n, orientation_direction=1, fixed_points=points, **tables
-            )
-        with pytest.raises(ValidationError, match="n must be a positive integer"):
-            make_manifold(name=m.name, n=0, orientation_direction=1, fixed_points=points, **tables)
-
-
-def test_make_manifold_takes_mappings_and_checks_structure_first():
-    m = gen_cpn([0, 1, 3])
-    named = manifold_to_dict(m)
-    points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
-              for p in named["fixed_points"]]
-    tables = {
-        label: MappingProxyType({f: MappingProxyType({g: Fraction(s) for g, s in row.items()})
-                                 for f, row in named[label].items()})
-        for label in ("alpha_minus", "alpha_plus")
-    }
-    assert make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
-                         **tables) == m
-    # a bad entry and an unknown name come after the structural checks
-    bad = {"p0": {"p0": "not a rational", "nowhere": Fraction(1)}}
-    with pytest.raises(ValidationError, match="n must be a positive integer"):
-        make_manifold(name=m.name, n=0, orientation_direction=1, fixed_points=points,
-                      alpha_minus=bad)
-    with pytest.raises(ValidationError, match="unknown fixed point 'nowhere'"):
-        make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
-                      alpha_minus=bad)
-
-
-def test_make_manifold_stores_int_entries_as_fractions_and_rejects_other_types():
-    m = gen_cpn([0, 1, 2, 3])
-    named = manifold_to_dict(m)
-    points = [FixedPoint(p["name"], Fraction(p["moment"]), tuple(p["weights"]))
-              for p in named["fixed_points"]]
-    tables = {
-        label: {f: {g: int(s) for g, s in row.items()} for f, row in named[label].items()}
-        for label in ("alpha_minus", "alpha_plus")
-    }
-    made = make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
-                         **tables)
-    assert made == m
-    assert {type(s) for row in made.alpha_minus + made.alpha_plus for s in row} == {Fraction}
-    # int entries kept as ints made decompose divide int by int: corrections read '-0.0'
-    cut = CutLevel(Fraction(1, 2))
-    eta = EquivariantClass(2, subspace_scalar_rows(made, kernel_residue(made, cut, 2))[0])
-    assert [str(v) for v in decompose(made, eta, cut).corrections.values()] == ["0"]
-    for entry in (True, "1", 1.0):
-        tables["alpha_minus"]["p0"]["p1"] = entry
-        with pytest.raises(TypeError, match=re.escape(
-            f"alpha_minus['p0']['p1'] must be a Fraction or an int, not {type(entry).__name__}"
-        )):
-            make_manifold(name=m.name, n=m.n, orientation_direction=1, fixed_points=points,
-                          validate_alpha=False, **tables)
