@@ -309,14 +309,6 @@ def _two_faults(*edits):
         # structural checks come before unknown names, alpha_minus before alpha_plus
         (
             _two_faults(
-                lambda d: d.update(n=0),
-                lambda d: d["alpha_minus"]["p0"].update(zz="1"),
-            ),
-            ValidationError,
-            "n must be a positive integer",
-        ),
-        (
-            _two_faults(
                 lambda d: d["fixed_points"][1].update(weights=[1, 1]),
                 lambda d: d["alpha_minus"]["p0"].update(zz="1"),
             ),
@@ -330,6 +322,15 @@ def _two_faults(*edits):
             ),
             ValidationError,
             "alpha_minus['p0'] references unknown fixed point 'zz'",
+        ),
+        # a bad n comes before an unknown name
+        (
+            _two_faults(
+                lambda d: d.update(n=0),
+                lambda d: d["alpha_minus"]["p0"].update(zz="1"),
+            ),
+            ValidationError,
+            "n must be a positive integer",
         ),
     ],
 )
