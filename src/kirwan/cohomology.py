@@ -46,7 +46,7 @@ __all__ = [
     "subspace_scalar_rows",
 ]
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 
 class EquivariantClass(Frozen):
@@ -154,17 +154,12 @@ class ValidationReport(Frozen):
 
 
 def _support_violations(
-    m: ManifoldData,
-    label: str,
-    table: Sequence[Vector],
-    scan: Sequence[Sequence[Fraction | int]],
-    upward: bool,
+    m: ManifoldData, label: str, table: Sequence[Vector], upward: bool
 ) -> Iterable[str]:
     """Nonzero entries of each downward (upward) row at another point of its
     moment level or a lower (higher) one, in table order: with the points
-    sorted by (moment, name), one slice per row of scan, up to the end of its
-    level (from its start).  scan has the zero pattern of table (its integer
-    form, whose zeros `any` tests in C); the messages quote table."""
+    sorted by (moment, name), one slice per row, up to the end of its level
+    (from its start).  Over ints, `any` tests the slice in C."""
     pts = m.fixed_points
     side = "below" if upward else "above"
     start = 0
@@ -172,11 +167,11 @@ def _support_violations(
         if end < len(pts) and pts[end].moment == pts[start].moment:
             continue
         for i in range(start, end):
-            row = scan[i]
+            row = table[i]
             lo, hi = (start, len(pts)) if upward else (0, end)
             if any(row[lo:i]) or any(row[i + 1:hi]):
                 yield from (
-                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(table[i][j])} "
+                    f"{label}[{pts[i].name}][{pts[j].name}] = {rat_str(row[j])} "
                     f"must vanish: {pts[j].name} does not sit strictly {side} {pts[i].name}"
                     for j in range(lo, hi)
                     if row[j] and j != i
@@ -193,18 +188,16 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
         with positive-weight diagonal; (d) every product of two downward
         classes has a polynomial localization sum, i.e. its weighted Gram
         entry over all fixed points vanishes whenever ind f + ind g < 2n.
+    (a)-(c) scan the tables as stored, an entry an int when integral, else a
+    Fraction; (d) dots entry (i, j >= i) over the smaller support, of row j.
     """
     pts = m.fixed_points
     violations: list[str] = []
-    # the support of alpha_minus is scanned on its integer rows, which check
-    # (d) reads too; alpha_plus has no integer form
-    tables = [
-        ("alpha_minus", m.alpha_minus, m.integer_alpha_minus[0], False, negative_euler_scalar)
-    ]
+    tables = [("alpha_minus", m.alpha_minus, False, negative_euler_scalar)]
     if m.alpha_plus is not None:
-        tables.append(("alpha_plus", m.alpha_plus, m.alpha_plus, True, positive_euler_scalar))
-    for label, table, scan, upward, product in tables:
-        violations.extend(_support_violations(m, label, table, scan, upward))
+        tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
+    for label, table, upward, product in tables:
+        violations.extend(_support_violations(m, label, table, upward))
         sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
             want = product(f)
@@ -214,22 +207,21 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
                     f"{sign}-weight product is {rat_str(want)}"
                 )
 
-    # (d): a product with ind f + ind g >= 2n localizes to a polynomial
-    # whatever its entry, so only the lower-degree pairs are computed
+    # (d): a product with ind f + ind g >= 2n localizes to a polynomial whatever its
+    # entry, so only the lower-degree pairs are computed, in row j, the smaller support
     everywhere = range(len(pts))
     ind = m.morse_indices
     row_entries, scale = gram_rows(m, everywhere)
-    for i, f in enumerate(pts):
-        partners = [j for j in everywhere[i:] if ind[i] + ind[j] < 2 * m.n]
-        for j, entry in zip(partners, row_entries(i, partners)):
-            if entry:
-                g = pts[j]
-                power = (ind[i] + ind[j]) // 2 - m.n
-                tail = rat_str(Fraction(entry, scale))
-                violations.append(
-                    f"localization sum of alpha_minus[{f.name}] * "
-                    f"alpha_minus[{g.name}] has residue tail {tail} * X^{power}"
-                )
+    found = []
+    for j in everywhere:
+        partners = [i for i in everywhere[: j + 1] if ind[i] + ind[j] < 2 * m.n]
+        found.extend((i, j, e) for i, e in zip(partners, row_entries(j, partners)) if e)
+    for i, j, entry in sorted(found):
+        tail = rat_str(Fraction(entry, scale))
+        violations.append(
+            f"localization sum of alpha_minus[{pts[i].name}] * alpha_minus[{pts[j].name}] "
+            f"has residue tail {tail} * X^{(ind[i] + ind[j]) // 2 - m.n}"
+        )
     return ValidationReport(tuple(violations))
 
 

@@ -12,8 +12,9 @@ A product of k spheres with rotation speeds w has 2^k fixed points indexed by
 sign vectors; moments are signed sums of |w_i| (so the minimum sits at the
 all-minus vertex) and the basis classes are products of per-factor classes.
 Both families build their tables over the integers in the sorted point order
-and make each nonzero entry a Fraction once: `momentdata._assemble` takes the
-Fraction rows, from which the datum derives its integer table on first use.
+and pass those integer rows to `momentdata._assemble` unchanged: a table entry
+is an int when integral and a Fraction otherwise, so a generated table holds
+no Fraction and is its own integer form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import SpecError
-from .momentdata import FixedPoint, ManifoldData, Table, _assemble
+from .momentdata import FixedPoint, ManifoldData, _assemble
 
 __all__ = ["gen_cpn", "gen_sphere_product"]
 
@@ -64,13 +65,7 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
         up.append([-u * (lk - ls[i]) for u, lk in zip(up[-1], ls)])
     up.reverse()
     name = f"CP{n}[{','.join(str(a) for a in ls)}]"
-    return _assemble(name, n, 1, points, _fractions(down), _fractions(up))
-
-
-def _fractions(rows: Sequence[Sequence[int]]) -> Table:
-    """Positional integer rows as Fraction rows."""
-    zero = Fraction(0)
-    return tuple(tuple(Fraction(s) if s else zero for s in row) for row in rows)
+    return _assemble(name, n, 1, points, tuple(map(tuple, down)), tuple(map(tuple, up)))
 
 
 def _vertex_name(signs: tuple[int, ...]) -> str:
@@ -113,7 +108,7 @@ def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     # one when g is - wherever f is (f & g == g)
     down = [math.prod(-w for s, w in zip(signs, speeds) if s > 0) for signs in vertices]
     up = [math.prod(w for s, w in zip(signs, speeds) if s < 0) for signs in vertices]
-    alpha_minus = _fractions([[down[f] if f & g == f else 0 for g in order] for f in order])
-    alpha_plus = _fractions([[up[f] if f & g == g else 0 for g in order] for f in order])
+    alpha_minus = tuple(tuple([down[f] if f & g == f else 0 for g in order]) for f in order)
+    alpha_plus = tuple(tuple([up[f] if f & g == g else 0 for g in order]) for f in order)
     name = f"S2x{k}[{','.join(str(w) for w in given)}]"
     return _assemble(name, k, 1, points, alpha_minus, alpha_plus)

@@ -455,7 +455,7 @@ def decompose(
         # induction upward through the above-cut points of index <= degree
         if i in low:
             continue
-        b = eta_minus[i] / row[i]
+        b = Fraction(eta_minus[i], row[i])  # exact: both may be ints
         corrections[m.fixed_points[i].name] = b
         if b != 0:
             eta_minus = combine_rows((1, -b), (eta_minus, row), width)

@@ -9,12 +9,12 @@ a cut level must avoid every moment value (the level set stays smooth).
 
 Storage is positional: fixed points are sorted by (moment, name), and a
 restriction table is a tuple of row tuples in that order, zeros included, so
-alpha_minus[i][j] is the scalar of the downward class of point i at point j.
-The integer form of alpha_minus, over the lcm of its denominators, is derived
-from it on first use.  Names appear only at the boundary: `load_manifold`
-reads the name-keyed tables in one pass each, placing every entry by position,
-and ends, like the generators, in one positional constructor;
-`manifold_to_dict` writes the names back.
+alpha_minus[i][j] is the scalar of the downward class of point i at point j,
+an int when integral, else a Fraction.  The integer form of alpha_minus, over
+the lcm of its denominators, is derived from it on first use.  Names appear
+only at the boundary: `load_manifold` reads the name-keyed tables in one pass
+each, placing every entry by position, and ends, like the generators, in one
+positional constructor; `manifold_to_dict` writes the names back.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ __all__ = [
     "to_json",
 ]
 
-# positional table: one row per fixed point, one entry per fixed point
-Table = tuple[tuple[Fraction, ...], ...]
+# positional table: one row per fixed point, one entry (int or Fraction) per fixed point
+Table = tuple[tuple[int | Fraction, ...], ...]
 # the same over a common denominator: (integer rows, den)
 IntegerTable = tuple[tuple[tuple[int, ...], ...], int]
 
@@ -92,8 +92,8 @@ class ManifoldData(Frozen):
     is the restriction scalar of the downward class of point i at point j,
     morse_indices[i] is the Morse index of point i, and euler_classes[i] the
     scalar of its tangent Euler class, the product of its weights (times
-    X^n).  The members derived from the fields live in `__dict__` and take no
-    part in equality.
+    X^n).  A table entry is an int when integral, else a Fraction.  The members
+    derived from the fields live in `__dict__` and take no part in equality.
     """
 
     __slots__ = (
@@ -120,10 +120,10 @@ class ManifoldData(Frozen):
 
     @cached_property
     def integer_alpha_minus(self) -> IntegerTable:
-        """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table
-        over the lcm of all its denominators, derived on first use.  Rows
-        enter the weighted Gram product and expand kernel bases; the entries
-        of column j, sliced, are an evaluation constraint at point j."""
+        """(rows, den) with alpha_minus[i][j] = rows[i][j] / den: the table over
+        the lcm of its denominators, derived on first use; (alpha_minus, 1) when
+        it has no Fraction.  Rows enter the weighted Gram product and expand
+        kernel bases; column j, sliced, is an evaluation constraint at j."""
         return _over_lcm(self.alpha_minus)
 
     def position(self, name: str) -> int:
@@ -135,12 +135,15 @@ class ManifoldData(Frozen):
                 f"no fixed point named {name!r} on {self.name!r}"
             ) from None
 
-    def alpha_minus_scalar(self, f: str, g: str) -> Fraction:
+    def alpha_minus_scalar(self, f: str, g: str) -> int | Fraction:
         """Restriction scalar of the downward class of f at g."""
         return self.alpha_minus[self.position(f)][self.position(g)]
 
 
 def _over_lcm(table: Table) -> IntegerTable:
+    """The table over the lcm of its denominators: a table of ints as it is."""
+    if set().union(*(map(type, row) for row in table)) <= {int}:  # the scan runs in C
+        return table, 1
     ratios = [[s.as_integer_ratio() for s in row] for row in table]  # one call per entry
     den = math.lcm(*{d for row in ratios for _, d in row})
     return tuple(tuple(a * (den // d) for a, d in row) for row in ratios), den
@@ -174,10 +177,11 @@ def _assemble(
     alpha_minus: Table, alpha_plus: Table | None, *, validate_alpha: bool = True,
 ) -> ManifoldData:
     """The one constructor behind `load_manifold` and the generators, taking its
-    pieces as they are: points sorted by (moment, name) and the tables as Fraction
-    rows in that order.  Warns, naming the caller of load_manifold, when the census
-    lacks a minimum or a maximum (generated data never does); then, unless
-    validate_alpha is False, raises ValidationError on the first table violation."""
+    pieces as they are: points sorted by (moment, name) and the tables as rows in that
+    order, an entry an int when integral, else a Fraction.  Warns, naming the caller of
+    load_manifold, when the census lacks a minimum or a maximum (generated data never
+    does); then, unless validate_alpha is False, raises ValidationError on the first
+    table violation."""
     m = ManifoldData(name, n, orientation_direction, points, alpha_minus, alpha_plus)
     census = index_census(m)
     if census.get(0, 0) < 1 or census.get(2 * n, 0) < 1:
@@ -204,11 +208,18 @@ _TOP_OPTIONAL = {"alpha_plus"}
 _POINT_KEYS = {"name", "moment", "weights"}
 
 
-def _schema_rat(value: object, where: str, *keys: str) -> Fraction:
-    """A rational string as a Fraction, else SchemaError at where[key]..."""
+def _schema_rat(value: object, where: str, *keys: str) -> int | Fraction:
+    """A rational string as an int when integral (one int() reads a literal of ASCII
+    digits and an optional "-"), else a Fraction; else SchemaError at where[key]..."""
     if isinstance(value, str):
+        if value.isascii() and value.removeprefix("-").isdigit():
+            try:
+                return int(value)
+            except ValueError:  # too long to convert: rat names the error
+                pass
         try:
-            return rat(value)
+            q = rat(value)
+            return q.numerator if q.denominator == 1 else q
         except ValueError as exc:
             problem = f": {exc}"
     else:
@@ -230,8 +241,8 @@ def _place(
     goes into unknown, unplaced."""
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be an object")
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    parsed: dict[str, Fraction] = {}
+    rows = [[0] * size for _ in range(size)]
+    parsed: dict[str, int | Fraction] = {}
     for f, row in value.items():
         if not isinstance(row, dict):
             raise SchemaError(f"{where}[{f!r}] must be an object")
@@ -303,13 +314,15 @@ def load_manifold(
             )
         if not isinstance(entry["name"], str):
             raise SchemaError(f"{where}.name must be a string")
-        moment = _schema_rat(entry["moment"], f"{where}.moment")
+        # a moment stays a Fraction, so that (lo + hi) / 2 is one too
+        moment = Fraction(_schema_rat(entry["moment"], f"{where}.moment"))
         weights = entry["weights"]
         if not isinstance(weights, list):
             raise SchemaError(f"{where}.weights must be a list of integers")
-        where += ".weights"
-        weights = tuple(_schema_int(w, where, j) for j, w in enumerate(weights))
-        points.append(FixedPoint(entry["name"], moment, weights))
+        if not {*map(type, weights)} <= {int}:  # one type test per list, then name the culprit
+            for j, w in enumerate(weights):
+                _schema_int(w, f"{where}.weights", j)
+        points.append(FixedPoint(entry["name"], moment, tuple(weights)))
 
     ordered = tuple(sorted(points, key=lambda fp: (fp.moment, fp.name)))
     position, size = {fp.name: i for i, fp in enumerate(ordered)}, len(ordered)

@@ -256,9 +256,10 @@ def reference_rref(matrix, width):
 
     Pivot entries are 1, pivot columns are cleared above and below, zero rows
     sink to the bottom, and the result is idempotent, so two row spaces are
-    equal exactly when their reduced forms are identical.
+    equal exactly when their reduced forms are identical.  Entries are read
+    as Fractions, so int input divides exactly.
     """
-    rows = [list(row) for row in matrix]
+    rows = [list(map(Fraction, row)) for row in matrix]
     assert all(len(row) == width for row in rows)
     pivots: list[int] = []
     r = 0

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from kirwan.cohomology import (
     EquivariantClass,
+    basis_points,
+    combine_rows,
     degree_basis,
     make_class,
     subspace_from_rows,
@@ -260,17 +262,17 @@ def test_kernel_tw_matches_the_eliminations_on_the_golden_data(label):
     assert_tw_matches_the_eliminations(m, mid_gap_cuts(m))
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(
-    st.one_of(
-        st.lists(st.integers(-20, 20), min_size=2, max_size=7, unique=True)
-        .map(sorted)
-        .map(gen_cpn),
-        st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4).map(
-            gen_sphere_product
-        ),
-    )
+# CP^1..CP^6 with distinct moments and S2^1..S2^4 with tied ones
+GENERATED = st.one_of(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=7, unique=True).map(sorted).map(gen_cpn),
+    st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4).map(
+        gen_sphere_product
+    ),
 )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(GENERATED)
 def test_kernel_tw_matches_the_eliminations(m):
     assert_tw_matches_the_eliminations(m, mid_gap_cuts(m))
 
@@ -427,6 +429,35 @@ def test_decompose_random_kernel_elements_split_correctly():
             for j, v in enumerate(cert.eta_plus.restrictions):
                 if j not in plus:
                     assert v == 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(GENERATED, st.randoms(use_true_random=False))
+def test_certificates_and_matrices_hold_only_ints_and_fractions(m, rng):
+    """Table entries are ints where integral, and an int divided by an int is a
+    float: every value a decomposition, a pairing matrix or a b-matrix reports
+    must still be exact."""
+    exact = (int, Fraction)
+    width = len(m.fixed_points)
+    for c in mid_gap_cuts(m):
+        above, _ = split_fixed_points(m, c)
+        for d in range(0, 2 * m.n - 1, 2):
+            values = [e for row in pairing_matrix(m, c, d).matrix for e in row]
+            values += [e for row in b_matrix(m, c, d).matrix for e in row]
+            pts = basis_points(m, d)
+            # a random kernel class, and one combining only above-cut basis
+            # classes, whose minus part starts as integer zeros
+            kern = kernel_residue(m, c, d).basis
+            mixed = combine_rows([rng.randint(-3, 3) for _ in kern], kern, len(pts))
+            upper = [rng.randint(-3, 3) if f in above else 0 for f in pts]
+            for coeffs in (mixed, upper):
+                scalars = combine_rows(coeffs, degree_basis(m, d), width)
+                eta = make_class(m, d, dict(zip((fp.name for fp in m.fixed_points), scalars)))
+                cert = decompose(m, eta, c)
+                values += [*cert.coefficients.values(), *cert.corrections.values()]
+                values += [*cert.eta_plus.restrictions, *cert.eta_minus.restrictions]
+                values += [e for row in cert.b_exhibit.matrix for e in row]
+            assert all(type(e) in exact for e in values), (str(c.c), d)
 
 
 def test_reverse_inclusion_tw_classes_pair_to_zero():

@@ -343,8 +343,9 @@ def test_load_reports_the_first_of_two_faults(document, error, message):
 # --- the one-pass parse against the reference -----------------------------------
 
 # rational-looking text, with the characters int() accepts beyond the
-# documented -?digits[/digits]: blanks, "+", "_" and a non-ASCII digit
-LITERALS = st.text(alphabet="-/0123456789 +_\u0661x", max_size=8)
+# documented -?digits[/digits]: blanks, "+", "_", a non-ASCII decimal digit and
+# a superscript digit (str.isdigit() is true of both)
+LITERALS = st.text(alphabet="-/0123456789 +_\u0661\u00b2x", max_size=8)
 JSON_VALUES = st.one_of(
     LITERALS,
     st.integers(),
@@ -354,6 +355,10 @@ JSON_VALUES = st.one_of(
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
+
+
+def _as_stored(q):
+    return q.numerator if q.denominator == 1 else q
 
 
 def _outcome(read):
@@ -371,12 +376,26 @@ def _outcome(read):
 @example("1" * 4400 + "/" + "7" * 4400, "entry")
 @example(True, "weight")
 @example(0, "weight")
+# int() reads these, the schema rejects them
+@example("+1", "entry")
+@example(" 1", "entry")
+@example("1 ", "entry")
+@example("1_0", "entry")
+@example("\u0661\u0662", "entry")
+@example("\u00b2", "entry")
+# the schema reads these, each as an int but the last
+@example("007", "entry")
+@example("-0", "entry")
+@example("0/5", "entry")
+@example("6/3", "entry")
+@example("-3/6", "entry")
 def test_load_reads_values_as_the_reference_does(value, spot):
     d = doc()
     if spot == "entry":
         # twice in one table: the second read of a literal is the first one's
         d["alpha_minus"]["p0"]["p1"] = d["alpha_minus"]["p1"]["p0"] = value
-        want = _outcome(lambda: reference_rat(value, "alpha_minus['p0']['p1']"))
+        # a table stores an integral value as an int, any other as a Fraction
+        want = _outcome(lambda: _as_stored(reference_rat(value, "alpha_minus['p0']['p1']")))
 
         def read(m):
             assert m.alpha_minus_scalar("p1", "p0") == m.alpha_minus_scalar("p0", "p1")
@@ -420,6 +439,17 @@ def test_integer_tables_of_generated_data_match_the_reference():
         fresh = pickle.loads(pickle.dumps(m))  # derived again on first use
         assert "integer_alpha_minus" not in fresh.__dict__
         assert fresh.integer_alpha_minus == m.integer_alpha_minus
+
+
+@pytest.mark.parametrize("generated", [gen_cpn([0, 1, 2, 5]), gen_sphere_product([2, 3])])
+def test_integer_documents_load_with_no_fraction_per_entry(generated):
+    """An entry is an int when integral: the generators' tables, and the same
+    tables loaded from their canonical text, hold only ints, and such a
+    table is its own integer form."""
+    for m in (generated, load_manifold(manifold_to_json(generated))):
+        assert all(type(s) is int for t in (m.alpha_minus, m.alpha_plus) for row in t for s in row)
+        assert m.integer_alpha_minus[0] is m.alpha_minus
+        assert m.integer_alpha_minus[1] == 1
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
 """The package's surface against the documents that state it: the names the
-`kirwan` namespace exports, as README lists them, and the version, as
-pyproject.toml gives it."""
+`kirwan` namespace exports, as README lists them, the version, as
+pyproject.toml gives it, and the command lines of README's console
+sessions."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 from types import ModuleType
 
 import kirwan
+from kirwan.cli import USAGE_EXIT, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +35,41 @@ def test_pyproject_version_is_the_package_version():
     project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
     (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
     assert version == kirwan.__version__
+
+
+def readme_sessions():
+    """(argv, shown output lines) for each `$ kirwan ...` command of README's
+    console fences, in order; a line ending in a backslash continues on the
+    next `>` line."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sessions: list[tuple[list[str], list[str]]] = []
+    for fence in re.findall(r"^```console\n(.*?)^```$", readme, re.M | re.S):
+        for line in fence.replace("\\\n>", " ").splitlines():
+            if line.startswith("$ "):
+                sessions.append((shlex.split(line[2:], comments=True), []))
+            else:
+                sessions[-1][1].append(line)
+    return [(argv[1:], shown) for argv, shown in sessions if argv[0] == "kirwan"]
+
+
+def test_readme_console_sessions_run_as_shown(tmp_path, monkeypatch, capsys):
+    """Each command runs in one directory, in order: a shown usage error is
+    its stderr with exit 64, other shown output is its stdout with exit 0,
+    and a command shown with no output exits 0."""
+    monkeypatch.chdir(tmp_path)
+    sessions = readme_sessions()
+    assert [argv[0] for argv, _ in sessions] == [
+        "generate", "validate", "kernel", "betti", "pair", "bmatrix", "decompose", "pair",
+    ]
+    for argv, shown in sessions:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        text = "".join(line + "\n" for line in shown)
+        if shown and shown[0].startswith("usage:"):
+            assert (code, out, err) == (USAGE_EXIT, "", text), argv
+        else:
+            assert code == 0, (argv, out, err)
+            assert not shown or out == text, argv
