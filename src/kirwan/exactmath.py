@@ -65,8 +65,8 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def rat_str(value: Fraction) -> str:
-    """Canonical string form: "p/q", or just "p" when the denominator is 1."""
+def rat_str(value: Fraction | int) -> str:
+    """Canonical string form: "p/q", or just "p" when the denominator is 1 (an int)."""
     return _lowest_terms_str(value.numerator, value.denominator)
 
 

@@ -209,8 +209,8 @@ _POINT_KEYS = {"name", "moment", "weights"}
 
 
 def _schema_rat(value: object, where: str, *keys: str) -> int | Fraction:
-    """A rational string as an int when integral (one int() reads a literal of ASCII
-    digits and an optional "-"), else a Fraction; else SchemaError at where[key]..."""
+    """A rational string as an int when integral, else a Fraction, or SchemaError at
+    where[key]...  One int() reads a literal of ASCII digits and an optional "-"."""
     if isinstance(value, str):
         if value.isascii() and value.removeprefix("-").isdigit():
             try:
@@ -314,12 +314,12 @@ def load_manifold(
             )
         if not isinstance(entry["name"], str):
             raise SchemaError(f"{where}.name must be a string")
-        # a moment stays a Fraction, so that (lo + hi) / 2 is one too
+        # moments stay Fractions, so that a cut between two, (lo + hi) / 2, is exact
         moment = Fraction(_schema_rat(entry["moment"], f"{where}.moment"))
         weights = entry["weights"]
         if not isinstance(weights, list):
             raise SchemaError(f"{where}.weights must be a list of integers")
-        if not {*map(type, weights)} <= {int}:  # one type test per list, then name the culprit
+        if not {*map(type, weights)} <= {int}:  # one type test per list, then the culprit
             for j, w in enumerate(weights):
                 _schema_int(w, f"{where}.weights", j)
         points.append(FixedPoint(entry["name"], moment, tuple(weights)))
