@@ -386,6 +386,8 @@ def _read_class(m, args):
     scalars = {}
     for name, value in obj["restrictions"].items():
         try:
+            if not isinstance(value, str):  # rat would read a bare JSON number
+                raise TypeError
             scalars[name] = rat(value)
         except (TypeError, ValueError):
             raise SchemaError(

@@ -34,9 +34,7 @@ __all__ = [
     "Subspace",
     "make_class",
     "class_to_dict",
-    "combine_rows",
     "basis_points",
-    "degree_basis",
     "gram_rows",
     "validate_alpha_basis",
     "subspace_from_rows",
@@ -80,33 +78,12 @@ def class_to_dict(m: ManifoldData, eta: EquivariantClass) -> dict:
     }
 
 
-def combine_rows(
-    coeffs: Sequence[Fraction | int], rows: Sequence[Sequence[Fraction | int]], width: int
-) -> tuple[Fraction | int, ...]:
-    """Sum of coeffs[k] * rows[k] over the nonzero coefficients, each row of
-    the given width: coefficients over a degree basis expanded to restriction
-    scalars.  Integer coefficients and rows give an integer sum."""
-    acc = [0] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * r if r else a for a, r in zip(acc, row)]
-    return tuple(acc)
-
-
 def basis_points(m: ManifoldData, degree: int) -> list[int]:
     """Positions of the fixed points contributing to the degree-d basis:
     index <= d, in fixed-point order.  Empty for odd or negative degrees."""
     if degree < 0 or degree % 2 != 0:
         return []
     return [i for i, ind in enumerate(m.morse_indices) if ind <= degree]
-
-
-def degree_basis(m: ManifoldData, degree: int) -> list[Vector]:
-    """Basis of the degree-d image: the alpha_minus rows of the fixed points
-    of index <= d, read as degree-d restriction vectors (scalars are
-    unchanged by the X shift).  Odd degrees have zero graded piece and yield
-    an empty list."""
-    return [m.alpha_minus[i] for i in basis_points(m, degree)]
 
 
 def gram_rows(m: ManifoldData, points: Sequence[int]) -> tuple[Callable[..., list[int]], int]:
@@ -154,18 +131,17 @@ class ValidationReport(Frozen):
 
 
 def _support_violations(
-    m: ManifoldData, label: str, table: Sequence[Vector], upward: bool
+    m: ManifoldData, label: str, table: Sequence[Vector], upward: bool,
+    levels: Sequence[tuple[int, int]],
 ) -> Iterable[str]:
     """Nonzero entries of each downward (upward) row at another point of its
     moment level or a lower (higher) one, in table order: with the points
-    sorted by (moment, name), one slice per row, up to the end of its level
-    (from its start).  Over ints, `any` tests the slice in C."""
+    sorted by (moment, name) and levels the (start, end) position runs of equal
+    moment, one slice per row, up to the end of its level (from its start).
+    Over ints, `any` tests the slice in C."""
     pts = m.fixed_points
     side = "below" if upward else "above"
-    start = 0
-    for end in range(1, len(pts) + 1):
-        if end < len(pts) and pts[end].moment == pts[start].moment:
-            continue
+    for start, end in levels:
         for i in range(start, end):
             row = table[i]
             lo, hi = (start, len(pts)) if upward else (0, end)
@@ -176,7 +152,6 @@ def _support_violations(
                     for j in range(lo, hi)
                     if row[j] and j != i
                 )
-        start = end
 
 
 def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
@@ -192,12 +167,15 @@ def validate_alpha_basis(m: ManifoldData) -> ValidationReport:
     Fraction; (d) dots entry (i, j >= i) over the smaller support, of row j.
     """
     pts = m.fixed_points
+    # the moment levels, found once for both tables
+    ends = [i for i in range(1, len(pts)) if pts[i].moment != pts[i - 1].moment]
+    levels = list(zip([0, *ends], [*ends, len(pts)]))
     violations: list[str] = []
     tables = [("alpha_minus", m.alpha_minus, False, negative_euler_scalar)]
     if m.alpha_plus is not None:
         tables.append(("alpha_plus", m.alpha_plus, True, positive_euler_scalar))
     for label, table, upward, product in tables:
-        violations.extend(_support_violations(m, label, table, upward))
+        violations.extend(_support_violations(m, label, table, upward, levels))
         sign = "positive" if upward else "negative"
         for i, f in enumerate(pts):
             want = product(f)

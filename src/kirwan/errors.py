@@ -10,8 +10,6 @@ from __future__ import annotations
 __all__ = [
     "Frozen",
     "KirwanError",
-    "SingularDiagonal",
-    "NotTriangular",
     "ParseError",
     "SchemaError",
     "ValidationError",
@@ -27,14 +25,6 @@ __all__ = [
 
 class KirwanError(Exception):
     """Base class for every error this package raises on purpose."""
-
-
-class SingularDiagonal(KirwanError):
-    """Triangular solve hit a zero diagonal entry."""
-
-
-class NotTriangular(KirwanError):
-    """Matrix handed to the triangular solver has a nonzero entry below the diagonal."""
 
 
 class ParseError(KirwanError):

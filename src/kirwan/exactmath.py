@@ -21,8 +21,6 @@ import re
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import NotTriangular, SingularDiagonal
-
 __all__ = [
     "rat",
     "rat_str",
@@ -30,7 +28,6 @@ __all__ = [
     "rref",
     "nullspace",
     "meet",
-    "solve_upper_triangular",
 ]
 
 RationalLike = Fraction | int | str
@@ -233,37 +230,3 @@ def meet(rows: Sequence[tuple[int, ...]], values: Sequence[int]) -> tuple[tuple[
             row = tuple(new) if g == 1 else tuple(e // g for e in new)
         out.append(row)
     return (*out, *rows[s + 1 :])
-
-
-def solve_upper_triangular(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[RationalLike]
-) -> tuple[Fraction, ...]:
-    """Back-substitution solve of an upper-triangular square system, given
-    by its rows.
-
-    The matrix must be upper triangular in the supplied ordering with nonzero
-    diagonal; violations raise NotTriangular / SingularDiagonal.  An entry
-    that is not an int or a Fraction raises TypeError.
-    """
-    k = len(rows)
-    if any(type(e) not in (int, Fraction) for row in rows for e in row):
-        raise TypeError("matrix entries must be ints or Fractions")
-    if any(len(row) != k for row in rows):
-        raise ValueError("matrix must be square")
-    if len(rhs) != k:
-        raise ValueError("right-hand side length does not match")
-    for i, row in enumerate(rows):
-        for j in range(i):
-            if row[j] != 0:
-                raise NotTriangular(f"nonzero entry below the diagonal at ({i}, {j})")
-    for i, row in enumerate(rows):
-        if row[i] == 0:
-            raise SingularDiagonal(f"zero diagonal entry at position {i}")
-    b = [rat(x) for x in rhs]
-    x = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, k):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return tuple(x)

@@ -37,8 +37,6 @@ from .cohomology import (
     Subspace,
     basis_points,
     class_to_dict,
-    combine_rows,
-    degree_basis,
     gram_rows,
     subspace_contains,
     subspace_integer_rows,
@@ -53,13 +51,7 @@ from .errors import (
     NotInKernel,
     ValidationError,
 )
-from .exactmath import (
-    meet,
-    nullspace,
-    rat_str,
-    ratio_str,
-    solve_upper_triangular,
-)
+from .exactmath import meet, nullspace, rat_str, ratio_str
 from .momentdata import CutLevel, ManifoldData, split_fixed_points
 
 __all__ = [
@@ -323,9 +315,10 @@ def kernels_equal(
 class BMatrixReport(Frozen):
     """Upward-restriction matrix over the high-index points above the cut.
 
-    Rows and columns are ordered by DESCENDING (moment, name): the support
+    Rows and columns are ordered by descending moment, then ascending name
+    within a level (S2^3's tied level reads mpp, pmp, ppm): the support
     condition kills entries at strictly higher moments, which in this order
-    is exactly the strict lower triangle.  `matrix` is a tuple of row tuples,
+    lie in the strict lower triangle.  `matrix` is a tuple of row tuples,
     one per label and as wide as the labels.  `m_exponents` records, per row
     point, the X power that makes the test class land in degree 2n - 2.
     """
@@ -380,48 +373,25 @@ class DecompositionCertificate(Frozen):
     )
 
 
-def _solve_basis_coefficients(
-    m: ManifoldData, eta: EquivariantClass
-) -> tuple[Fraction, ...]:
-    """Coefficients of eta over the degree basis, in basis order, or NotInImage.
-
-    The restriction of the basis class of F at G vanishes unless G sits
-    weakly above F, so in descending (moment, name) order the square system
-    over the basis points is upper triangular with the negative-weight
-    products on the diagonal.  Solving it and then checking the remaining
-    fixed points decides membership exactly.
-    """
-    desc = basis_points(m, eta.degree)[::-1]
-    a = m.alpha_minus
-    system = [[a[f][g] for f in desc] for g in desc]
-    coeffs = solve_upper_triangular(system, [eta.restrictions[g] for g in desc])[::-1]
-    # the triangular solve pinned the basis points; membership needs the rest
-    rebuilt = combine_rows(coeffs, degree_basis(m, eta.degree), len(m.fixed_points))
-    for g, want, got in zip(m.fixed_points, eta.restrictions, rebuilt):
-        if got != want:
-            raise NotInImage(
-                f"restriction at {g.name} is {rat_str(want)} "
-                f"but the basis span forces {rat_str(got)}"
-            )
-    return coeffs
-
-
 def decompose(
     m: ManifoldData, eta: EquivariantClass, cut: CutLevel
 ) -> DecompositionCertificate:
     """Split a kernel class as eta_plus + eta_minus with eta_minus vanishing
     at every point above the cut and eta_plus at every point below it.
 
-    Steps: (1) solve the triangular system for the basis coefficients of eta
-    (NotInImage when it is not in the degree span); (2) verify the residue
-    pairings against the complementary basis vanish (NotInKernel otherwise);
-    (3) start the minus part from the basis terms below the cut and zero its
-    low-index above-cut restrictions by induction up the moment values; the
-    plus part is eta minus the minus part; (4) the remaining above-cut
-    restrictions of the minus part vanish automatically for kernel classes,
-    and the plus part vanishes below the cut because it combines downward
-    classes of above-cut points, supported above the cut.  Step 4 is asserted
-    and raises InternalContradiction on inconsistent data.
+    One pass up the degree basis, in (moment, name) order.  A downward class
+    vanishes below its point's level and elsewhere on it, so at basis point f
+    the coefficient c_f is `rest` (eta less the terms so far) at f over the
+    diagonal entry; below the cut the term also joins the minus part.  Those
+    points come first, so at an above-cut f the minus part holds every
+    below-cut term, and the correction b_f, the minus part at f over the
+    diagonal entry, clears it there for good.  A leftover outside the basis
+    then means eta is not in the degree span (NotInImage), a nonzero pairing
+    against the complementary basis that it is not in the kernel
+    (NotInKernel), and the plus part is eta less the minus part.  That these
+    vanish below and above the cut, as they do for kernel classes, is
+    asserted; a failed assertion, a zero diagonal entry or a leftover at a
+    basis point come only from unvalidated tables (InternalContradiction).
     """
     width = len(m.fixed_points)
     if len(eta.restrictions) != width:
@@ -430,13 +400,42 @@ def decompose(
             f"{m.name!r} has {width} fixed points"
         )
     sweep = Sweep(m, cut)
-    coeffs = _solve_basis_coefficients(m, eta)
-    pts = basis_points(m, eta.degree)
+    pts, low = basis_points(m, eta.degree), set(sweep.below)
+    rest, minus = list(eta.restrictions), [0] * width
+    coefficients: dict[str, Fraction] = {}
+    corrections: dict[str, Fraction] = {}
+    for f in pts:
+        row, name = m.alpha_minus[f], m.fixed_points[f].name
+        if not row[f]:
+            raise InternalContradiction(
+                f"alpha_minus[{name}][{name}] is 0; the restriction tables are inconsistent"
+            )
+        c = coefficients[name] = Fraction(rest[f], row[f])  # exact: both may be ints
+        if c:
+            rest = [r - c * e if e else r for r, e in zip(rest, row)]
+            if f in low:
+                minus = [x + c * e if e else x for x, e in zip(minus, row)]
+        if f not in low:
+            b = corrections[name] = Fraction(minus[f], row[f])
+            if b:
+                minus = [x - b * e if e else x for x, e in zip(minus, row)]
+    for f in pts:
+        if rest[f]:
+            raise InternalContradiction(
+                f"the basis terms leave {rat_str(rest[f])} at the basis point "
+                f"{m.fixed_points[f].name}; the restriction tables are inconsistent"
+            )
+    for g, want, left in zip(m.fixed_points, eta.restrictions, rest):
+        if left:
+            raise NotInImage(
+                f"restriction at {g.name} is {rat_str(want)} "
+                f"but the basis span forces {rat_str(want - left)}"
+            )
 
-    # eta is the combination of its basis classes with coeffs, so its pairing
-    # with a complementary basis class is the same combination of Gram entries
+    # eta is the combination of its basis classes with the coefficients, so its
+    # pairing with a complementary basis class is the same combination of Gram entries
     co_degree = 2 * m.n - 2 - eta.degree
-    terms = [(f, c) for f, c in zip(pts, coeffs) if c]
+    terms = [(f, c) for f, c in zip(pts, coefficients.values()) if c]
     co_pts = basis_points(m, co_degree)
     gram = sweep.gram_block([f for f, _ in terms], co_pts)
     for k, i in enumerate(co_pts):
@@ -447,24 +446,11 @@ def decompose(
                 f"in degree {co_degree} is {rat_str(value / sweep.scale)}, not zero"
             )
 
-    rows = degree_basis(m, eta.degree)
-    low = set(sweep.below)
-    eta_minus = combine_rows([c if f in low else 0 for f, c in zip(pts, coeffs)], rows, width)
-    corrections: dict[str, Fraction] = {}
-    for i, row in zip(pts, rows):
-        # induction upward through the above-cut points of index <= degree
-        if i in low:
-            continue
-        b = Fraction(eta_minus[i], row[i])  # exact: both may be ints
-        corrections[m.fixed_points[i].name] = b
-        if b != 0:
-            eta_minus = combine_rows((1, -b), (eta_minus, row), width)
-    eta_plus = combine_rows((1, -1), (eta.restrictions, eta_minus), width)
-
+    eta_plus = [e - x for e, x in zip(eta.restrictions, minus)]
     for i in sweep.above:
-        if eta_minus[i] != 0:
+        if minus[i] != 0:
             raise InternalContradiction(
-                f"minus part still restricts to {rat_str(eta_minus[i])} at "
+                f"minus part still restricts to {rat_str(minus[i])} at "
                 f"{m.fixed_points[i].name}; the restriction tables are inconsistent"
             )
     for i in sweep.below:
@@ -477,10 +463,10 @@ def decompose(
     return DecompositionCertificate(
         input=eta,
         cut=cut,
-        coefficients={m.fixed_points[i].name: c for i, c in zip(pts, coeffs)},
+        coefficients=coefficients,
         corrections=corrections,
-        eta_plus=EquivariantClass(eta.degree, eta_plus),
-        eta_minus=EquivariantClass(eta.degree, eta_minus),
+        eta_plus=EquivariantClass(eta.degree, tuple(eta_plus)),
+        eta_minus=EquivariantClass(eta.degree, tuple(minus)),
         b_exhibit=b_matrix(m, cut, eta.degree) if m.alpha_plus is not None else None,
     )
 

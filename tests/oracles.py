@@ -19,7 +19,8 @@ Gram entry of any two restriction vectors as a plain Fraction sum.
 `reference_rat` and `reference_int` read a document's rational strings and
 weights the way the loader first did, one value at a time, and
 `reference_integer_table` puts a Fraction table over its lcm denominator
-with a running lcm.
+with a running lcm.  `basis_rows` reads the degree basis off the weights, and
+`basis_coefficients` writes a class over it by plain Fraction elimination.
 """
 
 from __future__ import annotations
@@ -30,21 +31,27 @@ import re
 import sys
 from fractions import Fraction
 
-from kirwan.cohomology import (
-    EquivariantClass,
-    Subspace,
-    basis_points,
-    degree_basis,
-    subspace_sum,
-)
+from kirwan.cohomology import EquivariantClass, Subspace, basis_points, subspace_sum
 from kirwan.errors import SchemaError
 from kirwan.exactmath import nullspace, rat, rat_str
 from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index, split_fixed_points
 
 
+def basis_rows(m, degree):
+    """The restriction rows of the degree-d basis classes: the alpha_minus rows
+    of the fixed points with at most d/2 negative weights, in fixed-point order;
+    none for an odd or negative degree."""
+    if degree < 0 or degree % 2:
+        return []
+    return [
+        row for fp, row in zip(m.fixed_points, m.alpha_minus)
+        if 2 * sum(w < 0 for w in fp.weights) <= degree
+    ]
+
+
 def combination(m, degree, coeffs):
     """The class sum of coeffs[k] times basis class k, added up point by point."""
-    basis = degree_basis(m, degree)
+    basis = basis_rows(m, degree)
     return EquivariantClass(
         degree,
         tuple(
@@ -294,6 +301,18 @@ def reference_nullspace(matrix, width):
             v[p] = -red[i][f]
         vecs.append(v)
     return reference_rref(vecs, width)[0]
+
+
+def basis_coefficients(m, eta):
+    """The coefficients of eta over its degree basis, as Fractions: Fraction
+    elimination of the system with one equation per fixed point, which makes
+    no use of its triangular shape.  eta must lie in the span."""
+    rows = basis_rows(m, eta.degree)
+    k = len(rows)
+    system = [[*(row[j] for row in rows), s] for j, s in enumerate(eta.restrictions)]
+    red, pivots = reference_rref(system, k + 1)
+    assert pivots == tuple(range(k)), "eta is not in the span of independent basis classes"
+    return [red[i][k] for i in range(k)]
 
 
 def reference_tw_kernels(m, cut, degree):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from kirwan.cohomology import (
-    degree_basis,
+    basis_points,
     make_class,
     subspace_from_rows,
     subspace_scalar_rows,
@@ -37,6 +37,7 @@ from kirwan.kernels import (
 from kirwan.momentdata import CutLevel, split_fixed_points
 
 from oracles import (
+    basis_rows,
     census_betti,
     combination,
     localization_expansion,
@@ -90,7 +91,7 @@ def sweep_degrees(m):
 
 def random_combo(rng, m, degree):
     coeffs = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in degree_basis(m, degree)
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in basis_points(m, degree)
     ]
     return combination(m, degree, coeffs)
 
@@ -177,8 +178,8 @@ def test_criterion_3_regression_fixtures():
     alpha1 = make_class(m, 2, {"p1": -1, "p2": -2})
     x_unit = make_class(m, 2, {"p0": 1, "p1": 1, "p2": 1})
     # the degree-2 pairing matrix: rows x_unit and alpha1, column the unit
-    assert degree_basis(m, 2) == [x_unit.restrictions, alpha1.restrictions]
-    assert degree_basis(m, 0) == [(1, 1, 1)]
+    assert basis_rows(m, 2) == [x_unit.restrictions, alpha1.restrictions]
+    assert basis_rows(m, 0) == [(1, 1, 1)]
     pm = pairing_matrix(m, c, 2)
     assert pm.matrix[1][0] == rat(exp["pairing_alpha_p1_vs_unit"])
     assert pm.matrix[0][0] == rat(exp["pairing_x_vs_unit"])
@@ -303,13 +304,13 @@ def test_criterion_6_decomposition_soundness():
             cut = rng.choice(cuts)
             d = rng.choice(sweep_degrees(m))
             eta = random_combo(rng, m, d)
-            if kernel_residue(m, cut, d).dim == len(degree_basis(m, d)):
+            if kernel_residue(m, cut, d).dim == len(basis_points(m, d)):
                 continue
             co_degree = 2 * m.n - 2 - eta.degree
             above, _ = split_fixed_points(m, cut)
             values = [
                 localization_pairing(m, eta.restrictions, col, above)
-                for col in degree_basis(m, co_degree)
+                for col in basis_rows(m, co_degree)
             ]
             in_kernel = all(v == 0 for v in values)
             if in_kernel:

@@ -33,7 +33,6 @@ from kirwan.exactmath import nullspace
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import (
     Sweep,
-    _solve_basis_coefficients,
     kernel_residue,
     kernel_tw,
     kernels_equal,
@@ -48,7 +47,7 @@ from kirwan.momentdata import (
     split_fixed_points,
 )
 
-from oracles import census_betti, edited, reference_nullspace, rref_rows
+from oracles import basis_coefficients, census_betti, edited, reference_nullspace, rref_rows
 
 
 def betti_table(m, cut):
@@ -343,9 +342,10 @@ def test_residue_kernel_is_closed_under_products_with_basis_classes(m, gap):
     """kappa * alpha_g lies in the residue kernel of degree d + ind g for every
     residue-kernel basis class kappa of degree d and every downward class
     alpha_g with d + ind g <= 2n - 2: the kernel of the reduction map is an
-    ideal.  The product is written over the degree basis by the triangular
-    solve of `decompose`, so the check ties the elimination in degree d to
-    that in degree d + ind g through no shared step."""
+    ideal.  The product is written over the degree basis by the Fraction
+    elimination of `oracles.basis_coefficients`, so the check ties the
+    elimination in degree d to that in degree d + ind g through no shared
+    step."""
     cuts = mid_gap_cuts(m)
     cut = cuts[gap % len(cuts)]
     sweep = Sweep(m, cut)
@@ -360,7 +360,7 @@ def test_residue_kernel_is_closed_under_products_with_basis_classes(m, gap):
                 if d + ind > top:
                     continue
                 product = tuple(a * b for a, b in zip(kappa, m.alpha_minus[g]))
-                coeffs = _solve_basis_coefficients(m, EquivariantClass(d + ind, product))
-                assert subspace_contains(kernels_by_degree[d + ind], list(coeffs))
+                coeffs = basis_coefficients(m, EquivariantClass(d + ind, product))
+                assert subspace_contains(kernels_by_degree[d + ind], coeffs)
                 checked += 1
     assert checked or all(not s.basis for s in kernels_by_degree.values())

@@ -17,12 +17,18 @@ from hypothesis import strategies as st
 
 from kirwan import cli, cohomology, kernels
 from kirwan.cli import main
-from kirwan.cohomology import basis_points, degree_basis
+from kirwan.cohomology import basis_points
 from kirwan.exactmath import rat
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import KernelReport, kernels_equal
 from kirwan.momentdata import CutLevel, manifold_to_json, split_fixed_points
-from oracles import census_betti, localization_pairing, reference_nullspace, reference_parser
+from oracles import (
+    basis_rows,
+    census_betti,
+    localization_pairing,
+    reference_nullspace,
+    reference_parser,
+)
 
 
 @pytest.fixture
@@ -374,6 +380,7 @@ def test_irregular_cut_exits_3_at_every_degree(cp2_path, capsys, command, degree
         ("missing class file", 64),
         ("unwritable out", 64),
         ("float restriction", 2),
+        ("integer restriction", 2),
         ("list restrictions", 2),
         ("float degree", 2),
         ("bool degree", 2),
@@ -415,6 +422,10 @@ def test_bad_files_and_class_documents_get_documented_exit_codes(
         "unwritable out": (["generate", "cpn", "--lambda", "0,1", "--out", missing], missing),
         "float restriction": (
             [*decompose, "--class-json", '{"degree": 0, "restrictions": {"p0": 1.5}}'],
+            "restrictions['p0']",
+        ),
+        "integer restriction": (
+            [*decompose, "--class-json", '{"degree": 0, "restrictions": {"p0": 2, "p1": "1"}}'],
             "restrictions['p0']",
         ),
         "list restrictions": (
@@ -777,7 +788,7 @@ def fuzz_jobs(draw):
         argv += ["--method", draw(st.sampled_from(["both", "residue", "tw"]))]
     if command == "decompose":
         even = degree - degree % 2
-        basis = degree_basis(m, even)
+        basis = basis_rows(m, even)
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(basis),
                                max_size=len(basis)))
         scalars = [sum(c * row[j] for c, row in zip(coeffs, basis))

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from kirwan.cohomology import (
     ValidationReport,
-    combine_rows,
-    degree_basis,
     basis_points,
     gram_rows,
     make_class,
@@ -46,7 +44,7 @@ def cp2():
 
 def random_combo(rng, m, degree):
     coeffs = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in degree_basis(m, degree)
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in basis_points(m, degree)
     ]
     return combination(m, degree, coeffs)
 
@@ -182,18 +180,19 @@ def test_make_class_fills_and_checks(cp1):
 
 
 def test_degree_basis_cp1(cp1):
-    assert degree_basis(cp1, 2) == [(1, 1), (0, -1)]
     assert basis_points(cp1, 2) == [0, 1]
+    assert [cp1.alpha_minus[i] for i in basis_points(cp1, 2)] == [(1, 1), (0, -1)]
 
 
 def test_degree_basis_unit(cp2):
-    assert degree_basis(cp2, 0) == [(1, 1, 1)]
+    assert basis_points(cp2, 0) == [0]
+    assert cp2.alpha_minus[0] == (1, 1, 1)
 
 
 def test_degree_basis_counts(cp2):
-    assert len(degree_basis(cp2, 4)) == 3
-    assert degree_basis(cp2, 3) == []
-    assert degree_basis(cp2, -2) == []
+    assert basis_points(cp2, 4) == [0, 1, 2]
+    assert basis_points(cp2, 3) == []
+    assert basis_points(cp2, -2) == []
 
 
 def test_degree_basis_census_consistency():
@@ -201,7 +200,7 @@ def test_degree_basis_census_consistency():
         census = index_census(m)
         for d in range(0, 2 * m.n + 2, 2):
             expected = sum(c for ind, c in census.items() if ind <= d)
-            assert len(degree_basis(m, d)) == expected
+            assert len(basis_points(m, d)) == expected
 
 
 # --- weighted Gram product ------------------------------------------------------
@@ -404,15 +403,3 @@ def test_subspace_contains_matches_the_rank_oracle(data):
     assert subspace_contains(s, v) == (rank_with_v == rank)
     with pytest.raises(ValidationError):
         subspace_contains(s, [*v, 0])
-
-
-def test_combine_rows_matches_pointwise_sum():
-    rng = random.Random(5)
-    m = gen_sphere_product([1, 2, 3])
-    for d in range(0, 2 * m.n + 1, 2):
-        for _ in range(5):
-            # zero coefficients are skipped; they must not change the sum
-            coeffs = [Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 9))
-                      for _ in degree_basis(m, d)]
-            expanded = combine_rows(coeffs, degree_basis(m, d), len(m.fixed_points))
-            assert expanded == combination(m, d, coeffs).restrictions

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kirwan.cohomology import basis_points
-from kirwan.errors import NotTriangular, SingularDiagonal
 from kirwan.exactmath import (
     meet,
     nullspace,
@@ -16,7 +15,6 @@ from kirwan.exactmath import (
     rat_str,
     ratio_str,
     rref,
-    solve_upper_triangular,
 )
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import kernel_residue, kernel_tw, pairing_matrix
@@ -357,51 +355,4 @@ def test_nullspace_of_empty_constraint_matrix():
 def test_a_row_of_another_width_raises(eliminate):
     with pytest.raises(ValueError, match="row of length 1 in a matrix of width 2"):
         eliminate([[1, 2], [3]], 2)
-
-
-def test_solve_upper_triangular_examples():
-    assert solve_upper_triangular([[1]], [-1]) == (Fraction(-1),)
-    assert solve_upper_triangular([[1, 1], [0, -1]], [0, -1]) == (Fraction(-1), Fraction(1))
-    assert solve_upper_triangular([[2, 0], [0, 3]], [4, 6]) == (Fraction(2), Fraction(2))
-
-
-def test_solve_upper_triangular_errors():
-    with pytest.raises(SingularDiagonal):
-        solve_upper_triangular([[1, 2], [0, 0]], [1, 1])
-    with pytest.raises(NotTriangular):
-        solve_upper_triangular([[1, 0], [2, 1]], [1, 1])
-    with pytest.raises(ValueError):
-        solve_upper_triangular([[1, 0]], [1])
-
-
-@pytest.mark.parametrize("bad", [0.5, True])
-def test_solve_upper_triangular_rejects_non_exact_entries(bad):
-    """Nothing checks the entries of the rows on their way in, so the solve
-    does: a float would turn the back-substitution into float arithmetic."""
-    with pytest.raises(TypeError):
-        solve_upper_triangular([[1, bad], [0, 2]], [1, 1])
-
-
-@settings(max_examples=50)
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda k: st.tuples(
-            st.lists(
-                st.lists(rationals, min_size=k, max_size=k), min_size=k, max_size=k
-            ),
-            st.lists(rationals, min_size=k, max_size=k),
-        )
-    )
-)
-def test_solve_upper_triangular_roundtrip(data):
-    rows, x = data
-    k = len(x)
-    tri = [
-        [
-            Fraction(1) if i == j else (rows[i][j] if j > i else Fraction(0))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    assert solve_upper_triangular(tri, times(tri, x)) == tuple(x)
 

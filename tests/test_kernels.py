@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from kirwan.cohomology import (
     EquivariantClass,
     basis_points,
-    combine_rows,
-    degree_basis,
     make_class,
     subspace_from_rows,
     subspace_scalar_rows,
 )
 from kirwan.errors import (
     InternalContradiction,
+    KirwanError,
     MissingAlphaPlus,
     NotInImage,
     NotInKernel,
@@ -45,6 +44,8 @@ from kirwan.momentdata import (
 )
 
 from oracles import (
+    basis_rows,
+    combination,
     edited,
     localization_expansion,
     localization_pairing,
@@ -86,8 +87,8 @@ def test_pairing_recorded_values_cp2():
     x_unit = make_class(m, 2, {"p0": 1, "p1": 1, "p2": 1})
     one = make_class(m, 0, {"p0": 1, "p1": 1, "p2": 1})
     # rows: the degree-2 basis (X times the unit, then alpha_p1); column: the unit
-    assert degree_basis(m, 2) == [x_unit.restrictions, alpha1.restrictions]
-    assert degree_basis(m, 0) == [one.restrictions]
+    assert basis_rows(m, 2) == [x_unit.restrictions, alpha1.restrictions]
+    assert basis_rows(m, 0) == [one.restrictions]
     pm = pairing_matrix(m, cut(exp["cut"]), 2)
     assert (pm.row_labels, pm.col_labels) == (("p0", "p1"), ("p0",))
     assert pm.matrix == (
@@ -108,8 +109,8 @@ def test_pairing_vanishes_off_complementary_degree():
         for e in (0, 2, 4):
             if d + e == 2 * m.n - 2:
                 continue
-            for eta in degree_basis(m, d):
-                for zeta in degree_basis(m, e):
+            for eta in basis_rows(m, d):
+                for zeta in basis_rows(m, e):
                     product = {g: a * b for g, a, b in zip(names, eta, zeta)}
                     assert localization_expansion(points, product, d + e).get(-1, 0) == 0
                     checked += 1
@@ -375,6 +376,82 @@ def test_decompose_inconsistent_table_texts(m, entry, at, degree, text):
     assert str(err.value) == text
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(GENERATED, st.randoms(use_true_random=False))
+def test_decompose_coefficients_and_corrections_rebuild_the_class_and_its_parts(m, rng):
+    """For random kernel classes: the coefficients times the basis rows give
+    eta at every point, the minus part is the below-cut terms less the
+    correction terms, and the corrections are keyed by the above-cut basis
+    points in basis order; each sum is a Fraction expansion of its own."""
+    names = [fp.name for fp in m.fixed_points]
+
+    def expand(weights):  # sum of weight * alpha_minus row, by point name
+        return [
+            sum((w * m.alpha_minus[names.index(f)][j] for f, w in weights), Fraction(0))
+            for j in range(len(names))
+        ]
+
+    for c in mid_gap_cuts(m):
+        above, _ = split_fixed_points(m, c)
+        for d in range(0, 2 * m.n - 1, 2):
+            rows = subspace_scalar_rows(m, kernel_residue(m, c, d))
+            weights = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
+            eta = EquivariantClass(d, tuple(
+                sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0))
+                for j in range(len(names))
+            ))
+            cert = decompose(m, eta, c)
+            pts = basis_points(m, d)
+            assert list(cert.coefficients) == [names[f] for f in pts]
+            assert list(cert.corrections) == [names[f] for f in pts if f in above]
+            assert expand(cert.coefficients.items()) == list(eta.restrictions)
+            below_terms = [(f, x) for f, x in cert.coefficients.items()
+                           if names.index(f) not in above]
+            corrections = [(f, -x) for f, x in cert.corrections.items()]
+            assert expand(below_terms + corrections) == list(cert.eta_minus.restrictions)
+
+
+def test_decompose_on_a_broken_triangular_block_raises_internal_contradiction():
+    """A zero diagonal entry, and a downward class nonzero at an earlier basis
+    point, are reached only on unvalidated tables; each is named."""
+    m = gen_cpn([0, 1, 2, 3])
+    broken = edited(m, ("alpha_minus", "p1", "p1", "0"))
+    with pytest.raises(InternalContradiction) as err:
+        decompose(broken, make_class(broken, 2, {"p0": 1, "p1": 1, "p2": 1, "p3": 1}), cut("3/2"))
+    assert str(err.value) == (
+        "alpha_minus[p1][p1] is 0; the restriction tables are inconsistent"
+    )
+    # the class of p2 at p1 makes p2's term leave a remainder at p1
+    broken = edited(m, ("alpha_minus", "p2", "p1", "1"))
+    eta = EquivariantClass(4, m.alpha_minus[2])
+    with pytest.raises(InternalContradiction) as err:
+        decompose(broken, eta, cut("3/2"))
+    assert str(err.value) == (
+        "the basis terms leave -1 at the basis point p1; the restriction tables are inconsistent"
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(GENERATED, st.randoms(use_true_random=False))
+def test_decompose_on_unvalidated_tables_raises_only_kirwan_errors(m, rng):
+    """Random edits of alpha_minus, diagonal entries and zeros among them,
+    loaded without validation: decompose of a class in the span of the edited
+    rows returns or raises a KirwanError, never a ZeroDivisionError."""
+    names = [fp.name for fp in m.fixed_points]
+    edits = [
+        ("alpha_minus", rng.choice(names), rng.choice(names), str(rng.randint(-2, 2)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    broken = edited(m, *edits)
+    for c in mid_gap_cuts(broken):
+        for d in range(0, 2 * m.n - 1, 2):
+            eta = combination(broken, d, [rng.randint(-2, 2) for _ in basis_points(m, d)])
+            try:
+                decompose(broken, eta, c)
+            except KirwanError:
+                pass
+
+
 def test_decompose_cp3_with_active_corrections():
     exp = EXPECTED["cp3_cut_3_2_decomposition"]
     m = gen_cpn(exp["lambdas"])
@@ -413,7 +490,7 @@ def test_decompose_random_kernel_elements_split_correctly():
     plus = {2, 3}  # positions of p2 and p3
     for d in (0, 2, 4, 6):
         kern = kernel_residue(m, c, d)
-        basis = degree_basis(m, d)
+        basis = basis_rows(m, d)
         for _ in range(10):
             acc = [Fraction(0)] * len(m.fixed_points)
             for i in range(kern.dim):
@@ -438,7 +515,6 @@ def test_certificates_and_matrices_hold_only_ints_and_fractions(m, rng):
     float: every value a decomposition, a pairing matrix or a b-matrix reports
     must still be exact."""
     exact = (int, Fraction)
-    width = len(m.fixed_points)
     for c in mid_gap_cuts(m):
         above, _ = split_fixed_points(m, c)
         for d in range(0, 2 * m.n - 1, 2):
@@ -448,10 +524,11 @@ def test_certificates_and_matrices_hold_only_ints_and_fractions(m, rng):
             # a random kernel class, and one combining only above-cut basis
             # classes, whose minus part starts as integer zeros
             kern = kernel_residue(m, c, d).basis
-            mixed = combine_rows([rng.randint(-3, 3) for _ in kern], kern, len(pts))
+            weights = [rng.randint(-3, 3) for _ in kern]
+            mixed = [sum(w * row[k] for w, row in zip(weights, kern)) for k in range(len(pts))]
             upper = [rng.randint(-3, 3) if f in above else 0 for f in pts]
             for coeffs in (mixed, upper):
-                scalars = combine_rows(coeffs, degree_basis(m, d), width)
+                scalars = combination(m, d, coeffs).restrictions
                 eta = make_class(m, d, dict(zip((fp.name for fp in m.fixed_points), scalars)))
                 cert = decompose(m, eta, c)
                 values += [*cert.coefficients.values(), *cert.corrections.values()]
@@ -467,7 +544,7 @@ def test_reverse_inclusion_tw_classes_pair_to_zero():
             for d in range(0, 2 * m.n - 1, 2):
                 tw_plus, tw_minus, _ = kernel_tw(m, c, d)
                 above, _ = split_fixed_points(m, c)
-                partners = degree_basis(m, 2 * m.n - 2 - d)
+                partners = basis_rows(m, 2 * m.n - 2 - d)
                 for side in (tw_plus, tw_minus):
                     values = [
                         [localization_pairing(m, row, col, above) for col in partners]

@@ -5,6 +5,7 @@ sessions."""
 
 from __future__ import annotations
 
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -28,6 +29,15 @@ def test_the_namespace_exports_exactly_the_names_readme_lists():
         and (name == "__version__" or not name.startswith("__"))
     }
     assert exported == listed
+
+
+def test_every_module_star_imports():
+    """`from kirwan.<module> import *` for each module, so a name deleted from a
+    module but left in its `__all__` fails here."""
+    modules = [info.name for info in pkgutil.iter_modules(kirwan.__path__)]
+    assert "kernels" in modules
+    for name in modules:
+        exec(f"from kirwan.{name} import *", {})
 
 
 def test_pyproject_version_is_the_package_version():
