@@ -7,7 +7,8 @@ S2^4 with tied levels and sparse tables and a CP^6, run `validate` and, at
 every mid-gap cut, `kernel --degree all` in json and md and `betti` in json.
 A CP^10 with a wide weight spread, whose tables hold the largest coefficients
 of the set, runs `kernel --degree all` and `betti` in json at every mid-gap
-cut.  The fixture keeps the exit code and a short sha256 of stdout per job.
+cut.  `generate` runs on every datum of the set, the larger ones last.  The
+fixture keeps the exit code and a short sha256 of stdout per job.
 
 Re-record (only when a report is meant to change) with
 
@@ -81,6 +82,11 @@ def _decompose_class(m, degree: int) -> str:
     return json.dumps({"degree": degree, "restrictions": restrictions})
 
 
+def _generate_job(label: str, gen, params) -> tuple[str, list[str]]:
+    family = "cpn --lambda" if gen is gen_cpn else "spheres --w"
+    return f"{label} generate", ["generate", *family.split(), ",".join(map(str, params))]
+
+
 def cases(workdir: Path):
     """Yield (key, argv) for every golden job; inputs are written to workdir."""
     for label, (gen, params) in DATA.items():
@@ -88,8 +94,7 @@ def cases(workdir: Path):
         path = workdir / f"{label}.json"
         path.write_text(manifold_to_json(m))
         src = str(path)
-        family = "cpn --lambda" if gen is gen_cpn else "spheres --w"
-        yield f"{label} generate", ["generate", *family.split(), ",".join(map(str, params))]
+        yield _generate_job(label, gen, params)
         for fmt in FORMATS:
             yield f"{label} validate {fmt}", ["validate", "--input", src, "--format", fmt]
         for kind, doc in _mutations(m).items():
@@ -132,7 +137,7 @@ def cases(workdir: Path):
 
 def sweep_cases(workdir: Path):
     """Yield (key, argv) for the validate, kernel and betti sweep of SWEEP_DATA
-    and the json kernel and betti sweep of WIDE_DATA."""
+    and the json kernel and betti sweep of WIDE_DATA, then `generate` of each."""
     for label, (gen, params) in (SWEEP_DATA | WIDE_DATA).items():
         wide = label in WIDE_DATA
         m = gen(params)
@@ -151,6 +156,9 @@ def sweep_cases(workdir: Path):
                 # betti computes what kernel does; one format keeps the test short
                 if fmt == "json":
                     yield f"{tag} betti", ["betti", *q]
+    # tied levels and long integers in the canonical writer
+    for label, (gen, params) in (SWEEP_DATA | WIDE_DATA).items():
+        yield _generate_job(label, gen, params)
 
 
 def run_job(argv: list[str]) -> list:
