@@ -32,4 +32,4 @@ from .momentdata import (
     manifold_to_json,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

@@ -48,12 +48,8 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
     n = len(ls) - 1
     # the moments increase, so p0..pn is already the sorted order
     points = tuple(
-        FixedPoint(
-            name=f"p{i}",
-            moment=Fraction(ls[i]),
-            weights=tuple(ls[j] - ls[i] for j in range(n + 1) if j != i),
-        )
-        for i in range(n + 1)
+        FixedPoint(f"p{i}", Fraction(li), tuple([lj - li for j, lj in enumerate(ls) if j != i]))
+        for i, li in enumerate(ls)
     )
     # down[i][k] = -down[i-1][k] * (lambda_k - lambda_(i-1)), from down[0] = 1;
     # up[i][k] = -up[i+1][k] * (lambda_k - lambda_(i+1)), from up[n] = 1
@@ -97,9 +93,7 @@ def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     order = sorted(range(len(vertices)), key=lambda v: (moments[v], names[v]))
     points = tuple(
         FixedPoint(
-            name=names[v],
-            moment=Fraction(moments[v]),
-            weights=tuple(-s * w for s, w in zip(vertices[v], speeds)),
+            names[v], Fraction(moments[v]), tuple([-s * w for s, w in zip(vertices[v], speeds)])
         )
         for v in order
     )

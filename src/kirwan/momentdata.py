@@ -14,14 +14,14 @@ an int when integral, else a Fraction.  The integer form of alpha_minus, over
 the lcm of its denominators, is derived from it on first use.  Names appear
 only at the boundary: `load_manifold` reads the name-keyed tables in one pass
 each, placing every entry by position, and ends, like the generators, in one
-positional constructor; `manifold_to_dict` writes the names back.
+positional constructor; `manifold_to_json` writes the names back, straight from
+the positional tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -46,7 +46,6 @@ __all__ = [
     "split_fixed_points",
     "index_census",
     "load_manifold",
-    "manifold_to_dict",
     "manifold_to_json",
     "to_json",
 ]
@@ -185,6 +184,8 @@ def _assemble(
     m = ManifoldData(name, n, orientation_direction, points, alpha_minus, alpha_plus)
     census = index_census(m)
     if census.get(0, 0) < 1 or census.get(2 * n, 0) < 1:
+        import warnings  # deferred: a closed-manifold datum never warns
+
         warnings.warn(
             f"index census of {name!r} has no "
             + ("minimum" if census.get(0, 0) < 1 else "maximum")
@@ -355,38 +356,44 @@ def load_manifold(
     return _assemble(obj["name"], n, orientation, ordered, *placed, validate_alpha=validate_alpha)
 
 
-def _alpha_to_dict(m: ManifoldData, table: Table) -> dict[str, dict[str, str]]:
-    # rows in fixed-point order, zero entries omitted
-    return {
-        f.name: {g.name: rat_str(s) for g, s in zip(m.fixed_points, row) if s != 0}
-        for f, row in zip(m.fixed_points, table)
-    }
-
-
-def manifold_to_dict(m: ManifoldData) -> dict[str, object]:
-    """Canonical document: fixed points sorted, zero restrictions omitted."""
-    doc: dict[str, object] = {
-        "name": m.name,
-        "n": m.n,
-        "orientation_direction": m.orientation_direction,
-        "fixed_points": [
-            {
-                "name": fp.name,
-                "moment": rat_str(fp.moment),
-                "weights": list(fp.weights),
-            }
-            for fp in m.fixed_points
-        ],
-        "alpha_minus": _alpha_to_dict(m, m.alpha_minus),
-    }
-    if m.alpha_plus is not None:
-        doc["alpha_plus"] = _alpha_to_dict(m, m.alpha_plus)
-    return doc
-
-
 def manifold_to_json(m: ManifoldData) -> str:
-    """Canonical JSON text; loading and re-emitting reproduces it byte for byte."""
-    return to_json(manifold_to_dict(m)) + "\n"
+    """Canonical JSON text, as `json.dumps(doc, indent=2)` writes it: fixed points
+    sorted, each table keyed by name in fixed-point order with its zero entries
+    omitted, numbers as rational strings but for n, the orientation and the
+    weights; loading and re-emitting reproduces it byte for byte.  Written in one
+    pass from the positional tables, each name escaped once."""
+    names = [encode_basestring_ascii(fp.name) for fp in m.fixed_points]
+    points = []
+    for name, fp in zip(names, m.fixed_points):
+        try:
+            weights = ",\n        ".join(map(str, fp.weights))
+        except ValueError:  # past the 4300 digits to which str() limits an int
+            weights = ",\n        ".join(map(rat_str, fp.weights))
+        points.append(
+            f'\n    {{\n      "name": {name},\n      "moment": "{rat_str(fp.moment)}",'
+            f'\n      "weights": [\n        {weights}\n      ]\n    }}'
+        )
+    parts = [
+        f'{{\n  "name": {encode_basestring_ascii(m.name)},\n  "n": {m.n},'
+        f'\n  "orientation_direction": {m.orientation_direction},'
+        f'\n  "fixed_points": [{",".join(points)}\n  ]'
+    ]
+    cells = [f'\n      {name}: "' for name in names]
+    for label, table in (("alpha_minus", m.alpha_minus), ("alpha_plus", m.alpha_plus)):
+        if table is None:
+            continue
+        rows = []
+        for name, row in zip(names, table):
+            try:  # str() writes an int or a Fraction as rat_str does
+                entries = [cell + str(s) for cell, s in zip(cells, row) if s]
+            except ValueError:  # an entry past the 4300-digit limit
+                entries = [cell + rat_str(s) for cell, s in zip(cells, row) if s]
+            rows.append(
+                f"\n    {name}: " + ("{" + '",'.join(entries) + '"\n    }' if entries else "{}")
+            )
+        parts.append(f',\n  "{label}": {{{",".join(rows)}\n  }}')
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def to_json(value: object) -> str:

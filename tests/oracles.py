@@ -21,11 +21,14 @@ weights the way the loader first did, one value at a time, and
 `reference_integer_table` puts a Fraction table over its lcm denominator
 with a running lcm.  `basis_rows` reads the degree basis off the weights, and
 `basis_coefficients` writes a class over it by plain Fraction elimination.
+`reference_document` is the canonical document as a dict of name-keyed dicts,
+whose `json.dumps` text the one-pass writer `manifold_to_json` must write.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -34,7 +37,7 @@ from fractions import Fraction
 from kirwan.cohomology import EquivariantClass, Subspace, basis_points, subspace_sum
 from kirwan.errors import SchemaError
 from kirwan.exactmath import nullspace, rat, rat_str
-from kirwan.momentdata import load_manifold, manifold_to_dict, morse_index, split_fixed_points
+from kirwan.momentdata import load_manifold, manifold_to_json, morse_index, split_fixed_points
 
 
 def basis_rows(m, degree):
@@ -73,10 +76,34 @@ def rref_rows(subspace):
     return [reduced_row(row) for row in subspace.basis]
 
 
+def reference_document(m):
+    """Canonical document: fixed points sorted, zero restrictions omitted."""
+    def table_dict(table):
+        # rows in fixed-point order, zero entries omitted
+        return {
+            f.name: {g.name: rat_str(s) for g, s in zip(m.fixed_points, row) if s != 0}
+            for f, row in zip(m.fixed_points, table)
+        }
+
+    doc = {
+        "name": m.name,
+        "n": m.n,
+        "orientation_direction": m.orientation_direction,
+        "fixed_points": [
+            {"name": fp.name, "moment": rat_str(fp.moment), "weights": list(fp.weights)}
+            for fp in m.fixed_points
+        ],
+        "alpha_minus": table_dict(m.alpha_minus),
+    }
+    if m.alpha_plus is not None:
+        doc["alpha_plus"] = table_dict(m.alpha_plus)
+    return doc
+
+
 def edited(m, *entries):
     """A copy of m with table[f][g] = value for each (table, f, g, value),
     loaded without table validation; value is a rational string."""
-    doc = manifold_to_dict(m)
+    doc = json.loads(manifold_to_json(m))
     for table, f, g, value in entries:
         doc[table][f][g] = value
     return load_manifold(doc, validate_alpha=False)

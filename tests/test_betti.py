@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -41,7 +42,6 @@ from kirwan.kernels import (
 from kirwan.momentdata import (
     CutLevel,
     load_manifold,
-    manifold_to_dict,
     manifold_to_json,
     morse_index,
     split_fixed_points,
@@ -102,7 +102,7 @@ def a_cut(m, gap: int, eighths: int) -> CutLevel:
 def renamed(m, names):
     """m with fixed point k (in sorted order) renamed names[k], reloaded; the
     new names can reorder points that share a moment level."""
-    doc = manifold_to_dict(m)
+    doc = json.loads(manifold_to_json(m))
     new = {fp.name: name for fp, name in zip(m.fixed_points, names)}
     for point in doc["fixed_points"]:
         point["name"] = new[point["name"]]

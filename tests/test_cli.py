@@ -61,6 +61,22 @@ def test_generate_to_stdout_is_canonical(capsys):
     assert text == manifold_to_json(__import__("kirwan").gen_sphere_product([1, 1]))
 
 
+def test_generate_writes_a_weight_past_the_str_limit_in_full(tmp_path, capsys):
+    # two lambdas of 4300 digits, which str() still writes; their difference has 4301
+    nines = "9" * 4300
+    out = str(tmp_path / "cp1.json")
+    code, _ = run(capsys, "generate", "cpn", "--lambda", f"-{nines},{nines}", "--out", out)
+    assert code == 0
+    text = open(out).read()
+    weight = "1" + "9" * 4299 + "8"
+    assert f'"weights": [\n        {weight}\n' in text
+    assert f'"weights": [\n        -{weight}\n' in text
+    # the loader reads no integer literal that long
+    code, report = run(capsys, "validate", "--input", out)
+    assert code == 2
+    assert "invalid JSON" in report and "4301 digits" in report
+
+
 def test_validate_tampered_document(tmp_path, capsys):
     doc = json.loads(manifold_to_json(gen_cpn([0, 1, 2])))
     doc["alpha_minus"]["p1"]["p1"] = "1"
@@ -574,7 +590,7 @@ def test_a_job_imports_no_argparse_pathlib_or_typing(cp2_path):
         "print(sorted(set(sys.argv[3:]) & set(sys.modules)))"
     )
     modules = ["argparse", "gettext", "shutil", "pathlib", "typing",
-               "dataclasses", "inspect", "ast", "dis", "tokenize"]
+               "dataclasses", "inspect", "ast", "dis", "tokenize", "warnings"]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, src, cp2_path, *modules],
         capture_output=True, text=True, timeout=60,

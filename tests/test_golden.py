@@ -37,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kirwan.cli import main  # noqa: E402
 from kirwan.generators import gen_cpn, gen_sphere_product  # noqa: E402
-from kirwan.momentdata import manifold_to_dict, manifold_to_json, morse_index  # noqa: E402
+from kirwan.momentdata import manifold_to_json, morse_index  # noqa: E402
 
 DATA = {
     "cp1": (gen_cpn, [0, 1]),
@@ -65,9 +65,9 @@ def _mutations(m) -> dict[str, dict]:
     """Two broken copies: one off-diagonal entry of the minimum's downward
     class (breaks only the localization check) and the maximum's diagonal."""
     low, high = m.fixed_points[0].name, m.fixed_points[-1].name
-    off = manifold_to_dict(m)
+    off = json.loads(manifold_to_json(m))
     off["alpha_minus"][low][high] = str(Fraction(off["alpha_minus"][low][high]) + 1)
-    diag = manifold_to_dict(m)
+    diag = json.loads(manifold_to_json(m))
     diag["alpha_minus"][high][high] = str(Fraction(diag["alpha_minus"][high][high]) + 1)
     return {"off": off, "diag": diag}
 

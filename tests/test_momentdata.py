@@ -30,7 +30,8 @@ from kirwan.momentdata import (
     split_fixed_points,
     to_json,
 )
-from oracles import reference_int, reference_integer_table, reference_rat
+from oracles import reference_document, reference_int, reference_integer_table, reference_rat
+from test_kernels import GENERATED
 
 CP1_DOC = {
     "name": "CP1[0,1]",
@@ -161,6 +162,48 @@ def test_round_trip_generator_output():
     for m in (gen_cpn([0, 1, 2]), gen_sphere_product([1, 1])):
         text = manifold_to_json(m)
         assert manifold_to_json(load_manifold(text)) == text
+
+
+# names that JSON escapes: a quote, a backslash, and non-ASCII as \u escapes
+NAMES = st.text(alphabet='"\\\u00e9\u2028\U0001f600pm01', min_size=1, max_size=4)
+
+
+def writes_the_reference(m):
+    return manifold_to_json(m) == json.dumps(reference_document(m), indent=2) + "\n"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(GENERATED, st.data())
+def test_the_writer_writes_the_reference_document(m, data):
+    """Of generated data, then of a copy loaded without table validation, with
+    renamed points, Fraction entries, maybe a row of zeros and no alpha_plus."""
+    assert writes_the_reference(m)
+    d = reference_document(m)
+    size = len(d["fixed_points"])
+    names = data.draw(st.lists(NAMES, min_size=size, max_size=size, unique=True))
+    new = dict(zip([p["name"] for p in d["fixed_points"]], names))
+    for p in d["fixed_points"]:
+        p["name"] = new[p["name"]]
+    scale = data.draw(st.fractions(-5, 5, max_denominator=12).filter(bool))
+    for label in ("alpha_minus", "alpha_plus"):
+        d[label] = {
+            new[f]: {new[g]: str(Fraction(v) * scale) for g, v in row.items()}
+            for f, row in d[label].items()
+        }
+    if data.draw(st.booleans()):
+        d["alpha_minus"][data.draw(st.sampled_from(names))] = {}
+    if data.draw(st.booleans()):
+        del d["alpha_plus"]
+    loaded = load_manifold(d, validate_alpha=False)
+    assert writes_the_reference(loaded)
+
+
+def test_the_writer_writes_table_entries_past_the_str_limit_in_full():
+    # 2200-digit lambdas: the weights stay under the 4300 digits str() writes,
+    # the products of two of them in the tables do not
+    m = gen_cpn([-(10**2199) - 7, 3, 10**2199 + 1])
+    assert max(abs(s) for row in m.alpha_minus for s in row) >= 10**4300
+    assert writes_the_reference(m)
 
 
 # report-shaped values: rows of rational strings in nested dicts and lists, with
