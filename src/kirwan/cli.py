@@ -39,7 +39,7 @@ from .kernels import (
     kernel_tw,
     pairing_matrix,
     pairing_to_dict,
-    report_to_dict,
+    reports_to_json,
 )
 from .momentdata import CutLevel, _schema_int, load_manifold, manifold_to_json, to_json
 
@@ -300,9 +300,6 @@ def _cmd_kernel(args) -> int:
             reports.append(kernels_equal(m, cut, d, sweep))
     entries.reverse()
     reports.reverse()
-    if args.format == "json":
-        # only the JSON report expands the subspaces to restriction rows
-        entries.extend(report_to_dict(m, rep) for rep in reports)
     disagreement = not all(rep.equal for rep in reports)
     report = {
         "command": "kernel",
@@ -333,7 +330,12 @@ def _cmd_kernel(args) -> int:
     ]
     if disagreement:
         md.extend(_DISAGREEMENT)
-    _emit(report, args.format, md)
+    if args.format == "json" and reports:
+        # only the JSON report expands the subspaces, written as text in its "degrees"
+        head, _, tail = to_json(report).partition('"degrees": []')
+        print(f'{head}"degrees": {reports_to_json(m, reports)}{tail}')
+    else:
+        _emit(report, args.format, md)
     return 2 if disagreement else 0
 
 

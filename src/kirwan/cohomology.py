@@ -253,29 +253,18 @@ def subspace_integer_rows(m: ManifoldData, s: Subspace) -> list[tuple[list[int],
 
     A primitive basis row times the integer rows of the degree basis
     (`ManifoldData.integer_alpha_minus`, over den) is ints, and scale is den
-    times the row's leading entry.  Each nonzero coefficient adds its table
-    row over that row's support only; a row with one nonzero coefficient
-    (a tw_minus basis row is one) gives its table row over den.
+    times the row's leading entry.  The JSON kernel report writes the same
+    expansion itself (`kernels.reports_to_json`).
     """
     pts = basis_points(m, s.degree)
     if tuple(m.fixed_points[i].name for i in pts) != s.labels:
         raise ValidationError("subspace labels do not match the degree basis")
     table, den = m.integer_alpha_minus
-    sparse: dict[int, list[tuple[int, int]]] = {}
-    out = []
-    for row in s.basis:
-        terms = [(c, i) for c, i in zip(row, pts) if c]
-        if len(terms) == 1:
-            out.append((list(table[terms[0][1]]), den))
-            continue
-        acc = [0] * len(table)
-        for c, i in terms:
-            if i not in sparse:
-                sparse[i] = [(j, e) for j, e in enumerate(table[i]) if e]
-            for j, e in sparse[i]:
-                acc[j] += c * e
-        out.append((acc, den * terms[0][0]))
-    return out
+    columns = list(zip(*(table[i] for i in pts)))
+    return [
+        ([sum(map(mul, row, column)) for column in columns], den * next(filter(None, row)))
+        for row in s.basis
+    ]
 
 
 def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:

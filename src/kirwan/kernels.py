@@ -17,7 +17,8 @@ block (the entries times their common scale) is eliminated as it stands.  The
 second characterization is the direct sum of the classes vanishing above the
 cut and those vanishing below it, the latter read off the basis by the source
 paper's triangularity argument.  The two kernels agree on every valid datum,
-and `kernels_equal` treats any disagreement as a diagnosable data error.
+and `kernels_equal` treats any disagreement as a diagnosable data error; the
+JSON report (`reports_to_json`) writes the agreed kernel's text once per degree.
 
 Residues here are literal X^-1 coefficients; no global orientation constant
 is applied.  Kernels and Betti numbers are unaffected by that convention
@@ -29,7 +30,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from .cohomology import (
@@ -39,7 +42,6 @@ from .cohomology import (
     class_to_dict,
     gram_rows,
     subspace_contains,
-    subspace_integer_rows,
     subspace_scalar_rows,
     subspace_sum,
 )
@@ -52,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .exactmath import meet, nullspace, rat_str, ratio_str
-from .momentdata import CutLevel, ManifoldData, split_fixed_points
+from .momentdata import CutLevel, ManifoldData, split_fixed_points, to_json
 
 __all__ = [
     "Sweep",
@@ -66,7 +68,7 @@ __all__ = [
     "kernels_equal",
     "b_matrix",
     "decompose",
-    "report_to_dict",
+    "reports_to_json",
     "certificate_to_dict",
     "bmatrix_to_dict",
     "pairing_to_dict",
@@ -113,6 +115,17 @@ class Sweep:
         self._gram: dict[tuple[int, int], int] = {}
         self.residue: Subspace | None = None
         self.tw_plus: Subspace | None = None
+
+    @cached_property
+    def triangular(self) -> bool:
+        """Whether the support axioms' triangular block holds over all points, and
+        so on every degree's basis: each row below the cut is zero left of its
+        nonzero diagonal entry, and each row above the cut is zero below it."""
+        table, _ = self.m.integer_alpha_minus
+        k = len(self.below)  # the points below the cut come first
+        return all(table[f][f] and not any(table[f][:f]) for f in range(k)) and not any(
+            any(table[g][:k]) for g in self.above
+        )
 
     def gram_block(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[int]]:
         """The integer entries (f, g) for the positions f in rows and g in cols."""
@@ -235,33 +248,27 @@ def kernel_tw(
 
     The first is eliminated, except at or below the degree of the sweep's kept
     `tw_plus`, which it narrows.  Where the support axioms' triangular block
-    holds (checked on every call: the k below-cut basis points come first,
-    their rows there are triangular with a nonzero diagonal, and the above-cut
-    basis rows vanish below the cut), the second is the unit rows at columns k
-    and up, and the sum is those rows after the tw_plus basis cut to its first
-    k columns.  tw_plus is canonical, so that cut is read off with no
-    elimination: its rows are the tw_plus rows with leading entry left of k,
-    each cut at k and divided by the gcd of what is left.  Elsewhere (data
-    loaded without validation) both are eliminated.
+    holds (`Sweep.triangular`), the k below-cut basis points come first, and
+    the second is the unit rows at columns k and up, and the sum is those rows
+    after the tw_plus basis cut to its first k columns.  tw_plus is canonical,
+    so that cut is read off with no elimination: its rows are the tw_plus rows
+    with leading entry left of k, each cut at k and divided by the gcd of what
+    is left.  Elsewhere (data loaded without validation) both are eliminated.
     """
     sweep = _sweep_of(m, cut, sweep)
     tw_plus = _tw_plus(m, degree, sweep)
-    pts, below, labels = basis_points(m, degree), sweep.below, tw_plus.labels
-    low, (table, _) = set(below), m.integer_alpha_minus
-    k, w = sum(i in low for i in pts), len(pts)
-    if all(
-        f in low and table[f][f] and not any(table[f][g] for g in pts[:a])
-        for a, f in enumerate(pts[:k])
-    ) and not any(table[g][j] for g in pts[k:] for j in below):
-        units = tuple((0,) * c + (1,) + (0,) * (w - 1 - c) for c in range(k, w))
-        padded = tuple(
-            tuple(e // g for e in row[:k]) + (0,) * (w - k)
-            for row in tw_plus.basis
-            if (g := math.gcd(*row[:k]))
-        )
-        return tw_plus, Subspace(degree, labels, units), Subspace(degree, labels, padded + units)
-    tw_minus = _evaluation_kernel(m, degree, below)
-    return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
+    if not sweep.triangular:
+        tw_minus = _evaluation_kernel(m, degree, sweep.below)
+        return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
+    labels, below = tw_plus.labels, len(sweep.below)
+    k, w = sum(i < below for i in basis_points(m, degree)), len(labels)
+    units = tuple((0,) * c + (1,) + (0,) * (w - 1 - c) for c in range(k, w))
+    padded = tuple(
+        tuple(e // g for e in row[:k]) + (0,) * (w - k)
+        for row in tw_plus.basis
+        if (g := math.gcd(*row[:k]))
+    )
+    return tw_plus, Subspace(degree, labels, units), Subspace(degree, labels, padded + units)
 
 
 class KernelReport(Frozen):
@@ -473,43 +480,72 @@ def decompose(
 
 # --- serialization -------------------------------------------------------------
 
-
-def _subspace_to_dict(m: ManifoldData, s: Subspace) -> dict:
-    """Basis rows written from their integers: each coefficient row over its
-    leading entry, each restriction row over its scale."""
-    leads = [next(e for e in row if e) for row in s.basis]
-    return {
-        "degree": s.degree,
-        "labels": list(s.labels),
-        "dimension": s.dim,
-        "coefficient_rows": [
-            [ratio_str(e, lead) for e in row] for row, lead in zip(s.basis, leads)
-        ],
-        "restriction_rows": [
-            [ratio_str(e, scale) for e in ints] for ints, scale in subspace_integer_rows(m, s)
-        ],
-    }
+# `kirwan kernel --format json` at its fixed depths: a list in a subspace, a basis row
+_ITEM, _ENTRY = ",\n          ", '",\n            "'
+_ROW = '[\n            "{}"\n          ]'.format
 
 
-def report_to_dict(m: ManifoldData, report: KernelReport) -> dict:
-    residue = _subspace_to_dict(m, report.residue_kernel)
-    out = {
-        "cut": rat_str(report.cut.c),
-        "degree": report.degree,
-        "residue_kernel": residue,
-        "tw_plus": _subspace_to_dict(m, report.tw_plus),
-        "tw_minus": _subspace_to_dict(m, report.tw_minus),
-        # the agreed kernel, as on every valid datum, is written once
-        "tw_sum": (
-            residue if report.tw_sum == report.residue_kernel
-            else _subspace_to_dict(m, report.tw_sum)
-        ),
-        "equal": report.equal,
-        "betti": report.betti,
-    }
-    if report.witness is not None:
-        out["witness"] = class_to_dict(m, report.witness)
-    return out
+def _list_text(items: list[str]) -> str:
+    return f"[\n          {_ITEM.join(items)}\n        ]" if items else "[]"
+
+
+def _row_text(ints: Sequence[int], scale: int) -> str:
+    """The basis row ints / scale: one str() per entry over scale 1, else one
+    ratio_str per nonzero entry."""
+    if scale == 1:
+        try:
+            return _ROW(_ENTRY.join(map(str, ints)))
+        except ValueError:  # past the 4300 digits to which str() limits an int
+            pass
+    return _ROW(_ENTRY.join([ratio_str(e, scale) if e else "0" for e in ints]))
+
+
+def reports_to_json(m: ManifoldData, reports: Sequence[KernelReport]) -> str:
+    """The `degrees` list of `kirwan kernel --format json`, written in one pass over
+    the reports' Subspaces: each distinct basis of a report once (on valid data
+    `tw_sum` is the residue kernel), each coefficient row over its leading entry,
+    and each restriction row (`cohomology.subspace_integer_rows`) once, keyed by its
+    nonzero (point, coefficient) terms.  A row with one term is its table row over
+    den (every tw_minus row is one); a row that comes back at a lower degree is reused."""
+    table, den = m.integer_alpha_minus
+    rows: dict[tuple, str] = {}
+    entries = []
+    for rep in reports:
+        pts, texts = basis_points(m, rep.degree), {}
+        labels = _list_text([encode_basestring_ascii(x) for x in rep.residue_kernel.labels])
+        subspaces = rep.residue_kernel, rep.tw_plus, rep.tw_minus, rep.tw_sum
+        for s in subspaces:
+            if s.basis in texts:
+                continue
+            coefficient_rows, restriction_rows = [], []
+            for row in s.basis:
+                terms = tuple(compress(zip(pts, row), row))
+                (f, lead), *rest = terms
+                coefficient_rows.append(_row_text(row, lead))
+                if terms not in rows:
+                    ints = table[f] if lead == 1 else [lead * e for e in table[f]]
+                    for g, c in rest:
+                        ints = [a + c * e if e else a for a, e in zip(ints, table[g])]
+                    rows[terms] = _row_text(ints, den * lead)
+                restriction_rows.append(rows[terms])
+            texts[s.basis] = (
+                f'{{\n        "degree": {s.degree},\n        "labels": {labels},'
+                f'\n        "dimension": {s.dim},'
+                f'\n        "coefficient_rows": {_list_text(coefficient_rows)},'
+                f'\n        "restriction_rows": {_list_text(restriction_rows)}\n      }}'
+            )
+        residue, tw_plus, tw_minus, tw_sum = (texts[s.basis] for s in subspaces)
+        witness = "" if rep.witness is None else ',\n      "witness": ' + to_json(
+            class_to_dict(m, rep.witness)
+        ).replace("\n", "\n      ")
+        entries.append(
+            f'{{\n      "cut": "{rat_str(rep.cut.c)}",\n      "degree": {rep.degree},'
+            f'\n      "residue_kernel": {residue},\n      "tw_plus": {tw_plus},'
+            f'\n      "tw_minus": {tw_minus},\n      "tw_sum": {tw_sum},'
+            f'\n      "equal": {"true" if rep.equal else "false"},'
+            f'\n      "betti": {rep.betti}{witness}\n    }}'
+        )
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
 
 
 def bmatrix_to_dict(report: BMatrixReport) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -89,10 +90,11 @@ class ManifoldData(Frozen):
 
     The tables are indexed by position in `fixed_points`: alpha_minus[i][j]
     is the restriction scalar of the downward class of point i at point j,
-    morse_indices[i] is the Morse index of point i, and euler_classes[i] the
-    scalar of its tangent Euler class, the product of its weights (times
-    X^n).  A table entry is an int when integral, else a Fraction.  The members
-    derived from the fields live in `__dict__` and take no part in equality.
+    moments[i] and morse_indices[i] are the moment and Morse index of point i,
+    and euler_classes[i] the scalar of its tangent Euler class, the product of
+    its weights (times X^n).  A table entry is an int when integral, else a
+    Fraction.  The members derived from the fields live in `__dict__` and take
+    no part in equality.
     """
 
     __slots__ = (
@@ -113,6 +115,7 @@ class ManifoldData(Frozen):
         Frozen.__init__(self, *fields)
         self.__dict__.update(
             _position={fp.name: i for i, fp in enumerate(fixed_points)},
+            moments=tuple(fp.moment for fp in fixed_points),
             morse_indices=tuple(morse_index(fp) for fp in fixed_points),
             euler_classes=tuple(math.prod(fp.weights) for fp in fixed_points),
         )
@@ -161,14 +164,13 @@ def split_fixed_points(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partition the fixed-point positions into (above cut, below cut), each
     in fixed-point order."""
-    for fp in m.fixed_points:
-        if fp.moment == cut.c:
-            raise NotRegularValue(
-                f"cut {rat_str(cut.c)} equals the moment of fixed point {fp.name!r}"
-            )
-    above = tuple(i for i, fp in enumerate(m.fixed_points) if fp.moment > cut.c)
-    below = tuple(i for i, fp in enumerate(m.fixed_points) if fp.moment < cut.c)
-    return above, below
+    moments = m.moments
+    k = bisect_left(moments, cut.c)  # the points are sorted by moment
+    if k < len(moments) and moments[k] == cut.c:
+        raise NotRegularValue(
+            f"cut {rat_str(cut.c)} equals the moment of fixed point {m.fixed_points[k].name!r}"
+        )
+    return tuple(range(k, len(moments))), tuple(range(k))
 
 
 def _assemble(

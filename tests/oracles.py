@@ -22,7 +22,10 @@ weights the way the loader first did, one value at a time, and
 with a running lcm.  `basis_rows` reads the degree basis off the weights, and
 `basis_coefficients` writes a class over it by plain Fraction elimination.
 `reference_document` is the canonical document as a dict of name-keyed dicts,
-whose `json.dumps` text the one-pass writer `manifold_to_json` must write.
+whose `json.dumps` text the one-pass writer `manifold_to_json` must write, and
+`reference_kernel_entry` one entry of the JSON kernel report as a dict, whose
+`to_json` text the one-pass writer `reports_to_json` must write.
+`reference_split` splits the fixed points at a cut by comparing every moment.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ import re
 import sys
 from fractions import Fraction
 
-from kirwan.cohomology import EquivariantClass, Subspace, basis_points, subspace_sum
-from kirwan.errors import SchemaError
-from kirwan.exactmath import nullspace, rat, rat_str
+from kirwan.cohomology import (
+    EquivariantClass,
+    Subspace,
+    basis_points,
+    class_to_dict,
+    subspace_integer_rows,
+    subspace_sum,
+)
+from kirwan.errors import NotRegularValue, SchemaError
+from kirwan.exactmath import nullspace, rat, rat_str, ratio_str
 from kirwan.momentdata import load_manifold, manifold_to_json, morse_index, split_fixed_points
 
 
@@ -98,6 +108,53 @@ def reference_document(m):
     if m.alpha_plus is not None:
         doc["alpha_plus"] = table_dict(m.alpha_plus)
     return doc
+
+
+def reference_kernel_entry(m, report):
+    """One entry of `kirwan kernel --format json`'s degrees: each subspace's
+    coefficient rows over their leading entries and restriction rows over their
+    scales, and the residue kernel's dict reused as an equal `tw_sum`."""
+    def subspace(s):
+        leads = [next(e for e in row if e) for row in s.basis]
+        return {
+            "degree": s.degree,
+            "labels": list(s.labels),
+            "dimension": s.dim,
+            "coefficient_rows": [
+                [ratio_str(e, lead) for e in row] for row, lead in zip(s.basis, leads)
+            ],
+            "restriction_rows": [
+                [ratio_str(e, scale) for e in ints] for ints, scale in subspace_integer_rows(m, s)
+            ],
+        }
+
+    residue = subspace(report.residue_kernel)
+    out = {
+        "cut": rat_str(report.cut.c),
+        "degree": report.degree,
+        "residue_kernel": residue,
+        "tw_plus": subspace(report.tw_plus),
+        "tw_minus": subspace(report.tw_minus),
+        "tw_sum": residue if report.tw_sum == report.residue_kernel else subspace(report.tw_sum),
+        "equal": report.equal,
+        "betti": report.betti,
+    }
+    if report.witness is not None:
+        out["witness"] = class_to_dict(m, report.witness)
+    return out
+
+
+def reference_split(m, cut):
+    """(above, below) positions of the fixed points, in fixed-point order, or
+    NotRegularValue naming the first point whose moment is the cut."""
+    for fp in m.fixed_points:
+        if fp.moment == cut.c:
+            raise NotRegularValue(
+                f"cut {rat_str(cut.c)} equals the moment of fixed point {fp.name!r}"
+            )
+    above = tuple(i for i, fp in enumerate(m.fixed_points) if fp.moment > cut.c)
+    below = tuple(i for i, fp in enumerate(m.fixed_points) if fp.moment < cut.c)
+    return above, below
 
 
 def edited(m, *entries):

@@ -15,17 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kirwan import cli, cohomology, kernels
+from kirwan import cli, cohomology
 from kirwan.cli import main
-from kirwan.cohomology import basis_points
+from kirwan.cohomology import EquivariantClass, basis_points
 from kirwan.exactmath import rat
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import KernelReport, kernels_equal
-from kirwan.momentdata import CutLevel, manifold_to_json, split_fixed_points
+from kirwan.momentdata import CutLevel, load_manifold, manifold_to_json, split_fixed_points, to_json
 from oracles import (
     basis_rows,
     census_betti,
     localization_pairing,
+    reference_kernel_entry,
     reference_nullspace,
     reference_parser,
 )
@@ -215,16 +216,17 @@ def test_long_narrowing_chains_agree_with_the_census(tmp_path, capsys, m):
 
 
 def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):
-    # md prints only dimensions, so it must not build the restriction rows;
-    # every expansion, Fraction rows included, goes through subspace_integer_rows
+    # md prints only dimensions, so it must not build the restriction rows; the
+    # JSON report expands them in kernels.reports_to_json, and every other
+    # expansion, Fraction rows included, goes through subspace_integer_rows
     args = ("kernel", "--input", cp2_path, "--cut", "3/2", "--degree", "all")
     _, want = run(capsys, *args)
 
     def boom(m, s):
         raise RuntimeError("restriction rows expanded")
 
-    for module in (cohomology, kernels):
-        monkeypatch.setattr(module, "subspace_integer_rows", boom)
+    monkeypatch.setattr(cohomology, "subspace_integer_rows", boom)
+    monkeypatch.setattr(cli, "reports_to_json", boom)
     assert run(capsys, *args, "--format", "md") == (0, want)
     with pytest.raises(RuntimeError):
         main([*args, "--format", "json"])
@@ -252,6 +254,37 @@ def test_betti_exits_2_when_the_kernels_disagree(cp2_path, capsys, monkeypatch):
     assert warning[0].startswith("DISAGREEMENT")
     assert betti_md.splitlines() == agreed_md.splitlines() + warning
     assert run(capsys, "betti", *args, "--format", "json") == (2, agreed_json)
+
+
+def test_kernel_json_writes_the_entries_into_its_header(tmp_path, capsys, monkeypatch):
+    """The JSON kernel report is its header as to_json writes it, the entries
+    written as text in its "degrees", for a datum named like that key and for
+    a disagreement with a witness and a tw_sum apart from the residue kernel."""
+    doc = json.loads(manifold_to_json(gen_cpn([0, 1, 2])))
+    doc["name"] = '"degrees": []\n'
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    m, cut = load_manifold(doc), CutLevel(Fraction(3, 2))
+    real = kernels_equal
+
+    def disagreeing(m, cut, degree, sweep=None):
+        r = real(m, cut, degree, sweep)
+        witness = EquivariantClass(degree, (Fraction(-1, 2), 0, 3))
+        return KernelReport(
+            r.cut, r.degree, r.residue_kernel, r.tw_plus, r.tw_minus, r.tw_minus,
+            equal=False, betti=r.betti, witness=witness,
+        )
+
+    for report, code in ((real, 0), (disagreeing, 2)):
+        monkeypatch.setattr(cli, "kernels_equal", report)
+        for degrees, flags in (([0, 2], ()), ([2], ("--degree", "2"))):
+            want = to_json({
+                "command": "kernel", "manifold": doc["name"], "cut": "3/2", "method": "both",
+                "degrees": [reference_kernel_entry(m, report(m, cut, d)) for d in degrees],
+                "note": "degrees above 2n-2 are entirely kernel (betti 0)",
+            })
+            argv = ("kernel", "--input", str(path), "--cut", "3/2", "--format", "json", *flags)
+            assert run(capsys, *argv) == (code, want + "\n"), (code, flags)
 
 
 def test_betti_table(cp2_path, capsys):

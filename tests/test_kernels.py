@@ -6,11 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kirwan.cohomology import (
     EquivariantClass,
+    Subspace,
     basis_points,
     make_class,
     subspace_from_rows,
@@ -25,9 +26,10 @@ from kirwan.errors import (
     NotRegularValue,
     ValidationError,
 )
-from kirwan.exactmath import rat
+from kirwan.exactmath import rat, rat_str
 from kirwan.generators import gen_cpn, gen_sphere_product
 from kirwan.kernels import (
+    KernelReport,
     Sweep,
     b_matrix,
     decompose,
@@ -35,12 +37,15 @@ from kirwan.kernels import (
     kernel_tw,
     kernels_equal,
     pairing_matrix,
+    reports_to_json,
 )
 from kirwan.momentdata import (
     CutLevel,
     load_manifold,
     manifold_to_json,
+    morse_index,
     split_fixed_points,
+    to_json,
 )
 
 from oracles import (
@@ -49,6 +54,7 @@ from oracles import (
     edited,
     localization_expansion,
     localization_pairing,
+    reference_kernel_entry,
     reference_tw_kernels,
     rref_rows,
 )
@@ -295,6 +301,84 @@ def test_kernel_tw_eliminates_when_the_triangular_block_fails(edit, degree, tw_m
     m = edited(gen_cpn([0, 1, 2, 3]), edit)
     assert_tw_matches_the_eliminations(m, [cut("3/2")])
     assert kernel_tw(m, cut("3/2"), degree)[1].basis == tw_minus
+
+
+# --- the JSON kernel report -------------------------------------------------------
+
+
+@st.composite
+def fraction_tables(draw):
+    """A valid sphere product whose alpha_minus holds Fractions: one point's row
+    plus a multiple, over 7, 11 or 13, of the row of a higher point of the same
+    index, which vanishes wherever the first row must."""
+    speeds = draw(st.lists(st.sampled_from((1, 2, 3, 5)), min_size=2, max_size=4, unique=True))
+    m = gen_sphere_product(speeds)
+    pairs = [
+        (f.name, g.name) for f in m.fixed_points for g in m.fixed_points
+        if morse_index(f) == morse_index(g) and f.moment < g.moment
+    ]
+    f, g = draw(st.sampled_from(pairs))
+    q = Fraction(draw(st.integers(-30, 30)), draw(st.sampled_from((7, 11, 13))))
+    assume(q.denominator > 1)
+    doc = json.loads(manifold_to_json(m))
+    row = doc["alpha_minus"][f]
+    for point, value in doc["alpha_minus"][g].items():
+        row[point] = rat_str(rat(row.get(point, "0")) + q * rat(value))
+    out = load_manifold(doc)  # validated
+    assert out.integer_alpha_minus[1] > 1
+    return out
+
+
+# 2200-digit lambdas: the products of two weights in the table pass the 4300
+# digits str() writes
+LONG_CPN = gen_cpn([-(10**2199) - 7, 3, 10**2199 + 1])
+
+
+def disagreeing(m, r):
+    """The report as a disagreement: `tw_sum` the whole degree basis, or zero
+    where that is the residue kernel, and the first basis class as witness."""
+    labels = r.residue_kernel.labels
+    whole = Subspace(r.degree, labels, tuple(
+        (0,) * c + (1,) + (0,) * (len(labels) - 1 - c) for c in range(len(labels))
+    ))
+    tw_sum = Subspace(r.degree, labels, ()) if r.residue_kernel == whole else whole
+    witness = EquivariantClass(r.degree, subspace_scalar_rows(m, whole)[0]) if labels else None
+    return KernelReport(
+        r.cut, r.degree, r.residue_kernel, r.tw_plus, r.tw_minus, tw_sum,
+        equal=False, betti=r.betti, witness=witness,
+    )
+
+
+def assert_writes_the_reference(m, disagree, degree):
+    """At every mid-gap cut, the writer's text of the reports of a --degree all
+    sweep, and of the one degree, is the reference entries as `to_json` writes
+    them in a report."""
+    for c in mid_gap_cuts(m):
+        sweep = Sweep(m, c)
+        swept = [kernels_equal(m, c, d, sweep) for d in range(2 * m.n - 2, -1, -2)][::-1]
+        for reports in (swept, [kernels_equal(m, c, degree)]):
+            if disagree:
+                reports = [disagreeing(m, r) for r in reports]
+            want = to_json({"degrees": [reference_kernel_entry(m, r) for r in reports]})
+            got = '{\n  "degrees": ' + reports_to_json(m, reports) + "\n}"
+            assert got == want, (str(c.c), len(reports))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(GENERATED, fraction_tables()), st.booleans(), st.integers(0, 14))
+def test_the_writer_writes_the_reference_entries(m, disagree, degree):
+    assert_writes_the_reference(m, disagree, degree % (2 * m.n + 1))  # odd degrees too
+
+
+@pytest.mark.parametrize("disagree", [False, True])
+def test_the_writer_writes_entries_past_the_str_limit(disagree):
+    # kept out of the property: Hypothesis cannot repr a datum this long
+    assert max(abs(s) for row in LONG_CPN.alpha_minus for s in row) >= 10**4300
+    for degree in range(5):
+        assert_writes_the_reference(LONG_CPN, disagree, degree)
+    # the unit row of the top point, a tw_minus row at degree 4, holds the long entry
+    rows = reports_to_json(LONG_CPN, [kernels_equal(LONG_CPN, mid_gap_cuts(LONG_CPN)[0], 4)])
+    assert max(map(len, rows.split())) > 4300
 
 
 # --- decomposition ---------------------------------------------------------------

@@ -30,7 +30,13 @@ from kirwan.momentdata import (
     split_fixed_points,
     to_json,
 )
-from oracles import reference_document, reference_int, reference_integer_table, reference_rat
+from oracles import (
+    reference_document,
+    reference_int,
+    reference_integer_table,
+    reference_rat,
+    reference_split,
+)
 from test_kernels import GENERATED
 
 CP1_DOC = {
@@ -288,6 +294,26 @@ def test_split_rejects_singular_cut():
     cp2 = gen_cpn([0, 1, 2])
     with pytest.raises(NotRegularValue):
         split_fixed_points(cp2, CutLevel(Fraction(1)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(GENERATED)
+def test_split_matches_the_naive_split(m):
+    """At every moment (ties included, as a Fraction and, when integral, as an
+    int), every mid-gap cut, and cuts below and above all moments, the split is
+    the naive one, or the same NotRegularValue naming the first point there."""
+    levels = sorted({fp.moment for fp in m.fixed_points})
+    cuts = [levels[0] - 1, *levels, *((lo + hi) / 2 for lo, hi in zip(levels, levels[1:]))]
+    cuts += [levels[-1] + 1, *(int(c) for c in levels if c.denominator == 1)]
+    for c in map(CutLevel, cuts):
+        try:
+            want = reference_split(m, c)
+        except NotRegularValue as exc:
+            with pytest.raises(NotRegularValue) as err:
+                split_fixed_points(m, c)
+            assert str(err.value) == str(exc)
+        else:
+            assert split_fixed_points(m, c) == want
 
 
 def test_unknown_fixed_point_lookup():
