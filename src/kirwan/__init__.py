@@ -32,4 +32,4 @@ from .momentdata import (
     manifold_to_json,
 )
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

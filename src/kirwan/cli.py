@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .exactmath import rat, rat_str
+from .exactmath import rat
 from .generators import gen_cpn, gen_sphere_product
 from .kernels import (
     Sweep,
@@ -41,7 +41,9 @@ from .kernels import (
     pairing_to_dict,
     reports_to_json,
 )
-from .momentdata import CutLevel, _schema_int, load_manifold, manifold_to_json, to_json
+from .momentdata import (
+    CutLevel, _parse_json, _schema_int, load_manifold, manifold_to_json, to_json,
+)
 
 USAGE_EXIT = 64
 
@@ -255,12 +257,9 @@ def _cmd_validate(args) -> int:
         "ok": result.ok,
         "violations": list(result.violations),
     }
-    if result.ok:
-        _emit(report, args.format, [f"validation of {m.name}: ok"])
-        return 0
-    md = [f"validation of {m.name}: FAILED"] + [f"- {v}" for v in result.violations]
-    _emit(report, args.format, md)
-    return 2
+    md = [f"validation of {m.name}: {'ok' if result.ok else 'FAILED'}"]
+    _emit(report, args.format, md + [f"- {v}" for v in result.violations])
+    return 0 if result.ok else 2
 
 
 def _cmd_pair(args) -> int:
@@ -269,7 +268,7 @@ def _cmd_pair(args) -> int:
     pm = pairing_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "pair", "manifold": m.name} | pairing_to_dict(pm)
     headers = ["pairing"] + [f"{name} (deg {2 * m.n - 2 - args.degree})" for name in pm.col_labels]
-    rows = [[name] + [rat_str(e) for e in row] for name, row in zip(pm.row_labels, pm.matrix)]
+    rows = [[name, *row] for name, row in zip(pm.row_labels, report["entries"])]
     md = [
         f"pairing matrix of {m.name} at cut {args.cut}, degree {args.degree}",
         _md_table(headers, rows) if rows else "(empty row basis)",
@@ -368,14 +367,7 @@ def _cmd_betti(args) -> int:
 
 def _read_class(m, args):
     text = args.class_json if args.class_file is None else _read_file(args.class_file)
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, and an integer literal longer than the interpreter
-        # converts to int (4300 digits)
-        raise ParseError(f"invalid class JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("invalid class JSON: nested too deeply to parse") from None
+    obj = _parse_json(text, "class JSON")
     if not isinstance(obj, dict) or set(obj) != {"degree", "restrictions"}:
         raise SchemaError("class document needs exactly: degree, restrictions")
     _schema_int(obj["degree"], "class degree")
@@ -421,7 +413,7 @@ def _cmd_bmatrix(args) -> int:
     m = _load(args.input)
     rep = b_matrix(m, CutLevel(args.cut), args.degree)
     report = {"command": "bmatrix", "manifold": m.name} | bmatrix_to_dict(rep)
-    rows = [[name] + [rat_str(e) for e in row] for name, row in zip(rep.labels, rep.matrix)]
+    rows = [[name, *row] for name, row in zip(rep.labels, report["rows"])]
     md = [
         f"upward-restriction matrix of {m.name} at cut {args.cut}, degree {args.degree}",
         _md_table(["point"] + list(rep.labels), rows) if rows else "(empty index set)",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import Frozen, ValidationError
-from .exactmath import RationalLike, rat, rat_str, rref
+from .exactmath import RationalLike, rat, rat_str
 from .momentdata import (
     ManifoldData,
     negative_euler_scalar,
@@ -37,14 +37,7 @@ __all__ = [
     "basis_points",
     "gram_rows",
     "validate_alpha_basis",
-    "subspace_from_rows",
-    "subspace_sum",
-    "subspace_contains",
-    "subspace_integer_rows",
-    "subspace_scalar_rows",
 ]
-
-Vector = tuple[int | Fraction, ...]
 
 
 class EquivariantClass(Frozen):
@@ -131,7 +124,7 @@ class ValidationReport(Frozen):
 
 
 def _support_violations(
-    m: ManifoldData, label: str, table: Sequence[Vector], upward: bool,
+    m: ManifoldData, label: str, table: Sequence[Sequence[int | Fraction]], upward: bool,
     levels: Sequence[tuple[int, int]],
 ) -> Iterable[str]:
     """Nonzero entries of each downward (upward) row at another point of its
@@ -218,58 +211,3 @@ class Subspace(Frozen):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-
-def subspace_from_rows(
-    degree: int, labels: Sequence[str], rows: Sequence[Sequence[Fraction | int]]
-) -> Subspace:
-    """Canonicalize spanning rows (coefficient coordinates) into a Subspace."""
-    basis, _ = rref(rows, len(labels))
-    return Subspace(degree, tuple(labels), basis)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.degree != b.degree or a.labels != b.labels:
-        raise ValidationError("subspace sum needs matching ambient bases")
-    if not a.basis:
-        return b
-    if not b.basis:
-        return a
-    return subspace_from_rows(a.degree, a.labels, a.basis + b.basis)
-
-
-def subspace_contains(s: Subspace, coeffs: Sequence[Fraction | int]) -> bool:
-    """Exact membership test: adding the vector leaves the canonical basis as
-    it is."""
-    if len(coeffs) != len(s.labels):
-        raise ValidationError("coefficient vector has the wrong length")
-    return subspace_from_rows(s.degree, s.labels, (*s.basis, coeffs)) == s
-
-
-def subspace_integer_rows(m: ManifoldData, s: Subspace) -> list[tuple[list[int], int]]:
-    """Reduced-row-echelon basis rows expanded to restriction scalars, in
-    point order, as integers over a scale: (ints, scale) per basis row, the
-    scalar at point j being ints[j] / scale.
-
-    A primitive basis row times the integer rows of the degree basis
-    (`ManifoldData.integer_alpha_minus`, over den) is ints, and scale is den
-    times the row's leading entry.  The JSON kernel report writes the same
-    expansion itself (`kernels.reports_to_json`).
-    """
-    pts = basis_points(m, s.degree)
-    if tuple(m.fixed_points[i].name for i in pts) != s.labels:
-        raise ValidationError("subspace labels do not match the degree basis")
-    table, den = m.integer_alpha_minus
-    columns = list(zip(*(table[i] for i in pts)))
-    return [
-        ([sum(map(mul, row, column)) for column in columns], den * next(filter(None, row)))
-        for row in s.basis
-    ]
-
-
-def subspace_scalar_rows(m: ManifoldData, s: Subspace) -> list[Vector]:
-    """`subspace_integer_rows` as Fractions: the reduced-row-echelon basis
-    rows as restriction vectors."""
-    return [
-        tuple(Fraction(e, scale) for e in ints) for ints, scale in subspace_integer_rows(m, s)
-    ]

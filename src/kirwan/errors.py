@@ -7,6 +7,8 @@ package's own failures apart from genuine bugs.
 
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "Frozen",
     "KirwanError",
@@ -107,7 +109,16 @@ class Frozen:
         return type(self), self._values()  # copy and pickle through __init__
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+        try:
+            return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+        except ValueError:  # an int past the 4300 digits str() writes: lift that limit
+            if not (limit := sys.get_int_max_str_digits()):  # no limit: not an int's error
+                raise
+            sys.set_int_max_str_digits(0)
+            try:
+                return repr(self)
+            finally:
+                sys.set_int_max_str_digits(limit)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")

@@ -64,10 +64,6 @@ def gen_cpn(lambdas: Sequence[int]) -> ManifoldData:
     return _assemble(name, n, 1, points, tuple(map(tuple, down)), tuple(map(tuple, up)))
 
 
-def _vertex_name(signs: tuple[int, ...]) -> str:
-    return "".join("p" if s > 0 else "m" for s in signs)
-
-
 def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     """Sphere-product datum for one nonzero integer rotation speed per sphere
     factor; speeds enter through their absolute values, so the moment minimum
@@ -88,7 +84,7 @@ def gen_sphere_product(rotation_speeds: Sequence[int]) -> ManifoldData:
     speeds = tuple(abs(w) for w in given)
     k = len(speeds)
     vertices = list(product((-1, 1), repeat=k))
-    names = [_vertex_name(signs) for signs in vertices]
+    names = ["".join("p" if s > 0 else "m" for s in signs) for signs in vertices]
     moments = [sum(s * w for s, w in zip(signs, speeds)) for signs in vertices]
     order = sorted(range(len(vertices)), key=lambda v: (moments[v], names[v]))
     points = tuple(

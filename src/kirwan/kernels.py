@@ -41,9 +41,6 @@ from .cohomology import (
     basis_points,
     class_to_dict,
     gram_rows,
-    subspace_contains,
-    subspace_scalar_rows,
-    subspace_sum,
 )
 from .errors import (
     Frozen,
@@ -53,7 +50,7 @@ from .errors import (
     NotInKernel,
     ValidationError,
 )
-from .exactmath import meet, nullspace, rat_str, ratio_str
+from .exactmath import meet, nullspace, rat_str, ratio_str, rref
 from .momentdata import CutLevel, ManifoldData, split_fixed_points, to_json
 
 __all__ = [
@@ -253,14 +250,16 @@ def kernel_tw(
     after the tw_plus basis cut to its first k columns.  tw_plus is canonical,
     so that cut is read off with no elimination: its rows are the tw_plus rows
     with leading entry left of k, each cut at k and divided by the gcd of what
-    is left.  Elsewhere (data loaded without validation) both are eliminated.
+    is left.  Elsewhere (data loaded without validation) the second is
+    eliminated, and the sum is the `rref` of both bases.
     """
     sweep = _sweep_of(m, cut, sweep)
     tw_plus = _tw_plus(m, degree, sweep)
+    labels, below = tw_plus.labels, len(sweep.below)
     if not sweep.triangular:
         tw_minus = _evaluation_kernel(m, degree, sweep.below)
-        return tw_plus, tw_minus, subspace_sum(tw_plus, tw_minus)
-    labels, below = tw_plus.labels, len(sweep.below)
+        basis, _ = rref(tw_plus.basis + tw_minus.basis, len(labels))
+        return tw_plus, tw_minus, Subspace(degree, labels, basis)
     k, w = sum(i < below for i in basis_points(m, degree)), len(labels)
     units = tuple((0,) * c + (1,) + (0,) * (w - 1 - c) for c in range(k, w))
     padded = tuple(
@@ -281,14 +280,28 @@ class KernelReport(Frozen):
     )
 
 
+def _in_span(basis: Sequence[Sequence[int]], row: Sequence[int | Fraction]) -> bool:
+    """Whether row lies in the span of basis, canonical rows as `rref` gives them: each
+    is zero at the others' pivots, so row less its multiple of each at that row's pivot
+    (in integers) is zero exactly when row is in the span, with no elimination."""
+    for line in basis:
+        p = next(c for c, e in enumerate(line) if e)
+        if x := row[p]:
+            row = [line[p] * e - x * t for e, t in zip(row, line)]
+    return not any(row)
+
+
 def _find_witness(
     m: ManifoldData, a: Subspace, b: Subspace
 ) -> EquivariantClass | None:
-    """A class in one subspace but not the other, expanded to restrictions."""
+    """The first basis row of a, then of b, outside the other's span, expanded to
+    restrictions as Fractions."""
+    pts = basis_points(m, a.degree)
     for first, second in ((a, b), (b, a)):
-        for i, row in enumerate(first.basis):
-            if not subspace_contains(second, row):
-                return EquivariantClass(first.degree, subspace_scalar_rows(m, first)[i])
+        for row in first.basis:
+            if not _in_span(second.basis, row):
+                ints, scale = _expand(m, tuple(compress(zip(pts, row), row)))
+                return EquivariantClass(first.degree, tuple(Fraction(e, scale) for e in ints))
     return None
 
 
@@ -500,14 +513,25 @@ def _row_text(ints: Sequence[int], scale: int) -> str:
     return _ROW(_ENTRY.join([ratio_str(e, scale) if e else "0" for e in ints]))
 
 
+def _expand(m: ManifoldData, terms: Sequence[tuple[int, int]]) -> tuple[Sequence[int], int]:
+    """A canonical coefficient row, given by its nonzero (basis point, coefficient) terms,
+    as restriction scalars in point order: (ints, scale), the scalar at j being ints[j] /
+    scale.  ints is the row times the integer table rows (`ManifoldData.integer_alpha_minus`,
+    over den), a one-term row's being its table row; scale is den times the lead."""
+    table, den = m.integer_alpha_minus
+    (f, lead), *rest = terms
+    ints = table[f] if lead == 1 else [lead * e for e in table[f]]
+    for g, c in rest:
+        ints = [a + c * e if e else a for a, e in zip(ints, table[g])]
+    return ints, den * lead
+
+
 def reports_to_json(m: ManifoldData, reports: Sequence[KernelReport]) -> str:
     """The `degrees` list of `kirwan kernel --format json`, written in one pass over
     the reports' Subspaces: each distinct basis of a report once (on valid data
     `tw_sum` is the residue kernel), each coefficient row over its leading entry,
-    and each restriction row (`cohomology.subspace_integer_rows`) once, keyed by its
-    nonzero (point, coefficient) terms.  A row with one term is its table row over
-    den (every tw_minus row is one); a row that comes back at a lower degree is reused."""
-    table, den = m.integer_alpha_minus
+    and each restriction row (`_expand`) once, keyed by its nonzero (point,
+    coefficient) terms, so a row that comes back at a lower degree is reused."""
     rows: dict[tuple, str] = {}
     entries = []
     for rep in reports:
@@ -520,13 +544,9 @@ def reports_to_json(m: ManifoldData, reports: Sequence[KernelReport]) -> str:
             coefficient_rows, restriction_rows = [], []
             for row in s.basis:
                 terms = tuple(compress(zip(pts, row), row))
-                (f, lead), *rest = terms
-                coefficient_rows.append(_row_text(row, lead))
+                coefficient_rows.append(_row_text(row, terms[0][1]))
                 if terms not in rows:
-                    ints = table[f] if lead == 1 else [lead * e for e in table[f]]
-                    for g, c in rest:
-                        ints = [a + c * e if e else a for a, e in zip(ints, table[g])]
-                    rows[terms] = _row_text(ints, den * lead)
+                    rows[terms] = _row_text(*_expand(m, terms))
                 restriction_rows.append(rows[terms])
             texts[s.basis] = (
                 f'{{\n        "degree": {s.degree},\n        "labels": {labels},'

@@ -264,6 +264,18 @@ def _place(
     return tuple(map(tuple, rows))
 
 
+def _parse_json(text: str | bytes, what: str) -> object:
+    """json.loads of text, with a ParseError "invalid <what>: ..." for what it
+    cannot parse: JSONDecodeError, UnicodeDecodeError, an integer literal longer
+    than the interpreter converts to int (4300 digits) and nesting too deep."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid {what}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"invalid {what}: nested too deeply to parse") from None
+
+
 def load_manifold(
     document: str | bytes | dict[str, object], *, validate_alpha: bool = True
 ) -> ManifoldData:
@@ -277,17 +289,7 @@ def load_manifold(
     violations unless validate_alpha is False.  Schema errors come first,
     then the structural invariants, then unknown names in the tables.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            obj = json.loads(document)
-        except ValueError as exc:
-            # JSONDecodeError, UnicodeDecodeError, and an integer literal
-            # longer than the interpreter converts to int (4300 digits)
-            raise ParseError(f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ParseError("invalid JSON: nested too deeply to parse") from None
-    else:
-        obj = document
+    obj = _parse_json(document, "JSON") if isinstance(document, (str, bytes)) else document
     if not isinstance(obj, dict):
         raise SchemaError("top-level document must be an object")
 

@@ -26,6 +26,10 @@ whose `json.dumps` text the one-pass writer `manifold_to_json` must write, and
 `reference_kernel_entry` one entry of the JSON kernel report as a dict, whose
 `to_json` text the one-pass writer `reports_to_json` must write.
 `reference_split` splits the fixed points at a cut by comparing every moment.
+`scalar_rows` expands a subspace's rows to restriction vectors in Fractions,
+`reference_span` and `reference_in_span` compare spans by the rank of the
+Fraction elimination, and `reference_witness` is the class `kernels_equal`
+must name when its two kernels differ.
 """
 
 from __future__ import annotations
@@ -37,17 +41,10 @@ import re
 import sys
 from fractions import Fraction
 
-from kirwan.cohomology import (
-    EquivariantClass,
-    Subspace,
-    basis_points,
-    class_to_dict,
-    subspace_integer_rows,
-    subspace_sum,
-)
+from kirwan.cohomology import EquivariantClass, basis_points, class_to_dict
 from kirwan.errors import NotRegularValue, SchemaError
-from kirwan.exactmath import nullspace, rat, rat_str, ratio_str
-from kirwan.momentdata import load_manifold, manifold_to_json, morse_index, split_fixed_points
+from kirwan.exactmath import rat, rat_str, ratio_str
+from kirwan.momentdata import load_manifold, manifold_to_json, morse_index
 
 
 def basis_rows(m, degree):
@@ -84,6 +81,41 @@ def reduced_row(row):
 def rref_rows(subspace):
     """The subspace's reduced-row-echelon rows as Fractions."""
     return [reduced_row(row) for row in subspace.basis]
+
+
+def scalar_rows(m, subspace):
+    """The subspace's reduced-row-echelon rows as restriction vectors: each the
+    `combination` of the degree basis rows, added up in Fractions over the
+    nonzero terms."""
+    basis, width = basis_rows(m, subspace.degree), len(m.fixed_points)
+    out = []
+    for row in rref_rows(subspace):
+        terms = [(c, b) for c, b in zip(row, basis) if c]
+        out.append(tuple(
+            sum((c * b[j] for c, b in terms if b[j]), Fraction(0)) for j in range(width)
+        ))
+    return out
+
+
+def reference_span(rows, width):
+    """The nonzero rows of `reference_rref`: equal for rows of equal span."""
+    return [row for row in reference_rref(rows, width)[0] if any(row)]
+
+
+def reference_in_span(rows, v, width):
+    """Whether adding v to the rows leaves the rank of their Fraction elimination."""
+    return len(reference_span([*rows, v], width)) == len(reference_span(rows, width))
+
+
+def reference_witness(m, a, b):
+    """The class `kernels_equal` names when two subspaces of one degree differ: the
+    first basis row of a, then of b, outside the other's span, as `scalar_rows`
+    expands it; None when neither has such a row."""
+    for first, second in ((a, b), (b, a)):
+        for row in rref_rows(first):
+            if not reference_in_span(rref_rows(second), row, len(first.labels)):
+                return combination(m, first.degree, row)
+    return None
 
 
 def reference_document(m):
@@ -123,9 +155,7 @@ def reference_kernel_entry(m, report):
             "coefficient_rows": [
                 [ratio_str(e, lead) for e in row] for row, lead in zip(s.basis, leads)
             ],
-            "restriction_rows": [
-                [ratio_str(e, scale) for e in ints] for ints, scale in subspace_integer_rows(m, s)
-            ],
+            "restriction_rows": [list(map(rat_str, row)) for row in scalar_rows(m, s)],
         }
 
     residue = subspace(report.residue_kernel)
@@ -400,18 +430,16 @@ def basis_coefficients(m, eta):
 
 
 def reference_tw_kernels(m, cut, degree):
-    """(vanishing above the cut, vanishing below it, their sum) by elimination
-    alone: the null spaces of the degree basis evaluated, in Fractions, at the
-    points on each side of the cut, and `subspace_sum` of the two."""
+    """(vanishing above the cut, vanishing below it, their sum) by Fraction
+    elimination alone, as reduced rows: `reference_nullspace` of the degree basis
+    evaluated at the points on each side of the cut (`reference_split`), and the
+    `reference_span` of the two."""
     pts = basis_points(m, degree)
-    labels = tuple(m.fixed_points[i].name for i in pts)
     plus, minus = (
-        Subspace(degree, labels, nullspace(
-            [[m.alpha_minus[i][j] for i in pts] for j in side], len(pts)
-        ))
-        for side in split_fixed_points(m, cut)
+        reference_nullspace([[m.alpha_minus[i][j] for i in pts] for j in side], len(pts))
+        for side in reference_split(m, cut)
     )
-    return plus, minus, subspace_sum(plus, minus)
+    return plus, minus, reference_span(plus + minus, len(pts))
 
 
 def census_betti(m, cut):

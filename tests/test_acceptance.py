@@ -17,12 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from kirwan.cohomology import (
-    basis_points,
-    make_class,
-    subspace_from_rows,
-    subspace_scalar_rows,
-)
+from kirwan.cohomology import basis_points, make_class
 from kirwan.errors import NotInKernel
 from kirwan.exactmath import rat
 from kirwan.generators import gen_cpn, gen_sphere_product
@@ -42,7 +37,9 @@ from oracles import (
     combination,
     localization_expansion,
     localization_pairing,
+    reference_span,
     rref_rows,
+    scalar_rows,
 )
 
 EXPECTED = json.loads(
@@ -112,13 +109,11 @@ def by_name(m, eta):
 
 
 def scalar_span(m, rows):
-    labels = tuple(fp.name for fp in m.fixed_points)
-    return subspace_from_rows(0, labels, [[rat(x) for x in row] for row in rows])
+    return reference_span([[rat(x) for x in row] for row in rows], len(m.fixed_points))
 
 
 def computed_scalar_span(m, subspace):
-    labels = tuple(fp.name for fp in m.fixed_points)
-    return subspace_from_rows(0, labels, subspace_scalar_rows(m, subspace))
+    return reference_span(scalar_rows(m, subspace), len(m.fixed_points))
 
 
 # --- criterion 1 -----------------------------------------------------------------

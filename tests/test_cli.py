@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kirwan import cli, cohomology
+from kirwan import cli, kernels
 from kirwan.cli import main
 from kirwan.cohomology import EquivariantClass, basis_points
 from kirwan.exactmath import rat
@@ -216,17 +216,16 @@ def test_long_narrowing_chains_agree_with_the_census(tmp_path, capsys, m):
 
 
 def test_kernel_md_does_not_expand_subspaces(cp2_path, capsys, monkeypatch):
-    # md prints only dimensions, so it must not build the restriction rows; the
-    # JSON report expands them in kernels.reports_to_json, and every other
-    # expansion, Fraction rows included, goes through subspace_integer_rows
+    # md prints only dimensions, so it must not build the restriction rows; every
+    # expansion, that of the JSON report and that of a witness, goes through
+    # kernels._expand
     args = ("kernel", "--input", cp2_path, "--cut", "3/2", "--degree", "all")
     _, want = run(capsys, *args)
 
-    def boom(m, s):
+    def boom(m, terms):
         raise RuntimeError("restriction rows expanded")
 
-    monkeypatch.setattr(cohomology, "subspace_integer_rows", boom)
-    monkeypatch.setattr(cli, "reports_to_json", boom)
+    monkeypatch.setattr(kernels, "_expand", boom)
     assert run(capsys, *args, "--format", "md") == (0, want)
     with pytest.raises(RuntimeError):
         main([*args, "--format", "json"])

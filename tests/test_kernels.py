@@ -14,8 +14,6 @@ from kirwan.cohomology import (
     Subspace,
     basis_points,
     make_class,
-    subspace_from_rows,
-    subspace_scalar_rows,
 )
 from kirwan.errors import (
     InternalContradiction,
@@ -55,8 +53,11 @@ from oracles import (
     localization_expansion,
     localization_pairing,
     reference_kernel_entry,
+    reference_span,
     reference_tw_kernels,
+    reference_witness,
     rref_rows,
+    scalar_rows,
 )
 from test_betti import mid_gap_cuts
 from test_golden import DATA, SWEEP_DATA, WIDE_DATA
@@ -73,14 +74,12 @@ def cut(text):
 
 
 def scalar_span(m, rows):
-    """Canonical subspace of restriction-scalar space from recorded rows."""
-    labels = tuple(fp.name for fp in m.fixed_points)
-    return subspace_from_rows(0, labels, [[rat(x) for x in row] for row in rows])
+    """Canonical span in restriction-scalar space of recorded rows."""
+    return reference_span([[rat(x) for x in row] for row in rows], len(m.fixed_points))
 
 
 def computed_scalar_span(m, subspace):
-    labels = tuple(fp.name for fp in m.fixed_points)
-    return subspace_from_rows(0, labels, subspace_scalar_rows(m, subspace))
+    return reference_span(scalar_rows(m, subspace), len(m.fixed_points))
 
 
 # --- pairings -------------------------------------------------------------------
@@ -259,7 +258,10 @@ def assert_tw_matches_the_eliminations(m, cuts):
     for c in cuts:
         sweep = Sweep(m, c)
         for d in range(0, 2 * m.n - 1, 2):
-            assert kernel_tw(m, c, d, sweep) == reference_tw_kernels(m, c, d), (str(c.c), d)
+            got = kernel_tw(m, c, d, sweep)
+            labels = tuple(m.fixed_points[i].name for i in basis_points(m, d))
+            assert {(s.degree, s.labels) for s in got} == {(d, labels)}
+            assert [rref_rows(s) for s in got] == [*reference_tw_kernels(m, c, d)], (str(c.c), d)
 
 
 @pytest.mark.parametrize("label", GOLDEN)
@@ -303,6 +305,34 @@ def test_kernel_tw_eliminates_when_the_triangular_block_fails(edit, degree, tw_m
     assert kernel_tw(m, cut("3/2"), degree)[1].basis == tw_minus
 
 
+@st.composite
+def edited_data(draw):
+    """A generated CP^n or S2^k with one to three alpha_minus entries set to a
+    small rational, maybe 0 or a Fraction, loaded without table validation."""
+    m = draw(GENERATED)
+    names = st.sampled_from([fp.name for fp in m.fixed_points])
+    values = st.fractions(-6, 6, max_denominator=3).map(rat_str)
+    edits = draw(st.lists(st.tuples(names, names, values), min_size=1, max_size=3))
+    return edited(m, *(("alpha_minus", f, g, value) for f, g, value in edits))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(edited_data())
+def test_the_witness_is_the_first_row_outside_the_other_span(m):
+    """At every mid-gap cut and even degree, swept from the top down: no witness
+    exactly when the kernels agree, and otherwise the oracle's first basis row,
+    of the residue kernel and then of tw_sum, outside the other's span, expanded
+    in Fractions."""
+    for c in mid_gap_cuts(m):
+        sweep = Sweep(m, c)
+        for d in range(2 * m.n - 2, -1, -2):
+            rep = kernels_equal(m, c, d, sweep)
+            assert (rep.witness is None) == rep.equal
+            assert rep.witness == reference_witness(m, rep.residue_kernel, rep.tw_sum)
+            if rep.witness is not None:
+                assert {type(s) for s in rep.witness.restrictions} == {Fraction}
+
+
 # --- the JSON kernel report -------------------------------------------------------
 
 
@@ -342,7 +372,7 @@ def disagreeing(m, r):
         (0,) * c + (1,) + (0,) * (len(labels) - 1 - c) for c in range(len(labels))
     ))
     tw_sum = Subspace(r.degree, labels, ()) if r.residue_kernel == whole else whole
-    witness = EquivariantClass(r.degree, subspace_scalar_rows(m, whole)[0]) if labels else None
+    witness = EquivariantClass(r.degree, scalar_rows(m, whole)[0]) if labels else None
     return KernelReport(
         r.cut, r.degree, r.residue_kernel, r.tw_plus, r.tw_minus, tw_sum,
         equal=False, betti=r.betti, witness=witness,
@@ -454,7 +484,7 @@ def test_decompose_inconsistent_table_texts(m, entry, at, degree, text):
     # a residue-kernel class of an edited table passes the pairing check, so
     # the side-vanishing checks are the ones that catch the edit
     broken, c = edited(m, entry), cut(at)
-    row = subspace_scalar_rows(broken, kernel_residue(broken, c, degree))[0]
+    row = scalar_rows(broken, kernel_residue(broken, c, degree))[0]
     with pytest.raises(InternalContradiction) as err:
         decompose(broken, EquivariantClass(degree, row), c)
     assert str(err.value) == text
@@ -478,7 +508,7 @@ def test_decompose_coefficients_and_corrections_rebuild_the_class_and_its_parts(
     for c in mid_gap_cuts(m):
         above, _ = split_fixed_points(m, c)
         for d in range(0, 2 * m.n - 1, 2):
-            rows = subspace_scalar_rows(m, kernel_residue(m, c, d))
+            rows = scalar_rows(m, kernel_residue(m, c, d))
             weights = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in rows]
             eta = EquivariantClass(d, tuple(
                 sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0))
@@ -632,7 +662,7 @@ def test_reverse_inclusion_tw_classes_pair_to_zero():
                 for side in (tw_plus, tw_minus):
                     values = [
                         [localization_pairing(m, row, col, above) for col in partners]
-                        for row in subspace_scalar_rows(m, side)
+                        for row in scalar_rows(m, side)
                     ]
                     assert all(v == 0 for row in values for v in row)
 

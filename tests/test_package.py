@@ -5,6 +5,7 @@ sessions."""
 
 from __future__ import annotations
 
+import importlib
 import pkgutil
 import re
 import shlex
@@ -38,6 +39,20 @@ def test_every_module_star_imports():
     assert "kernels" in modules
     for name in modules:
         exec(f"from kirwan.{name} import *", {})
+
+
+def test_every_module_name_readme_cites_resolves():
+    """Each backticked `module.name` (or `kirwan.module.name`) in README, for a
+    module of the package, names an attribute of that module."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = "|".join(info.name for info in pkgutil.iter_modules(kirwan.__path__))
+    cited = re.findall(rf"`(?:kirwan\.)?({modules})\.(\w+)", readme)
+    assert len(cited) >= 5
+    missing = [
+        f"{module}.{name}" for module, name in cited
+        if not hasattr(importlib.import_module(f"kirwan.{module}"), name)
+    ]
+    assert not missing
 
 
 def test_pyproject_version_is_the_package_version():

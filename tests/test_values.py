@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -122,3 +124,17 @@ def test_manifold_equality_ignores_derived_members():
     )
     assert _manifold("CP2").morse_indices == (0, 2, 4)
     assert _manifold("CP2").position("p2") == 2
+
+
+def test_repr_writes_ints_past_the_str_limit_in_full():
+    """An int past the 4300 digits str() writes, held in a table or a Fraction,
+    is written in full, and the interpreter's limit is the same afterwards."""
+    m = gen_cpn([-(10**2199) - 7, 3, 10**2199 + 1])
+    long_entry = max((abs(e) for row in m.alpha_minus for e in row))
+    eta = EquivariantClass(2, (Fraction(long_entry, 7), Fraction(1, 2)))
+    limit = sys.get_int_max_str_digits()
+    text, eta_text = repr(m), repr(eta)
+    assert sys.get_int_max_str_digits() == limit
+    digits = str(Decimal(long_entry))
+    assert len(digits) > 4300 and digits in text
+    assert eta_text == f"EquivariantClass(2, (Fraction({digits}, 7), Fraction(1, 2)))"
